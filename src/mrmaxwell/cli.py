@@ -94,20 +94,18 @@ def main(argv=None) -> int:
         methods=args.method,
         formulation=args.formulation,
         reference_substeps=args.reference_substeps,
-        out_dir=args.out,
         seed=args.seed,
         fd_step=args.fd_step,
-        summary=args.summary,
         model_file=getattr(args, "model", None),
         cycles=getattr(args, "cycles", 2),
         coarse_steps_per_cycle=getattr(args, "coarse_steps", 50),
         fine_steps_per_cycle=getattr(args, "fine_steps", 5000),
     )
     result = _STUDIES[args.study](cfg)
-    if cfg.out_dir:
-        for path in result.write(cfg.out_dir):
+    if args.out:
+        for path in result.write(args.out):
             print(f"wrote {path}", file=sys.stderr)
-    print(result.summary(cfg.summary))
+    print(result.summary(args.summary))
     return 0 if result.passed else 1
 
 

@@ -84,6 +84,8 @@ class MaterialParams:
     eta: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.c10) and math.isfinite(self.c01)):
+            raise DomainError("shear moduli c10, c01 must be finite")
         if self.c10 < 0.0 or self.c01 < 0.0 or self.c10 + self.c01 <= 0.0:
             raise DomainError("shear moduli must be >= 0 with c10 + c01 > 0")
         if not self.eta > 0.0:
@@ -162,17 +164,14 @@ class StepDiagnostics:
     steppers, 2 by construction for the two-correction stepper).
     ``substeps`` counts bisection events of the Newton baselines and
     ``divergences`` their abandoned Newton attempts; both stay 0 on the
-    iteration-free paths.  ``phi0``/``phi``/``eps`` are only set by the
-    steppers that solve the tensor quadratic.
+    iteration-free paths.  ``phi`` is only set by the steppers that solve
+    the tensor quadratic.
     """
 
-    phi0: Optional[float] = None
     phi: Optional[float] = None
-    eps: Optional[float] = None
     iterations: int = 0
     substeps: int = 0
     divergences: int = 0
-    used_fallback: bool = False
 
 
 @dataclass(frozen=True)
@@ -340,31 +339,62 @@ def _stress_from_parts(C_inv, Cbar, Cbar_inv, Ci, p):
     return -sym(C_inv @ deviator(term), scale=scale)
 
 
-def _quadratic_setup(isq, Ci, beta):
-    # the congruence of Ci + beta * Cbar splits exactly into
-    # isq Ci isq + beta I, so the beta part shifts the spectrum without
-    # entering the floating-point assembly
-    W = sym(isq @ Ci @ isq, check=False)
-    w, V = np.linalg.eigh(W)
-    if not w[0] > 0.0:
-        raise DomainError(
-            "quadratic input lost positive definiteness",
-            min_eigenvalue=float(w[0]),
-        )
-    return w + beta, V
+def _require_dt(dt):
+    if not 0.0 <= dt < math.inf:
+        raise DomainError(f"dt must be finite and non-negative, got {dt!r}")
 
 
 def _phi_estimate(w, eps):
-    w0, w1, w2 = w.tolist()
+    w0, w1, w2 = w
     phi0 = float(np.cbrt(w0 * w1 * w2))
-    phi = phi0 - ((w0 + w1) + w2) / (3.0 * phi0) * eps if eps != 0.0 else phi0
-    return phi0, phi
+    return phi0 - ((w0 + w1) + w2) / (3.0 * phi0) * eps if eps != 0.0 else phi0
 
 
-def _finish_update(sq, w, V, phi, eps):
-    x = [_root_eigvals(v, phi, eps, math.sqrt) for v in w.tolist()]
-    X = (V * x) @ V.T
-    return unimodular(sym(sq @ X @ sq, check=False))
+def _det_residual(w, phi, eps):
+    # R(phi) = det X(phi) - 1 over the spectrum w of the quadratic's input,
+    # and its exact slope R' = -det X * sum_i 1/sqrt(phi^2 + 4 eps w_i),
+    # which is always negative
+    det_x = math.prod(_root_eigvals(v, phi, eps, math.sqrt) for v in w)
+    slope = -det_x * sum(1.0 / math.sqrt(phi * phi + 4.0 * eps * v) for v in w)
+    return det_x - 1.0, slope
+
+
+def _closed_form_root(W, beta, eps, corrections, name):
+    # the root X of phi X = (W + beta I) - eps X^2 and its phi: the
+    # first-order estimate of phi, then `corrections` Newton steps on
+    # det X(phi) = 1.  W is the congruence of the state alone (isq Ci isq,
+    # or G^T Be^-1 G); that of the state plus beta times the strain is
+    # exactly W + beta I, so beta shifts the spectrum without entering
+    # the floating-point assembly
+    w, V = np.linalg.eigh(W)
+    if not w[0] > 0.0:
+        raise DomainError(
+            f"{name} lost positive definiteness", min_eigenvalue=float(w[0])
+        )
+    # the beta part of the quadratic shifts the spectrum exactly
+    w = (w + beta).tolist()
+    phi = _phi_estimate(w, eps)
+    for _ in range(corrections):
+        r, slope = _det_residual(w, phi, eps)
+        phi -= r / slope
+    x = [_root_eigvals(v, phi, eps, math.sqrt) for v in w]
+    return (V * x) @ V.T, phi
+
+
+def _lagrangian_step(C_next, state, dt, p, corrections):
+    _require_dt(dt)
+    t3.require_spd(C_next, "C_next")
+    Cbar, sq, isq, Cbar_inv, C_inv = _strain_parts(C_next)
+    W = sym(isq @ state.Ci @ isq, check=False)
+    X, phi = _closed_form_root(
+        W, dt * p.c10 / p.eta, dt * p.c01 / p.eta, corrections, "quadratic input"
+    )
+    Ci_new = unimodular(sym(sq @ X @ sq, check=False))
+    return StepResult(
+        LagrangianState(Ci_new),
+        _stress_from_parts(C_inv, Cbar, Cbar_inv, Ci_new, p),
+        StepDiagnostics(phi=phi, iterations=corrections),
+    )
 
 
 def ifebm_step_lagrangian(
@@ -375,21 +405,7 @@ def ifebm_step_lagrangian(
     Closed form; preserves symmetry, positive definiteness and the unit
     determinant of the internal variable for any dt >= 0.
     """
-    if dt < 0.0:
-        raise DomainError("dt must be non-negative")
-    t3.require_spd(C_next, "C_next")
-    Cbar, sq, isq, Cbar_inv, C_inv = _strain_parts(C_next)
-    beta = dt * p.c10 / p.eta
-    eps = dt * p.c01 / p.eta
-    w, V = _quadratic_setup(isq, state.Ci, beta)
-    phi0, phi = _phi_estimate(w, eps)
-    Ci_new = _finish_update(sq, w, V, phi, eps)
-    diag = StepDiagnostics(phi0=phi0, phi=phi, eps=eps, iterations=0)
-    return StepResult(
-        LagrangianState(Ci_new),
-        _stress_from_parts(C_inv, Cbar, Cbar_inv, Ci_new, p),
-        diag,
-    )
+    return _lagrangian_step(C_next, state, dt, p, 0)
 
 
 def twoiter_step(
@@ -398,46 +414,12 @@ def twoiter_step(
     """Closed-form update plus exactly two scalar Newton corrections of
     the volume-correction scalar.
 
-    The corrections drive ``det(X(phi)) - 1`` to zero; the derivative is
-    taken by central differences with step ``1e-6 * max(phi0, 1)``.  If
-    the derivative degenerates (|R'| < 1e-14) the estimate from
-    :func:`solve_phi` is kept and the fallback flag is set.
+    The corrections drive ``det(X(phi)) - 1`` to zero with its exact
+    derivative ``-det(X) * sum_i 1/sqrt(phi^2 + 4 eps w_i)`` over the
+    eigenvalues ``w_i`` of the quadratic's input; the derivative is
+    always negative, so every correction is defined.
     """
-    if dt < 0.0:
-        raise DomainError("dt must be non-negative")
-    t3.require_spd(C_next, "C_next")
-    Cbar, sq, isq, Cbar_inv, C_inv = _strain_parts(C_next)
-    beta = dt * p.c10 / p.eta
-    eps = dt * p.c01 / p.eta
-    w, V = _quadratic_setup(isq, state.Ci, beta)
-    phi0, phi_est = _phi_estimate(w, eps)
-
-    w0, w1, w2 = w.tolist()
-
-    def residual(phi):
-        x0, x1, x2 = (_root_eigvals(v, phi, eps, math.sqrt) for v in (w0, w1, w2))
-        return x0 * x1 * x2 - 1.0
-
-    h = 1e-6 * max(phi0, 1.0)
-    phi = phi_est
-    fallback = False
-    for _ in range(2):
-        r = residual(phi)
-        slope = (residual(phi + h) - residual(phi - h)) / (2.0 * h)
-        if abs(slope) < 1e-14:
-            phi = phi_est
-            fallback = True
-            break
-        phi -= r / slope
-    Ci_new = _finish_update(sq, w, V, phi, eps)
-    diag = StepDiagnostics(
-        phi0=phi0, phi=phi, eps=eps, iterations=2, used_fallback=fallback
-    )
-    return StepResult(
-        LagrangianState(Ci_new),
-        _stress_from_parts(C_inv, Cbar, Cbar_inv, Ci_new, p),
-        diag,
-    )
+    return _lagrangian_step(C_next, state, dt, p, 2)
 
 
 def ifebm_step_eulerian(
@@ -448,32 +430,22 @@ def ifebm_step_eulerian(
     Driven by the relative deformation gradient between the last
     accepted and the new placement; returns the Kirchhoff stress.
     """
-    if dt < 0.0:
-        raise DomainError("dt must be non-negative")
+    _require_dt(dt)
     if not np.isfinite(F_next).all() or not det(F_next) > 0.0:
         raise DomainError("F_next must be finite with positive determinant")
-    F_rel_bar = unimodular(F_next @ inverse(state.F_prev))
-    G = inverse(F_rel_bar)
-    trial_inv = sym(G.T @ state.Be_inv_bar @ G, check=False)
-    # adding beta * I shifts the trial spectrum exactly
-    beta = dt * p.c10 / p.eta
-    eps = dt * p.c01 / p.eta
-    w_t, V = np.linalg.eigh(trial_inv)
-    if not w_t[0] > 0.0:
-        raise DomainError(
-            "trial state lost positive definiteness",
-            min_eigenvalue=float(w_t[0]),
-        )
-    w = w_t + beta
-    phi0, phi = _phi_estimate(w, eps)
-    Be_inv_new = unimodular(
-        sym((V * _root_eigvals(w, phi, eps)) @ V.T, check=False)
+    G = inverse(unimodular(F_next @ inverse(state.F_prev)))
+    X, phi = _closed_form_root(
+        sym(G.T @ state.Be_inv_bar @ G, check=False),
+        dt * p.c10 / p.eta,
+        dt * p.c01 / p.eta,
+        0,
+        "trial state",
     )
-    diag = StepDiagnostics(phi0=phi0, phi=phi, eps=eps, iterations=0)
+    Be_inv_new = unimodular(sym(X, check=False))
     return StepResult(
         EulerianState(Be_inv_new, F_next),
         kirchhoff_eulerian(Be_inv_new, p),
-        diag,
+        StepDiagnostics(phi=phi),
     )
 
 
@@ -600,8 +572,7 @@ def _substepping_solve(make_rhs, Ci_n, dt, label, depth=0):
 def _newton_baseline(rhs_family, label, C_next, state, dt, p):
     # the step shared by the Newton baselines: rhs_family(Cbar, p) gives
     # make_rhs(Ci_n, h), the right-hand side of one (sub)step's fixed point
-    if dt < 0.0:
-        raise DomainError("dt must be non-negative")
+    _require_dt(dt)
     t3.require_spd(C_next, "C_next")
     make_rhs = rhs_family(unimodular(C_next), p)
     Ci_new, diag = _substepping_solve(make_rhs, state.Ci, dt, label)
@@ -734,9 +705,9 @@ def _march(C_of_t, Ci0, t_grid, p, n_substeps):
             )
             _, sq, isq, _, _ = _strain_parts(C_block, with_inverses=False)
             for sq_s, isq_s in zip(sq, isq):
-                w, V = _quadratic_setup(isq_s, Ci, beta)
-                _, phi = _phi_estimate(w, eps)
-                Ci = _finish_update(sq_s, w, V, phi, eps)
+                W = sym(isq_s @ Ci @ isq_s, check=False)
+                X, _ = _closed_form_root(W, beta, eps, 0, "quadratic input")
+                Ci = unimodular(sym(sq_s @ X @ sq_s, check=False))
         state = LagrangianState(Ci)
         states.append(state.Ci)
         stresses.append(stress_2pk(C_of_t(t1), state.Ci, p))

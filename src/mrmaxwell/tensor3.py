@@ -12,7 +12,7 @@ the result of a one-tensor call, bit for bit.
   :func:`sym`, whose output satisfies ``A[i, j] == A[j, i]`` exactly.
 
 Determinants, inverses and traces use closed-form 3x3 expressions.
-Spectral routines (:func:`sym_eigen`, :func:`spd_sqrt`) are backed by
+Spectral routines (:func:`spd_sqrt`, :func:`spd_inv_sqrt`) are backed by
 LAPACK through ``numpy.linalg.eigh``, which handles repeated eigenvalues
 robustly; repeated spectra occur at every stress-free state, so this is
 the common case rather than the exception.
@@ -21,7 +21,6 @@ the common case rather than the exception.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from .errors import DomainError
 
 __all__ = [
     "IDENTITY",
-    "EigenSystem3",
     "det",
     "trace",
     "inverse",
@@ -39,10 +37,8 @@ __all__ = [
     "is_spd",
     "require_spd",
     "norm",
-    "sym_eigen",
     "spd_sqrt",
     "spd_inv_sqrt",
-    "spd_sqrt_pair",
     "mat_exp",
 ]
 
@@ -58,18 +54,18 @@ _F = [float(math.factorial(k)) for k in range(14)]
 def sym(A: np.ndarray, check: bool = True, scale: float = 0.0) -> np.ndarray:
     """Symmetric part (A + A^T)/2 (of each member of a stack).
 
-    With ``check`` enabled (and unless running under ``python -O``) the
-    discarded skew part is asserted to be round-off sized; the callers in
-    this package only symmetrize products that are symmetric in exact
-    arithmetic, so a large skew part indicates a bug upstream.  ``scale``
+    With ``check`` enabled the discarded skew part must be round-off
+    sized, or ``AssertionError`` is raised (under ``python -O`` too); the
+    callers in this package only symmetrize products that are symmetric
+    in exact arithmetic, so a large skew part indicates a bug upstream.  ``scale``
     sets the magnitude of the operands the product was formed from, for
     results that are small by cancellation (e.g. stresses near a relaxed
     state); the bound is 1e-10 * max(||result||, scale).
     """
     At = A.T if A.ndim == 2 else A.swapaxes(-1, -2)
     S = (A + At) / 2.0
-    if check:
-        assert _skew_norm_ok(A, S, scale), "asymmetry exceeds round-off bound"
+    if check and not _skew_norm_ok(A, S, scale):
+        raise AssertionError("asymmetry exceeds round-off bound")
     return S
 
 
@@ -209,25 +205,6 @@ def require_spd(A: np.ndarray, name: str = "tensor") -> None:
         raise DomainError(f"{name} is not symmetric positive definite")
 
 
-class EigenSystem3(NamedTuple):
-    """Spectral decomposition of a symmetric tensor.
-
-    ``values`` holds the eigenvalues sorted in descending order,
-    ``vectors`` the matching orthonormal eigenvectors as columns, so that
-    ``(vectors * values) @ vectors.T`` reconstructs the input.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def sym_eigen(A: np.ndarray) -> EigenSystem3:
-    """Eigenvalues (descending) and orthonormal eigenvectors of a
-    symmetric tensor."""
-    w, V = np.linalg.eigh(A)
-    return EigenSystem3(w[::-1].copy(), V[:, ::-1].copy())
-
-
 def _spd_eigen(A, name):
     w, V = np.linalg.eigh(A)
     floor = 1e-14 * np.linalg.norm(A)
@@ -249,17 +226,6 @@ def spd_inv_sqrt(A: np.ndarray) -> np.ndarray:
     """Inverse principal square root of an SPD tensor."""
     w, V = _spd_eigen(A, "spd_inv_sqrt argument")
     return sym((V / np.sqrt(w)) @ V.T, check=False)
-
-
-def spd_sqrt_pair(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Square root and inverse square root from a single decomposition.
-
-    The two factors come from the same eigenvector basis, so their
-    product is the identity to within one or two ulps.
-    """
-    w, V = _spd_eigen(A, "spd_sqrt_pair argument")
-    r = np.sqrt(w)
-    return sym((V * r) @ V.T, check=False), sym((V / r) @ V.T, check=False)
 
 
 # mat_exp's degree-13 Taylor polynomial in four groups, group k holding

@@ -5,11 +5,21 @@ is reproducible run to run.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+import mrmaxwell
 from mrmaxwell import tensor3 as t3
+
+
+def package_env():
+    """Environment for a child Python that imports this mrmaxwell."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mrmaxwell.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def rand_rotation(rng):

@@ -27,6 +27,8 @@ from mrmaxwell import (
 )
 from mrmaxwell import tensor3 as t3
 from mrmaxwell.constitutive import (
+    _closed_form_root,
+    _det_residual,
     _em_rhs,
     _fd_jacobian,
     _fd_points,
@@ -34,8 +36,6 @@ from mrmaxwell.constitutive import (
     _newton_solve,
     _NewtonFailure,
     _pack,
-    _phi_estimate,
-    _quadratic_setup,
     _strain_parts,
     _unpack,
 )
@@ -57,6 +57,12 @@ class TestMaterialParams:
             MaterialParams(1.0, 1.0, 0.0)
         with pytest.raises(DomainError):
             MaterialParams(-1.0, 2.0, 1.0)
+        nan, inf = math.nan, math.inf
+        for c10, c01 in ((nan, 1.0), (1.0, nan), (inf, 1.0), (1.0, inf)):
+            with pytest.raises(DomainError, match="finite"):
+                MaterialParams(c10, c01, 1.0)
+        # eta = inf is a frozen branch
+        assert MaterialParams(1.0, 1.0, math.inf).eta == math.inf
 
 
 class TestStates:
@@ -367,6 +373,19 @@ class TestTwoiter:
             res_newton = abs(residual_R(r2.diagnostics.phi, A, eps))
             assert res_newton < 1e-2 and res_newton < 1e-10 + 0.05 * res_est
 
+    @pytest.mark.parametrize("eps,phi", [(0.0, 1.3), (0.8, -0.6)])
+    def test_exact_slope_matches_central_difference(self, eps, phi):
+        # the corrections' slope of det X(phi) - 1, at eps = 0 and on the
+        # negative-phi branch of the root
+        w = [0.4, 1.1, 2.7]
+        _, slope = _det_residual(w, phi, eps)
+        h = 1e-6 * abs(phi)
+        central = (
+            _det_residual(w, phi + h, eps)[0] - _det_residual(w, phi - h, eps)[0]
+        ) / (2.0 * h)
+        assert slope < 0.0
+        assert abs(slope - central) <= 1e-6 * abs(slope)
+
 
 class TestNewtonBaselines:
     def test_dt_zero(self, rng):
@@ -554,7 +573,26 @@ class TestManifoldPreservation:
             Ci = rand_unimodular_spd(rng, 0.5, 2.0)
             res = step(C, LagrangianState(Ci), float(dt), P111)
             assert abs(t3.det(res.state.Ci) - 1.0) < 1e-12
-            assert t3.sym_eigen(res.state.Ci).values[-1] > 0.0
+            assert np.linalg.eigvalsh(res.state.Ci)[0] > 0.0
+
+
+_FIVE_STEPPERS = {
+    "ifebm": (ifebm_step_lagrangian, LagrangianState.identity),
+    "2iebm": (twoiter_step, LagrangianState.identity),
+    "mebm": (mebm_step, LagrangianState.identity),
+    "em": (em_step, LagrangianState.identity),
+    "eulerian": (ifebm_step_eulerian, EulerianState.identity),
+}
+
+
+class TestStepSizeValidation:
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, -0.1])
+    @pytest.mark.parametrize("method", sorted(_FIVE_STEPPERS))
+    def test_bad_dt_rejected_by_name(self, method, dt):
+        step, identity = _FIVE_STEPPERS[method]
+        # diag(1.2, 1, 0.9) is a valid strain and a valid deformation gradient
+        with pytest.raises(DomainError, match="dt must be finite and non-negative"):
+            step(np.diag([1.2, 1.0, 0.9]), identity(), dt, P111)
 
 
 class TestSmoothness:
@@ -604,9 +642,7 @@ class TestImplicitConsistency:
             beta = dt * P111.c10 / P111.eta
             eps = dt * P111.c01 / P111.eta
             Cbar, sq, isq, Cbar_inv, _ = _strain_parts(C)
-            w, V = _quadratic_setup(isq, Ci_n, beta)
-            _, phi = _phi_estimate(w, eps)
-            X = quad_root_X(sym((V * w) @ V.T), phi, eps)
+            X, phi = _closed_form_root(sym(isq @ Ci_n @ isq), beta, eps, 0, "W")
             Ci_star = sym(sq @ X @ sq)  # before projection
             # phi Ci* = Ci_n + beta Cbar - eps Ci* Cbar^-1 Ci*
             resid = (

@@ -13,6 +13,8 @@ from mrmaxwell import DomainError, MaterialParams
 from mrmaxwell import tensor3 as t3
 from mrmaxwell.cli import main as cli_main
 
+from conftest import package_env
+
 SQ2 = 1.0 / math.sqrt(2.0)
 
 
@@ -43,11 +45,6 @@ class TestNonproportionalProgram:
             self.program.F(-0.5)
         with pytest.raises(DomainError):
             self.program.F(3.5)
-
-    def test_loading_F_alias(self):
-        assert np.array_equal(
-            hn.loading_F(self.program, 0.7), self.program.F(0.7)
-        )
 
 
 class TestUniaxialProgram:
@@ -308,6 +305,16 @@ class TestCli:
         assert "overall: PASS" in out
         assert (tmp_path / "nonprop_errors.csv").exists()
 
+    @pytest.mark.parametrize("study", ["nonprop", "convergence", "tangent-sweep"])
+    def test_json_summary_round_trip(self, study, capsys):
+        cheap = ["--dt", "0.5", "--reference-substeps", "600"]
+        code = cli_main([study, "--summary", "json"] + cheap)
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["study"] == study
+        assert payload["passed"] is (code == 0)
+        assert payload["checks"]
+        assert all(type(v) is bool for v in payload["checks"].values())
+
     def test_unknown_method_rejected(self):
         with pytest.raises(SystemExit):
             cli_main(["nonprop", "--method", "rk4"])
@@ -326,6 +333,7 @@ class TestCli:
                 "--summary",
                 "json",
             ],
+            env=package_env(),
             capture_output=True,
             text=True,
             timeout=300,
