@@ -7,89 +7,17 @@ generalized Maxwell composite, and the verification studies exercising
 all of them.
 """
 
-from .errors import ConvergenceError, DomainError
-from . import tensor3
-from . import harness
-from .constitutive import (
-    EulerianState,
-    LagrangianState,
-    LAGRANGIAN_STEPPERS,
-    MaterialParams,
-    ReferenceSolution,
-    StepDiagnostics,
-    StepResult,
-    em_step,
-    eulerian_state_from_lagrangian,
-    ifebm_step_eulerian,
-    ifebm_step_lagrangian,
-    kirchhoff_eulerian,
-    mebm_step,
-    quad_root_X,
-    quad_root_X_subtractive,
-    reference_solve,
-    residual_R,
-    solve_phi,
-    stress_2pk,
-    twoiter_step,
-)
-from .tangent import (
-    consistent_tangent,
-    strain_to_voigt,
-    stress_to_voigt,
-    symmetry_deviation,
-    voigt_to_strain,
-    voigt_to_stress,
-)
-from .composite import (
-    CompositeModel,
-    CompositeStepResult,
-    EquilibriumParams,
-    composite_step,
-    equilibrium_stress,
-    load_model,
-    table_model_path,
-    uniaxial_axial_stress,
-)
+from . import composite, constitutive, errors, harness, tangent, tensor3
+from .errors import *
+from .constitutive import *
+from .tangent import *
+from .composite import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConvergenceError",
-    "DomainError",
-    "tensor3",
-    "harness",
-    "MaterialParams",
-    "LagrangianState",
-    "EulerianState",
-    "StepDiagnostics",
-    "StepResult",
-    "ReferenceSolution",
-    "LAGRANGIAN_STEPPERS",
-    "stress_2pk",
-    "kirchhoff_eulerian",
-    "solve_phi",
-    "quad_root_X",
-    "quad_root_X_subtractive",
-    "residual_R",
-    "ifebm_step_lagrangian",
-    "ifebm_step_eulerian",
-    "twoiter_step",
-    "mebm_step",
-    "em_step",
-    "reference_solve",
-    "eulerian_state_from_lagrangian",
-    "consistent_tangent",
-    "symmetry_deviation",
-    "stress_to_voigt",
-    "voigt_to_stress",
-    "strain_to_voigt",
-    "voigt_to_strain",
-    "EquilibriumParams",
-    "CompositeModel",
-    "CompositeStepResult",
-    "composite_step",
-    "equilibrium_stress",
-    "uniaxial_axial_stress",
-    "load_model",
-    "table_model_path",
+# the public names are those of the modules' own __all__
+__all__ = ["tensor3", "harness"] + [
+    name
+    for module in (errors, constitutive, tangent, composite)
+    for name in module.__all__
 ]

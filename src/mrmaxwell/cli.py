@@ -37,75 +37,72 @@ _STUDIES = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # study options have no argparse default: an option left out is left
+    # out of the namespace, so RunConfig's own default applies
     parser = argparse.ArgumentParser(
         prog="mrmaxwell",
         description="verification studies for the finite-strain Maxwell material",
     )
     sub = parser.add_subparsers(dest="study", required=True)
     for name in _STUDIES:
-        sp = sub.add_parser(name, help=f"run the {name} study")
-        sp.add_argument("--dt", type=float, default=0.1, help="time step")
-        sp.add_argument("--eta", type=float, default=1.0, help="viscosity")
-        sp.add_argument("--c10", type=float, default=1.0)
-        sp.add_argument("--c01", type=float, default=1.0)
+        sp = sub.add_parser(
+            name, help=f"run the {name} study", argument_default=argparse.SUPPRESS
+        )
+        sp.add_argument("--dt", type=float, help="time step")
+        sp.add_argument("--eta", type=float, help="viscosity")
+        sp.add_argument("--c10", type=float)
+        sp.add_argument("--c01", type=float)
         sp.add_argument(
             "--method",
-            default="all",
+            dest="methods",
             choices=["all", "ifebm", "2iebm", "mebm", "em"],
             help="stepper selection (default: all)",
         )
-        sp.add_argument(
-            "--formulation",
-            default="lagrangian",
-            choices=["lagrangian", "eulerian"],
-        )
+        sp.add_argument("--formulation", choices=["lagrangian", "eulerian"])
         sp.add_argument("--out", default=None, help="directory for CSV output")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=int)
         sp.add_argument(
             "--fd-step",
             type=float,
-            default=None,
             help="finite-difference step for consistent tangents",
         )
         sp.add_argument("--summary", default="text", choices=["text", "json"])
         sp.add_argument(
             "--reference-substeps",
             type=int,
-            default=100_000,
             help="total closed-form substeps of the reference solution",
         )
         if name == "uniaxial":
             sp.add_argument(
-                "--model", default=None, help="composite model JSON file"
+                "--model",
+                dest="model_file",
+                metavar="MODEL",
+                help="composite model JSON file",
             )
-            sp.add_argument("--cycles", type=int, default=2)
-            sp.add_argument("--coarse-steps", type=int, default=50)
-            sp.add_argument("--fine-steps", type=int, default=5000)
+            sp.add_argument("--cycles", type=int)
+            sp.add_argument(
+                "--coarse-steps",
+                dest="coarse_steps_per_cycle",
+                metavar="COARSE_STEPS",
+                type=int,
+            )
+            sp.add_argument(
+                "--fine-steps",
+                dest="fine_steps_per_cycle",
+                metavar="FINE_STEPS",
+                type=int,
+            )
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    cfg = RunConfig(
-        dt=args.dt,
-        eta=args.eta,
-        c10=args.c10,
-        c01=args.c01,
-        methods=args.method,
-        formulation=args.formulation,
-        reference_substeps=args.reference_substeps,
-        seed=args.seed,
-        fd_step=args.fd_step,
-        model_file=getattr(args, "model", None),
-        cycles=getattr(args, "cycles", 2),
-        coarse_steps_per_cycle=getattr(args, "coarse_steps", 50),
-        fine_steps_per_cycle=getattr(args, "fine_steps", 5000),
-    )
-    result = _STUDIES[args.study](cfg)
-    if args.out:
-        for path in result.write(args.out):
+    options = vars(_build_parser().parse_args(argv))
+    study, out, summary = (options.pop(k) for k in ("study", "out", "summary"))
+    result = _STUDIES[study](RunConfig(**options))
+    if out:
+        for path in result.write(out):
             print(f"wrote {path}", file=sys.stderr)
-    print(result.summary(args.summary))
+    print(result.summary(summary))
     return 0 if result.passed else 1
 
 

@@ -165,7 +165,7 @@ class StepDiagnostics:
     ``substeps`` counts bisection events of the Newton baselines and
     ``divergences`` their abandoned Newton attempts; both stay 0 on the
     iteration-free paths.  ``phi`` is only set by the steppers that solve
-    the tensor quadratic.
+    the tensor quadratic; at a dt so large that it overflows it is infinite.
     """
 
     phi: Optional[float] = None
@@ -339,15 +339,40 @@ def _stress_from_parts(C_inv, Cbar, Cbar_inv, Ci, p):
     return -sym(C_inv @ deviator(term), scale=scale)
 
 
-def _require_dt(dt):
+# below this size of the quadratic's largest coefficient, the cube of its
+# spectrum, phi^2 and eps w stay far from overflow
+_SAFE = 1e100
+
+
+def _scale_for(x):
+    # 1 below _SAFE, else 2**-e for x = m 2**e (0.5 <= m < 1): a power of
+    # two, so multiplying by it is exact
+    return 1.0 if x < _SAFE else 2.0 ** -math.frexp(x)[1]
+
+
+def _coefficients(dt, p):
+    # beta = dt c10 / eta and eps = dt c01 / eta of one step's quadratic;
+    # every stepper checks its dt here
     if not 0.0 <= dt < math.inf:
         raise DomainError(f"dt must be finite and non-negative, got {dt!r}")
+    beta, eps = dt * p.c10 / p.eta, dt * p.c01 / p.eta
+    if not (beta < math.inf and eps < math.inf):
+        raise DomainError(
+            f"dt = {dt!r} overflows dt*c10/eta = {beta!r} or dt*c01/eta = {eps!r}"
+        )
+    return beta, eps
 
 
-def _phi_estimate(w, eps):
-    w0, w1, w2 = w
-    phi0 = float(np.cbrt(w0 * w1 * w2))
-    return phi0 - ((w0 + w1) + w2) / (3.0 * phi0) * eps if eps != 0.0 else phi0
+def _phi_estimate(w, eps, scale):
+    # the first-order estimate phi0 - tr/(3 phi0) eps, phi0 = cbrt(det), of
+    # the quadratic times `scale`, a power of two (eps is scaled already,
+    # the spectrum w is not); where the cube of w could overflow, det and
+    # tr are formed in units of a power of two near the largest w
+    unit = _scale_for(w[2])
+    u0, u1, u2 = w[0] * unit, w[1] * unit, w[2] * unit
+    q0 = float(np.cbrt(u0 * u1 * u2))
+    phi0 = q0 / unit * scale
+    return phi0 - ((u0 + u1) + u2) / (3.0 * q0) * eps if eps != 0.0 else phi0
 
 
 def _det_residual(w, phi, eps):
@@ -373,23 +398,37 @@ def _closed_form_root(W, beta, eps, corrections, name):
         )
     # the beta part of the quadratic shifts the spectrum exactly
     w = (w + beta).tolist()
-    phi = _phi_estimate(w, eps)
+    if not w[2] < math.inf:
+        raise DomainError(f"{name} overflows when shifted by beta = {beta!r}")
+    # where phi^2 or eps w could overflow, the quadratic is multiplied by a
+    # power of two near the inverse of its largest coefficient: exact, since
+    # phi, eps and w all scale by it and X does not (phi may overflow when
+    # scaled back)
+    scale = _scale_for(max(w[2], eps))
+    eps *= scale
+    phi = _phi_estimate(w, eps, scale)
+    w = [w[0] * scale, w[1] * scale, w[2] * scale]
     for _ in range(corrections):
         r, slope = _det_residual(w, phi, eps)
         phi -= r / slope
     x = [_root_eigvals(v, phi, eps, math.sqrt) for v in w]
-    return (V * x) @ V.T, phi
+    return (V * x) @ V.T, phi / scale
+
+
+def _ci_update(Ci, sq, isq, beta, eps, corrections):
+    # the closed-form update of Ci towards a strain whose unimodular part
+    # has the square root sq (and its inverse isq): the root X on the
+    # congruence isq Ci isq, mapped back as unimodular(sq X sq); and phi
+    W = sym(isq @ Ci @ isq, check=False)
+    X, phi = _closed_form_root(W, beta, eps, corrections, "quadratic input")
+    return unimodular(sym(sq @ X @ sq, check=False)), phi
 
 
 def _lagrangian_step(C_next, state, dt, p, corrections):
-    _require_dt(dt)
+    beta, eps = _coefficients(dt, p)
     t3.require_spd(C_next, "C_next")
     Cbar, sq, isq, Cbar_inv, C_inv = _strain_parts(C_next)
-    W = sym(isq @ state.Ci @ isq, check=False)
-    X, phi = _closed_form_root(
-        W, dt * p.c10 / p.eta, dt * p.c01 / p.eta, corrections, "quadratic input"
-    )
-    Ci_new = unimodular(sym(sq @ X @ sq, check=False))
+    Ci_new, phi = _ci_update(state.Ci, sq, isq, beta, eps, corrections)
     return StepResult(
         LagrangianState(Ci_new),
         _stress_from_parts(C_inv, Cbar, Cbar_inv, Ci_new, p),
@@ -430,16 +469,12 @@ def ifebm_step_eulerian(
     Driven by the relative deformation gradient between the last
     accepted and the new placement; returns the Kirchhoff stress.
     """
-    _require_dt(dt)
+    beta, eps = _coefficients(dt, p)
     if not np.isfinite(F_next).all() or not det(F_next) > 0.0:
         raise DomainError("F_next must be finite with positive determinant")
     G = inverse(unimodular(F_next @ inverse(state.F_prev)))
     X, phi = _closed_form_root(
-        sym(G.T @ state.Be_inv_bar @ G, check=False),
-        dt * p.c10 / p.eta,
-        dt * p.c01 / p.eta,
-        0,
-        "trial state",
+        sym(G.T @ state.Be_inv_bar @ G, check=False), beta, eps, 0, "trial state"
     )
     Be_inv_new = unimodular(sym(X, check=False))
     return StepResult(
@@ -461,21 +496,6 @@ def _tr_dot(A, B):
     return AB.reshape(AB.shape[:-2] + (9,)).sum(axis=-1)
 
 
-# the six symmetric components (11, 22, 33, 12, 13, 23) within the nine
-# row-major entries, and the nine entries from the six components
-_PACK = np.array([0, 4, 8, 1, 2, 5])
-_UNPACK = np.array([0, 3, 4, 3, 1, 5, 4, 5, 2])
-
-
-def _pack(A):
-    return A.reshape(A.shape[:-2] + (9,)).take(_PACK, axis=-1)
-
-
-def _unpack(x):
-    # take, unlike x[..., _UNPACK], returns a row-major stack
-    return x.take(_UNPACK, axis=-1).reshape(x.shape[:-1] + (3, 3))
-
-
 class _NewtonFailure(Exception):
     def __init__(self, iterations):
         super().__init__(iterations)
@@ -487,13 +507,13 @@ def _fd_points(x, delta):
     # delta (the forward-difference points of the Jacobian's column j)
     xs = np.repeat(x[None], 7, axis=0)
     xs.flat[6::7] += delta
-    return _unpack(xs)
+    return t3.unpack_sym(xs)
 
 
 def _fd_jacobian(Cs, out, g, delta):
     # forward-difference Jacobian of pack(Ci - rhs(Ci)) from out =
     # rhs(Cs) at the points Cs of _fd_points and the value g at the point
-    return ((_pack(Cs[1:] - out[1:]) - g) / delta).T
+    return ((t3.pack_sym(Cs[1:] - out[1:]) - g) / delta).T
 
 
 def _newton_solve(rhs, Ci_n, label):
@@ -509,10 +529,10 @@ def _newton_solve(rhs, Ci_n, label):
     norm_n = np.linalg.norm(Ci_n)
     tol = 1e-12 * norm_n
     big = 1e8 * max(1.0, norm_n)
-    x = _pack(Ci_n)
+    x = t3.pack_sym(Ci_n)
     iterations = 0
     for _ in range(50):
-        Ci = _unpack(x)
+        Ci = t3.unpack_sym(x)
         delta = 1e-7 * max(np.linalg.norm(Ci), 1.0)
         Cs = _fd_points(x, delta)
         try:
@@ -538,7 +558,7 @@ def _newton_solve(rhs, Ci_n, label):
         iterations += 1
         if out is None:
             raise _NewtonFailure(iterations)
-        g = _pack(R)
+        g = t3.pack_sym(R)
         try:
             step = np.linalg.solve(_fd_jacobian(Cs, out, g, delta), g)
         except np.linalg.LinAlgError:
@@ -572,7 +592,7 @@ def _substepping_solve(make_rhs, Ci_n, dt, label, depth=0):
 def _newton_baseline(rhs_family, label, C_next, state, dt, p):
     # the step shared by the Newton baselines: rhs_family(Cbar, p) gives
     # make_rhs(Ci_n, h), the right-hand side of one (sub)step's fixed point
-    _require_dt(dt)
+    _coefficients(dt, p)
     t3.require_spd(C_next, "C_next")
     make_rhs = rhs_family(unimodular(C_next), p)
     Ci_new, diag = _substepping_solve(make_rhs, state.Ci, dt, label)
@@ -691,8 +711,7 @@ def _march(C_of_t, Ci0, t_grid, p, n_substeps):
     for k in range(len(t_grid) - 1):
         t0, t1 = float(t_grid[k]), float(t_grid[k + 1])
         h = (t1 - t0) / n_substeps
-        beta = h * p.c10 / p.eta
-        eps = h * p.c01 / p.eta
+        beta, eps = _coefficients(h, p)
         Ci = state.Ci
         for first in range(1, n_substeps + 1, _MARCH_BLOCK):
             # the strain parts do not depend on Ci: those of a block of
@@ -705,9 +724,7 @@ def _march(C_of_t, Ci0, t_grid, p, n_substeps):
             )
             _, sq, isq, _, _ = _strain_parts(C_block, with_inverses=False)
             for sq_s, isq_s in zip(sq, isq):
-                W = sym(isq_s @ Ci @ isq_s, check=False)
-                X, _ = _closed_form_root(W, beta, eps, 0, "quadratic input")
-                Ci = unimodular(sym(sq_s @ X @ sq_s, check=False))
+                Ci, _ = _ci_update(Ci, sq_s, isq_s, beta, eps, 0)
         state = LagrangianState(Ci)
         states.append(state.Ci)
         stresses.append(stress_2pk(C_of_t(t1), state.Ci, p))

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["DomainError", "ConvergenceError"]
+
 
 class DomainError(ValueError):
     """Input violates a mathematical precondition (non-SPD tensor,

@@ -26,6 +26,7 @@ import io
 import json
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -67,11 +68,11 @@ METHOD_NAMES = ("ifebm", "2iebm", "mebm", "em")
 # keyframes of the bundled non-proportional program: identity, an axial
 # stretch, a simple shear, and the stretch rotated onto the second axis
 _SQ2 = 1.0 / math.sqrt(2.0)
-_KEYFRAMES = (
-    np.eye(3),
-    np.diag([2.0, _SQ2, _SQ2]),
-    np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
-    np.diag([_SQ2, 2.0, _SQ2]),
+_NONPROPORTIONAL = (
+    (0.0, np.eye(3)),
+    (1.0, np.diag([2.0, _SQ2, _SQ2])),
+    (2.0, np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])),
+    (3.0, np.diag([_SQ2, 2.0, _SQ2])),
 )
 
 _TIME_TOL = 1e-12
@@ -85,18 +86,20 @@ def _fmt(x: float) -> str:
 class LoadingProgram:
     """Strain-driven loading program emitting deformation gradients.
 
-    ``nonproportional``: piecewise-linear interpolation between four
-    fixed keyframes over t in [0, 3], projected to det F = 1 at every
-    time.  (Some write-ups quote the domain of this program as [1, 3];
-    the piecewise definition spans [0, 3] starting from the identity,
-    which is what this implementation uses.)
+    ``nonproportional``: piecewise-linear interpolation between the
+    default keyframe table: the identity, ``diag(2, 1/sqrt 2, 1/sqrt 2)``,
+    a simple shear and ``diag(1/sqrt 2, 2, 1/sqrt 2)`` at t = 0, 1, 2, 3,
+    projected to det F = 1 at every time.  (Some write-ups quote the
+    domain of this program as [1, 3]; the piecewise definition spans
+    [0, 3] starting from the identity, which is what this implementation
+    uses.)
 
     ``uniaxial``: volume-preserving uniaxial extension/compression with
     a triangular strain profile, |de/dt| = 4 * amplitude * frequency,
     one full cycle per 1/frequency.
 
-    ``custom-keyframes``: piecewise-linear interpolation between caller
-    supplied ``(time, F)`` pairs, unimodular projection applied.
+    ``custom-keyframes``: the same interpolation between caller supplied
+    ``(time, F)`` pairs.
     """
 
     kind: str = "nonproportional"
@@ -106,27 +109,32 @@ class LoadingProgram:
     keyframes: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("nonproportional", "uniaxial", "custom-keyframes"):
-            raise DomainError(f"unknown loading program {self.kind!r}")
         if self.kind == "uniaxial":
             if not self.frequency > 0.0 or self.cycles < 1:
                 raise DomainError("uniaxial program needs frequency > 0, cycles >= 1")
             if not -1.0 < self.amplitude:
                 raise DomainError("amplitude must leave 1 + strain positive")
-        if self.kind == "custom-keyframes":
+            return
+        if self.kind == "nonproportional":
+            table = _NONPROPORTIONAL
+        elif self.kind == "custom-keyframes":
             if len(self.keyframes) < 2:
                 raise DomainError("custom program needs at least two keyframes")
-            times = [kf[0] for kf in self.keyframes]
-            if sorted(times) != times or len(set(times)) != len(times):
-                raise DomainError("keyframe times must be strictly increasing")
+            table = self.keyframes
+        else:
+            raise DomainError(f"unknown loading program {self.kind!r}")
+        times = [float(t) for t, _ in table]
+        if not all(a < b for a, b in zip(times, times[1:])):
+            raise DomainError("keyframe times must be strictly increasing")
+        # the keyframe times and arrays, read once
+        object.__setattr__(self, "_times", times)
+        object.__setattr__(self, "_frames", [np.asarray(F) for _, F in table])
 
     @property
     def t_end(self) -> float:
-        if self.kind == "nonproportional":
-            return 3.0
         if self.kind == "uniaxial":
             return self.cycles / self.frequency
-        return float(self.keyframes[-1][0])
+        return self._times[-1]
 
     def strain(self, t: float) -> float:
         """Engineering strain of the uniaxial program (triangular wave)."""
@@ -143,26 +151,20 @@ class LoadingProgram:
         return self.amplitude * tri
 
     def F(self, t: float) -> np.ndarray:
-        if t < -_TIME_TOL or t > self.t_end + _TIME_TOL:
-            raise DomainError(f"t = {t} outside program domain [0, {self.t_end}]")
-        t = min(max(t, 0.0), self.t_end)
-        if self.kind == "nonproportional":
-            k = min(int(t), 2)
-            s = t - k
-            return unimodular((1.0 - s) * _KEYFRAMES[k] + s * _KEYFRAMES[k + 1])
+        t_end = self.t_end
+        if t < -_TIME_TOL or t > t_end + _TIME_TOL:
+            raise DomainError(f"t = {t} outside program domain [0, {t_end}]")
+        t = min(max(t, 0.0), t_end)
         if self.kind == "uniaxial":
             lam = 1.0 + self.strain(t)
             lat = 1.0 / math.sqrt(lam)
             return np.diag([lam, lat, lat])
-        times = [kf[0] for kf in self.keyframes]
-        k = int(np.searchsorted(times, t, side="right")) - 1
-        k = min(max(k, 0), len(times) - 2)
-        t0, t1 = times[k], times[k + 1]
-        s = (t - t0) / (t1 - t0)
-        return unimodular(
-            (1.0 - s) * np.asarray(self.keyframes[k][1])
-            + s * np.asarray(self.keyframes[k + 1][1])
-        )
+        # the segment [times[k], times[k + 1]] holding t; the first and the
+        # last segment extend beyond the table's ends
+        times, frames = self._times, self._frames
+        k = bisect_right(times, t, 1, len(times) - 1) - 1
+        s = (t - times[k]) / (times[k + 1] - times[k])
+        return unimodular((1.0 - s) * frames[k] + s * frames[k + 1])
 
     def C(self, t: float) -> np.ndarray:
         F = self.F(t)

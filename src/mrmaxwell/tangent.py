@@ -31,50 +31,37 @@ __all__ = [
     "symmetry_deviation",
 ]
 
-_SHEAR_SLOTS = ((0, 1), (0, 2), (1, 2))
+# strain-vector weights: the shear slots hold twice the tensor component
+_STRAIN_WEIGHT = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
 
 
 def stress_to_voigt(T: np.ndarray) -> np.ndarray:
-    """(T11, T22, T33, T12, T13, T23)."""
-    return np.array(
-        [T[0, 0], T[1, 1], T[2, 2], T[0, 1], T[0, 2], T[1, 2]]
-    )
+    """(T11, T22, T33, T12, T13, T23) (of each member of a stack)."""
+    return t3.pack_sym(T)
 
 
 def voigt_to_stress(v: np.ndarray) -> np.ndarray:
-    return np.array(
-        [[v[0], v[3], v[4]], [v[3], v[1], v[5]], [v[4], v[5], v[2]]]
-    )
+    return t3.unpack_sym(np.asarray(v))
 
 
 def strain_to_voigt(C: np.ndarray) -> np.ndarray:
-    """(C11, C22, C33, 2 C12, 2 C13, 2 C23); exact round trip with
-    :func:`voigt_to_strain` (doubling and halving are exact in binary)."""
-    return np.array(
-        [C[0, 0], C[1, 1], C[2, 2], 2.0 * C[0, 1], 2.0 * C[0, 2], 2.0 * C[1, 2]]
-    )
+    """(C11, C22, C33, 2 C12, 2 C13, 2 C23) (of each member of a stack);
+    exact round trip with :func:`voigt_to_strain` (doubling and halving
+    are exact in binary)."""
+    return t3.pack_sym(C) * _STRAIN_WEIGHT
 
 
 def voigt_to_strain(v: np.ndarray) -> np.ndarray:
-    s12, s13, s23 = v[3] / 2.0, v[4] / 2.0, v[5] / 2.0
-    return np.array(
-        [[v[0], s12, s13], [s12, v[1], s23], [s13, s23, v[2]]]
-    )
+    return t3.unpack_sym(np.asarray(v) / _STRAIN_WEIGHT)
 
 
-def _perturbed_pair(C, j, h):
-    Cp = C.copy()
-    Cm = C.copy()
-    if j < 3:
-        Cp[j, j] += h
-        Cm[j, j] -= h
-    else:
-        k, l = _SHEAR_SLOTS[j - 3]
-        Cp[k, l] += h / 2.0
-        Cp[l, k] += h / 2.0
-        Cm[k, l] -= h / 2.0
-        Cm[l, k] -= h / 2.0
-    return Cp, Cm
+def _perturbed_strains(C, h):
+    # rows j and 6 + j: C with strain-vector slot j moved by +h and -h
+    x = np.repeat(strain_to_voigt(C)[None], 12, axis=0)
+    j = np.arange(6)
+    x[j, j] += h
+    x[j + 6, j] -= h
+    return voigt_to_strain(x)
 
 
 def consistent_tangent(
@@ -101,8 +88,8 @@ def consistent_tangent(
         raise DomainError("finite-difference step h must be positive")
 
     for attempt in (h, h / 10.0):
-        pairs = [_perturbed_pair(C_next, j, attempt) for j in range(6)]
-        if all(t3.is_spd(Cp) and t3.is_spd(Cm) for Cp, Cm in pairs):
+        Cs = _perturbed_strains(C_next, attempt)
+        if all(map(t3.is_spd, Cs)):
             h = attempt
             break
     else:
@@ -110,12 +97,9 @@ def consistent_tangent(
             "perturbed strain is not SPD even after shrinking h"
         )
 
-    tangent = np.empty((6, 6))
-    for j, (Cp, Cm) in enumerate(pairs):
-        Tp = stress_to_voigt(stepper(Cp, state, dt, p).stress)
-        Tm = stress_to_voigt(stepper(Cm, state, dt, p).stress)
-        tangent[:, j] = (Tp - Tm) / (2.0 * h)
-    return tangent
+    T = stress_to_voigt(np.array([stepper(C, state, dt, p).stress for C in Cs]))
+    # row-major, as callers' norms sum in memory order
+    return np.ascontiguousarray(((T[:6] - T[6:]) / (2.0 * h)).T)
 
 
 def symmetry_deviation(tangent_history: Sequence[np.ndarray]) -> float:

@@ -37,6 +37,8 @@ __all__ = [
     "is_spd",
     "require_spd",
     "norm",
+    "pack_sym",
+    "unpack_sym",
     "spd_sqrt",
     "spd_inv_sqrt",
     "mat_exp",
@@ -82,6 +84,25 @@ def _skew_norm_ok(A, S, scale=0.0, rel=1e-10):
 def norm(A: np.ndarray) -> float:
     """Frobenius norm of one tensor."""
     return math.hypot(*A.ravel().tolist())
+
+
+# the six symmetric components (11, 22, 33, 12, 13, 23) within the nine
+# row-major entries, and the nine entries from the six components
+_PACK = np.array([0, 4, 8, 1, 2, 5])
+_UNPACK = np.array([0, 3, 4, 3, 1, 5, 4, 5, 2])
+
+
+def pack_sym(A: np.ndarray) -> np.ndarray:
+    """The six components (A11, A22, A33, A12, A13, A23) (of each member
+    of a stack), in a new array of shape (..., 6)."""
+    return A.reshape(A.shape[:-2] + (9,)).take(_PACK, axis=-1)
+
+
+def unpack_sym(x: np.ndarray) -> np.ndarray:
+    """The symmetric tensor with the six components of :func:`pack_sym`
+    (of each row of a stack (..., 6)), in a new row-major array."""
+    # take, unlike x[..., _UNPACK], returns a row-major stack
+    return x.take(_UNPACK, axis=-1).reshape(x.shape[:-1] + (3, 3))
 
 
 # The 3x3 closed forms run on Python floats: one tensor's nine entries

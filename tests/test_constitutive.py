@@ -35,9 +35,8 @@ from mrmaxwell.constitutive import (
     _mebm_rhs,
     _newton_solve,
     _NewtonFailure,
-    _pack,
+    _root_eigvals,
     _strain_parts,
-    _unpack,
 )
 
 from conftest import rand_rotation, rand_spd, rand_unimodular, rand_unimodular_spd
@@ -448,8 +447,8 @@ def _columnwise_jacobian(rhs, x, g, delta):
     for j in range(6):
         xp = x.copy()
         xp[j] += delta
-        Cp = _unpack(xp)
-        J[:, j] = (_pack(Cp - rhs(Cp)) - g) / delta
+        Cp = t3.unpack_sym(xp)
+        J[:, j] = (t3.pack_sym(Cp - rhs(Cp)) - g) / delta
     return J
 
 
@@ -484,14 +483,14 @@ class TestStackedJacobian:
             for family in (_mebm_rhs, _em_rhs):
                 for dt in (0.5, 1.0):
                     rhs = family(Cbar, P111)(Ci_n, dt)
-                    x = _pack(Ci_n)
+                    x = t3.pack_sym(Ci_n)
                     for _ in range(4):
-                        Ci = _unpack(x)
+                        Ci = t3.unpack_sym(x)
                         delta = 1e-7 * max(np.linalg.norm(Ci), 1.0)
                         Cs = _fd_points(x, delta)
                         try:
                             value = rhs(Ci)
-                            g = _pack(Ci - value)
+                            g = t3.pack_sym(Ci - value)
                             want = _columnwise_jacobian(rhs, x, g, delta)
                         except DomainError:
                             with pytest.raises(DomainError):
@@ -595,6 +594,62 @@ class TestStepSizeValidation:
             step(np.diag([1.2, 1.0, 0.9]), identity(), dt, P111)
 
 
+class TestHugeSteps:
+    # the dt -> inf limit Ci -> unimodular(C) (on the current
+    # configuration: its image unimodular(F^-T C F^-1) = I) is reached at
+    # every finite dt, also where phi^2 or the product of the quadratic's
+    # spectrum would overflow
+    @pytest.mark.parametrize("moduli", [(1.0, 1.0), (1.0, 0.0), (0.0, 1.0)])
+    @pytest.mark.parametrize("dt", [1e103, 1e155, 1e200, 1e300])
+    def test_relaxes_to_unimodular_strain(self, dt, moduli, rng):
+        p = MaterialParams(*moduli, 1.0)
+        C = rand_spd(rng)
+        Ci = rand_unimodular_spd(rng)
+        limit = t3.unimodular(C)
+        for step in (ifebm_step_lagrangian, twoiter_step):
+            res = step(C, LagrangianState(Ci), dt, p)
+            assert np.abs(res.state.Ci - limit).max() < 1e-12
+            assert np.isfinite(res.stress).all()
+        F = np.linalg.cholesky(C).T
+        res = ifebm_step_eulerian(F, EulerianState(Ci, np.eye(3)), dt, p)
+        spatial_limit = eulerian_state_from_lagrangian(F, limit).Be_inv_bar
+        assert np.abs(res.state.Be_inv_bar - spatial_limit).max() < 1e-12
+        assert np.isfinite(res.stress).all()
+
+    @pytest.mark.parametrize("method", sorted(_FIVE_STEPPERS))
+    def test_overflowing_coefficients_rejected_by_name(self, method):
+        step, identity = _FIVE_STEPPERS[method]
+        p = MaterialParams(1.0, 1.0, 1e-10)
+        with pytest.raises(DomainError, match=r"dt = 1e\+300 overflows"):
+            step(np.diag([1.2, 1.0, 0.9]), identity(), 1e300, p)
+
+    @pytest.mark.parametrize(
+        "log_beta,log_eps",
+        # moderate steps, and steps beyond the scaling threshold that the
+        # unscaled arithmetic still survives: huge eps (c10 = 0), huge beta
+        [((-5, 5), (-5, 5)), (None, (230, 345)), ((230, 235), (-5, 5))],
+    )
+    def test_scaling_keeps_the_bits(self, log_beta, log_eps, rng):
+        # multiplying the quadratic by a power of two is exact, so phi and X
+        # equal those of the literal unscaled estimate and corrections
+        for k in range(200):
+            W = rand_unimodular_spd(rng)
+            beta = 0.0 if log_beta is None else math.exp(rng.uniform(*log_beta))
+            eps = math.exp(rng.uniform(*log_eps))
+            corrections = 2 * (k % 2)
+            X, phi = _closed_form_root(W, beta, eps, corrections, "W")
+            w, V = np.linalg.eigh(W)
+            w = (w + beta).tolist()
+            phi0 = float(np.cbrt(w[0] * w[1] * w[2]))
+            expect = phi0 - ((w[0] + w[1]) + w[2]) / (3.0 * phi0) * eps
+            for _ in range(corrections):
+                r, slope = _det_residual(w, expect, eps)
+                expect -= r / slope
+            x = [_root_eigvals(v, expect, eps, math.sqrt) for v in w]
+            assert phi == expect
+            assert np.array_equal(X, (V * x) @ V.T)
+
+
 class TestSmoothness:
     def test_no_jumps_in_dt(self, rng):
         # the closed form is a smooth function of the step size
@@ -681,3 +736,7 @@ class TestReferenceSolve:
     def test_substep_validation(self):
         with pytest.raises(DomainError):
             reference_solve(lambda t: np.eye(3), np.eye(3), [0.0, 1.0], P111, 0)
+
+    def test_decreasing_grid_rejected(self):
+        with pytest.raises(DomainError, match="dt must be finite and non-negative"):
+            reference_solve(lambda t: np.eye(3), np.eye(3), [1.0, 0.0], P111, 4)

@@ -11,6 +11,7 @@ import pytest
 import mrmaxwell.harness as hn
 from mrmaxwell import DomainError, MaterialParams
 from mrmaxwell import tensor3 as t3
+from mrmaxwell import cli
 from mrmaxwell.cli import main as cli_main
 
 from conftest import package_env
@@ -35,6 +36,30 @@ class TestNonproportionalProgram:
         raw = 0.5 * F2 + 0.5 * F3
         expected = raw / np.cbrt(np.linalg.det(raw))
         assert np.allclose(self.program.F(1.5), expected, atol=1e-14)
+
+    def test_default_table_is_custom_keyframes(self):
+        # bit for bit a custom-keyframes program of the same four keyframes,
+        # and the segment-wise formula with segment index int(t)
+        K = [
+            np.eye(3),
+            np.diag([2.0, SQ2, SQ2]),
+            np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+            np.diag([SQ2, 2.0, SQ2]),
+        ]
+        custom = hn.LoadingProgram(
+            kind="custom-keyframes", keyframes=tuple(zip((0.0, 1.0, 2.0, 3.0), K))
+        )
+        assert custom.t_end == self.program.t_end == 3.0
+        ts = list(np.linspace(0.0, 3.0, 1201))
+        for k in (0.0, 1.0, 2.0, 3.0):
+            ts += [k, np.nextafter(k, -1.0), np.nextafter(k, 4.0)]
+        for t in map(float, ts):
+            F = self.program.F(t)
+            assert np.array_equal(F, custom.F(t))
+            u = min(max(t, 0.0), 3.0)
+            k = min(int(u), 2)
+            s = u - k
+            assert np.array_equal(F, t3.unimodular((1.0 - s) * K[k] + s * K[k + 1]))
 
     def test_volume_preserving_everywhere(self):
         for t in np.linspace(0.0, 3.0, 301):
@@ -83,6 +108,11 @@ class TestCustomProgram:
     def test_needs_two_keyframes(self):
         with pytest.raises(DomainError):
             hn.LoadingProgram(kind="custom-keyframes", keyframes=((0.0, np.eye(3)),))
+
+    def test_times_must_increase(self):
+        kf = ((0.0, np.eye(3)), (0.0, np.eye(3)))
+        with pytest.raises(DomainError, match="strictly increasing"):
+            hn.LoadingProgram(kind="custom-keyframes", keyframes=kf)
 
 
 class TestRandomGenerators:
@@ -314,6 +344,40 @@ class TestCli:
         assert payload["passed"] is (code == 0)
         assert payload["checks"]
         assert all(type(v) is bool for v in payload["checks"].values())
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        # every study replaced by one that records its RunConfig
+        seen = []
+
+        def study(cfg):
+            seen.append(cfg)
+            return hn.StudyResult("stub")
+
+        for name in list(cli._STUDIES):
+            monkeypatch.setitem(cli._STUDIES, name, study)
+        return seen
+
+    def test_bare_study_uses_run_config_defaults(self, recorded, capsys):
+        for name in cli._STUDIES:
+            assert cli_main([name]) == 0
+        assert recorded == [hn.RunConfig()] * len(cli._STUDIES)
+
+    def test_flags_set_their_fields(self, recorded, capsys):
+        cli_main(
+            "uniaxial --dt 0.2 --eta 3 --c10 0.5 --c01 0.25 --method em "
+            "--formulation eulerian --seed 4 --fd-step 1e-5 "
+            "--reference-substeps 777 --model m.json --cycles 3 "
+            "--coarse-steps 7 --fine-steps 70".split()
+        )
+        assert recorded == [
+            hn.RunConfig(
+                dt=0.2, eta=3.0, c10=0.5, c01=0.25, methods="em",
+                formulation="eulerian", seed=4, fd_step=1e-5,
+                reference_substeps=777, model_file="m.json", cycles=3,
+                coarse_steps_per_cycle=7, fine_steps_per_cycle=70,
+            )
+        ]
 
     def test_unknown_method_rejected(self):
         with pytest.raises(SystemExit):

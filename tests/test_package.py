@@ -1,0 +1,48 @@
+"""Package surface: the public names, and the demos that use them."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import mrmaxwell as mm
+
+from conftest import package_env
+
+PUBLIC_NAMES = {
+    "CompositeModel", "CompositeStepResult", "ConvergenceError", "DomainError",
+    "EquilibriumParams", "EulerianState", "LAGRANGIAN_STEPPERS",
+    "LagrangianState", "MaterialParams", "ReferenceSolution", "StepDiagnostics",
+    "StepResult", "composite_step", "consistent_tangent", "em_step",
+    "equilibrium_stress", "eulerian_state_from_lagrangian", "harness",
+    "ifebm_step_eulerian", "ifebm_step_lagrangian", "kirchhoff_eulerian",
+    "load_model", "mebm_step", "quad_root_X", "quad_root_X_subtractive",
+    "reference_solve", "residual_R", "solve_phi", "strain_to_voigt",
+    "stress_2pk", "stress_to_voigt", "symmetry_deviation", "table_model_path",
+    "tensor3", "twoiter_step", "uniaxial_axial_stress", "voigt_to_strain",
+    "voigt_to_stress",
+}
+
+DEMO_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "demos")
+DEMOS = sorted(f for f in os.listdir(DEMO_DIR) if f.endswith(".py"))
+
+
+def test_public_names():
+    assert len(mm.__all__) == len(set(mm.__all__))
+    assert set(mm.__all__) == PUBLIC_NAMES
+    for name in mm.__all__:
+        assert getattr(mm, name) is not None
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, os.path.join(DEMO_DIR, demo)],
+        cwd=tmp_path,
+        env=package_env(),
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr

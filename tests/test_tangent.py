@@ -18,6 +18,7 @@ from mrmaxwell import (
     voigt_to_stress,
 )
 from mrmaxwell import tensor3 as t3
+from mrmaxwell.tangent import _perturbed_strains
 
 from conftest import rand_spd
 
@@ -49,6 +50,38 @@ class TestVoigt:
         assert np.array_equal(
             strain_to_voigt(T), [11, 22, 33, 24, 26, 46]
         )
+
+
+    def test_stacks(self, rng):
+        Cs = np.array([rand_spd(rng) for _ in range(6)]).reshape(2, 3, 3, 3)
+        for to_voigt, from_voigt in (
+            (stress_to_voigt, voigt_to_stress),
+            (strain_to_voigt, voigt_to_strain),
+        ):
+            v = to_voigt(Cs)
+            assert v.shape == (2, 3, 6)
+            for idx in np.ndindex(2, 3):
+                assert np.array_equal(v[idx], to_voigt(Cs[idx]))
+            assert np.array_equal(from_voigt(v), Cs)
+
+
+class TestPerturbedStrains:
+    def test_entrywise_perturbation(self, rng):
+        # strain-vector slot j moved by -+h is h added to a diagonal entry,
+        # or h/2 to both entries of a shear pair, bit for bit
+        slots = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
+        for _ in range(20):
+            C = rand_spd(rng)
+            h = float(rng.uniform(1e-7, 1e-3))
+            Cs = _perturbed_strains(C, h)
+            for j, (k, l) in enumerate(slots):
+                d = h if k == l else h / 2.0
+                for row, sign in ((j, 1.0), (j + 6, -1.0)):
+                    E = C.copy()
+                    E[k, l] += sign * d
+                    if k != l:
+                        E[l, k] += sign * d
+                    assert np.array_equal(Cs[row], E)
 
 
 class TestConsistentTangent:
