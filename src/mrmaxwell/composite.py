@@ -71,8 +71,11 @@ class EquilibriumParams:
     k: float
 
     def __post_init__(self):
-        if self.c10 < 0.0 or self.c01 < 0.0:
-            raise DomainError("equilibrium moduli must be non-negative")
+        if not (0.0 <= self.c10 < math.inf and 0.0 <= self.c01 < math.inf):
+            raise DomainError(
+                "equilibrium moduli c10, c01 must be finite and non-negative, "
+                f"got c10 = {self.c10}, c01 = {self.c01}"
+            )
         if not self.k > 0.0:
             raise DomainError("bulk modulus must be positive (or inf)")
 

@@ -297,10 +297,10 @@ def residual_R(phi: float, A: np.ndarray, eps: float) -> float:
 # closed-form steppers
 
 
-def _strain_parts(C_next, with_inverses=True):
-    # unimodular strain, its square-root factors and (optionally) the
-    # inverses, from one determinant and one decomposition; of one strain
-    # or of each member of a stack (..., 3, 3)
+def _strain_parts(C_next):
+    # unimodular strain, its square-root factors and the inverses, from one
+    # determinant and one decomposition; of one strain or of each member of
+    # a stack (..., 3, 3)
     stack = C_next.ndim > 2
     d = det(C_next)
     for d_k in d.ravel().tolist() if stack else (d,):
@@ -323,8 +323,6 @@ def _strain_parts(C_next, with_inverses=True):
     r = np.sqrt(w)
     sq = (V * r) @ Vt
     isq = (V / r) @ Vt
-    if not with_inverses:
-        return Cbar, sq, isq, None, None
     Cbar_inv = sym((V / w) @ Vt, check=False)
     return Cbar, sq, isq, Cbar_inv, Cbar_inv / scale
 
@@ -516,7 +514,7 @@ def _fd_jacobian(Cs, out, g, delta):
     return ((t3.pack_sym(Cs[1:] - out[1:]) - g) / delta).T
 
 
-def _newton_solve(rhs, Ci_n, label):
+def _newton_solve(rhs, Ci_n):
     """Solve Ci = rhs(Ci) on the six symmetric components.
 
     Plain Newton from Ci_n with forward-difference Jacobian.  Each
@@ -572,7 +570,7 @@ def _newton_solve(rhs, Ci_n, label):
 def _substepping_solve(make_rhs, Ci_n, dt, label, depth=0):
     """Newton solve with recursive step bisection as the recovery path."""
     try:
-        Ci_new, iters = _newton_solve(make_rhs(Ci_n, dt), Ci_n, label)
+        Ci_new, iters = _newton_solve(make_rhs(Ci_n, dt), Ci_n)
         return Ci_new, StepDiagnostics(iterations=iters)
     except _NewtonFailure as fail:
         if depth >= 20:
@@ -722,7 +720,7 @@ def _march(C_of_t, Ci0, t_grid, p, n_substeps):
                     for s in range(first, min(first + _MARCH_BLOCK, n_substeps + 1))
                 ]
             )
-            _, sq, isq, _, _ = _strain_parts(C_block, with_inverses=False)
+            _, sq, isq, _, _ = _strain_parts(C_block)
             for sq_s, isq_s in zip(sq, isq):
                 Ci, _ = _ci_update(Ci, sq_s, isq_s, beta, eps, 0)
         state = LagrangianState(Ci)

@@ -99,7 +99,7 @@ class LoadingProgram:
     one full cycle per 1/frequency.
 
     ``custom-keyframes``: the same interpolation between caller supplied
-    ``(time, F)`` pairs.
+    ``(time, F)`` pairs, on the span of their times.
     """
 
     kind: str = "nonproportional"
@@ -114,6 +114,7 @@ class LoadingProgram:
                 raise DomainError("uniaxial program needs frequency > 0, cycles >= 1")
             if not -1.0 < self.amplitude:
                 raise DomainError("amplitude must leave 1 + strain positive")
+            object.__setattr__(self, "_times", [0.0, self.cycles / self.frequency])
             return
         if self.kind == "nonproportional":
             table = _NONPROPORTIONAL
@@ -126,14 +127,12 @@ class LoadingProgram:
         times = [float(t) for t, _ in table]
         if not all(a < b for a, b in zip(times, times[1:])):
             raise DomainError("keyframe times must be strictly increasing")
-        # the keyframe times and arrays, read once
+        # the keyframe times and arrays, read once; the times span the domain
         object.__setattr__(self, "_times", times)
         object.__setattr__(self, "_frames", [np.asarray(F) for _, F in table])
 
     @property
     def t_end(self) -> float:
-        if self.kind == "uniaxial":
-            return self.cycles / self.frequency
         return self._times[-1]
 
     def strain(self, t: float) -> float:
@@ -151,16 +150,15 @@ class LoadingProgram:
         return self.amplitude * tri
 
     def F(self, t: float) -> np.ndarray:
-        t_end = self.t_end
-        if t < -_TIME_TOL or t > t_end + _TIME_TOL:
-            raise DomainError(f"t = {t} outside program domain [0, {t_end}]")
-        t = min(max(t, 0.0), t_end)
+        t0, t_end = self._times[0], self._times[-1]
+        if not t0 - _TIME_TOL <= t <= t_end + _TIME_TOL:
+            raise DomainError(f"t = {t} outside program domain [{t0}, {t_end}]")
+        t = min(max(t, t0), t_end)
         if self.kind == "uniaxial":
             lam = 1.0 + self.strain(t)
             lat = 1.0 / math.sqrt(lam)
             return np.diag([lam, lat, lat])
-        # the segment [times[k], times[k + 1]] holding t; the first and the
-        # last segment extend beyond the table's ends
+        # the segment [times[k], times[k + 1]] holding t (the last at t_end)
         times, frames = self._times, self._frames
         k = bisect_right(times, t, 1, len(times) - 1) - 1
         s = (t - times[k]) / (times[k + 1] - times[k])
@@ -207,7 +205,9 @@ class RunConfig:
     reference_substeps: int = 100_000
     model_file: Optional[str] = None
     seed: int = 0
-    fd_step: Optional[float] = None
+    # tangent-sweep differentiation step: larger than the general-purpose
+    # default so that the noise floor 1/(2h) stays below the table's 1e-9
+    fd_step: float = 2e-5
     cycles: int = 2
     coarse_steps_per_cycle: int = 50
     fine_steps_per_cycle: int = 5000
@@ -251,16 +251,16 @@ def nonprop_stress_history(
     dt: float,
     p: MaterialParams,
     formulation: str = "lagrangian",
-    program: Optional[LoadingProgram] = None,
 ):
-    """Kirchhoff stress history of one stepper along a loading program.
+    """Kirchhoff stress history of one stepper along the non-proportional
+    program.
 
     Returns ``(t, stresses, states, diagnostics)``.  Lagrangian steppers
     are driven by C(t) and the stress is pushed forward with F(t); the
     Eulerian formulation (available for the closed-form stepper only)
     works from F(t) directly.
     """
-    program = program or LoadingProgram()
+    program = LoadingProgram()
     ts = _grid(program.t_end, dt)
     eulerian = formulation == "eulerian"
     if eulerian:
@@ -282,9 +282,17 @@ def nonprop_stress_history(
     return ts, stresses, states, diags
 
 
-def _reference_kirchhoff(program, ts, p, total_substeps):
-    per_interval = max(1, round(total_substeps * (ts[1] - ts[0]) / program.t_end))
-    ref = reference_solve(program.C, np.eye(3), ts, p, per_interval)
+def _reference_kirchhoff(cfg, ts):
+    # fine-substep Kirchhoff history on the non-proportional program's grid ts
+    program = LoadingProgram()
+    if cfg.reference_substeps < 100 * round(program.t_end / cfg.dt):
+        raise DomainError(
+            "reference_substeps must be at least 100x the coarse resolution"
+        )
+    per_interval = max(
+        1, round(cfg.reference_substeps * (ts[1] - ts[0]) / program.t_end)
+    )
+    ref = reference_solve(program.C, np.eye(3), ts, cfg.material, per_interval)
     if not ref.richardson_gap < 1e-8:
         warnings.warn(
             "reference not converged to 1e-8; achieved Richardson gap "
@@ -298,9 +306,13 @@ def _reference_kirchhoff(program, ts, p, total_substeps):
     return S, ref
 
 
+def _gaps(a, b):
+    # time-by-time Frobenius distance between two stress histories
+    return np.array([np.linalg.norm(x - y) for x, y in zip(a, b)])
+
+
 def _mean_gap(a, b):
-    # mean Frobenius distance between two stress histories
-    return float(np.mean([np.linalg.norm(x - y) for x, y in zip(a, b)]))
+    return float(np.mean(_gaps(a, b)))
 
 
 # --------------------------------------------------------------------------
@@ -378,15 +390,9 @@ def run_error_study(cfg: RunConfig) -> StudyResult:
     against the fine-substep reference.  The CSV carries one error
     column per method.
     """
-    program = LoadingProgram()
     p = cfg.material
-    ts = _grid(program.t_end, cfg.dt)
-    n_steps = len(ts) - 1
-    if cfg.reference_substeps < 100 * n_steps:
-        raise DomainError(
-            "reference_substeps must be at least 100x the coarse resolution"
-        )
-    S_exact, ref = _reference_kirchhoff(program, ts, p, cfg.reference_substeps)
+    ts = _grid(LoadingProgram().t_end, cfg.dt)
+    S_exact, ref = _reference_kirchhoff(cfg, ts)
 
     histories = {}
     errors = {}
@@ -394,9 +400,7 @@ def run_error_study(cfg: RunConfig) -> StudyResult:
     for m in cfg.methods:
         _, S, states, _ = nonprop_stress_history(m, cfg.dt, p)
         histories[m] = S
-        errors[m] = np.array(
-            [np.linalg.norm(a - b) for a, b in zip(S_exact, S)]
-        )
+        errors[m] = _gaps(S_exact, S)
         manifold_ok &= _manifold_ok(states)
 
     dual_gap = math.nan
@@ -405,14 +409,10 @@ def run_error_study(cfg: RunConfig) -> StudyResult:
             "ifebm", cfg.dt, p, formulation="eulerian"
         )
         scale = max(np.linalg.norm(S) for S in histories["ifebm"])
-        dual_gap = max(
-            np.linalg.norm(a - b) for a, b in zip(histories["ifebm"], S_eul)
-        ) / max(scale, 1e-300)
+        dual_gap = _gaps(histories["ifebm"], S_eul).max() / max(scale, 1e-300)
         if cfg.formulation == "eulerian":
             # report the spatial-form history (cross-checked above)
-            errors["ifebm"] = np.array(
-                [np.linalg.norm(a - b) for a, b in zip(S_exact, S_eul)]
-            )
+            errors["ifebm"] = _gaps(S_exact, S_eul)
             manifold_ok &= _manifold_ok(eul_states)
 
     # the reference converges first order, so the Richardson gap cannot
@@ -461,38 +461,23 @@ def run_error_study(cfg: RunConfig) -> StudyResult:
     )
 
 
-def run_convergence(cfg: RunConfig, levels: int = 4) -> StudyResult:
-    """Empirical convergence order over a dyadic dt sequence.
+def run_convergence(cfg: RunConfig) -> StudyResult:
+    """Empirical convergence order over four dyadic step sizes.
 
     The reference is computed once on the finest grid; the observed
     order between consecutive levels is log2 of the max-error ratio.
     Errors at the round-off floor make the order indeterminate and are
     flagged instead of checked.
     """
-    if levels < 4:
-        raise DomainError("need at least 4 dyadic refinement levels")
-    program = LoadingProgram()
     p = cfg.material
-    dts = [cfg.dt / 2**i for i in range(levels)]
-    ts_fine = _grid(program.t_end, dts[-1])
-    if cfg.reference_substeps < 100 * round(program.t_end / cfg.dt):
-        raise DomainError(
-            "reference_substeps must be at least 100x the coarse resolution"
-        )
-    S_exact, ref = _reference_kirchhoff(
-        program, ts_fine, p, cfg.reference_substeps
-    )
+    dts = [cfg.dt / 2**i for i in range(4)]
+    S_exact, ref = _reference_kirchhoff(cfg, _grid(LoadingProgram().t_end, dts[-1]))
 
     max_err = {m: [] for m in cfg.methods}
     for m in cfg.methods:
         for i, dt in enumerate(dts):
-            stride = 2 ** (levels - 1 - i)
             _, S, _, _ = nonprop_stress_history(m, dt, p)
-            err = [
-                np.linalg.norm(S[k] - S_exact[k * stride])
-                for k in range(len(S))
-            ]
-            max_err[m].append(float(np.max(err)))
+            max_err[m].append(float(_gaps(S, S_exact[:: 2 ** (3 - i)]).max()))
 
     noise_floor = 1e-12
     orders = {}
@@ -557,25 +542,20 @@ def run_tangent_sweep(cfg: RunConfig) -> StudyResult:
         "ifebm",
         "2iebm",
     ]
-    # sweep default differentiation step: larger than the general-purpose
-    # default so that the noise floor 1/(2h) stays below the 1e-9
-    # reporting threshold of the table; overridable via fd_step
-    fd = cfg.fd_step if cfg.fd_step is not None else 2e-5
     deviations = {}
     for m in methods:
         stepper = LAGRANGIAN_STEPPERS[m]
         for dt in cfg.tangent_dts:
-            ts = _grid(program.t_end, dt)
             for eta in cfg.tangent_etas:
                 p = MaterialParams(cfg.c10, cfg.c01, eta)
-                state = LagrangianState.identity()
-                tangents = []
-                for tk in ts[1:]:
-                    C = program.C(float(tk))
-                    tangents.append(
-                        consistent_tangent(stepper, C, state, dt, p, h=fd)
+                # each step's incoming state is the one before it
+                ts, _, states, _ = nonprop_stress_history(m, dt, p)
+                tangents = [
+                    consistent_tangent(
+                        stepper, program.C(float(t)), state, dt, p, h=cfg.fd_step
                     )
-                    state = stepper(C, state, dt, p).state
+                    for t, state in zip(ts[1:], states)
+                ]
                 deviations[(m, dt, eta)] = symmetry_deviation(tangents)
 
     checks = {}

@@ -93,6 +93,16 @@ class TestEquilibriumStress:
             equilibrium_stress(np.diag([1.0, -2.0, 1.0]), EQ_INC)
 
 
+class TestEquilibriumParams:
+    # zero moduli stay allowed: the tests above use a zero equilibrium branch
+    @pytest.mark.parametrize(
+        "c10, c01", [(math.nan, 1.0), (math.inf, 1.0), (1.0, -math.inf), (-0.1, 0.2)]
+    )
+    def test_bad_moduli_rejected_by_name(self, c10, c01):
+        with pytest.raises(DomainError, match="c10 = .*, c01 = "):
+            EquilibriumParams(c10, c01, math.inf)
+
+
 class TestCompositeStep:
     def test_all_relaxed_zero_stress(self):
         model = load_model(table_model_path())
@@ -209,3 +219,14 @@ class TestModelFile:
     def test_malformed_raises(self):
         with pytest.raises(DomainError):
             load_model({"equilibrium": {"c10": 0.2}, "branches": []})
+
+    @pytest.mark.parametrize("c10", ["NaN", "Infinity"])
+    def test_non_finite_moduli_rejected(self, c10, tmp_path):
+        # Python's json reads NaN and Infinity as floats
+        path = tmp_path / "model.json"
+        path.write_text(
+            f'{{"equilibrium": {{"c10": {c10}, "c01": 1.0, "k": "incompressible"}},'
+            ' "branches": [{"c10": 1.0, "c01": 1.0, "eta": 1.0}]}'
+        )
+        with pytest.raises(DomainError, match="c10 = (nan|inf)"):
+            load_model(str(path))

@@ -525,17 +525,17 @@ class TestNewtonDomainFailures:
 
     def test_failing_iterate_is_a_divergence_before_counting(self):
         with pytest.raises(_NewtonFailure) as fail:
-            _newton_solve(self._rhs(1.5), 2.0 * np.eye(3), "toy")
+            _newton_solve(self._rhs(1.5), 2.0 * np.eye(3))
         assert fail.value.iterations == 0
 
     def test_failing_jacobian_point_counts_the_iteration(self):
         # the iterate (C11 = 2) is inside, its C11 + delta point is not
         with pytest.raises(_NewtonFailure) as fail:
-            _newton_solve(self._rhs(2.0 + 1e-7), 2.0 * np.eye(3), "toy")
+            _newton_solve(self._rhs(2.0 + 1e-7), 2.0 * np.eye(3))
         assert fail.value.iterations == 1
 
     def test_converged_iterate_needs_no_jacobian(self):
-        Ci, iterations = _newton_solve(self._rhs(1.0), np.eye(3), "toy")
+        Ci, iterations = _newton_solve(self._rhs(1.0), np.eye(3))
         assert iterations == 0 and np.array_equal(Ci, np.eye(3))
 
 

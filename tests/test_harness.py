@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 import mrmaxwell.harness as hn
-from mrmaxwell import DomainError, MaterialParams
+from mrmaxwell import (
+    LAGRANGIAN_STEPPERS,
+    DomainError,
+    LagrangianState,
+    MaterialParams,
+    consistent_tangent,
+    symmetry_deviation,
+)
 from mrmaxwell import tensor3 as t3
 from mrmaxwell import cli
 from mrmaxwell.cli import main as cli_main
@@ -114,6 +121,17 @@ class TestCustomProgram:
         with pytest.raises(DomainError, match="strictly increasing"):
             hn.LoadingProgram(kind="custom-keyframes", keyframes=kf)
 
+    def test_domain_is_span_of_keyframe_times(self):
+        # no backward extrapolation of the first segment below t0 = 1
+        first = np.diag([2.0, 0.5, 1.0])
+        kf = ((1.0, first), (2.0, np.eye(3)))
+        prg = hn.LoadingProgram(kind="custom-keyframes", keyframes=kf)
+        for t in (0.0, 0.5, 1.0 - 1e-9, 2.5):
+            with pytest.raises(DomainError, match=r"\[1\.0, 2\.0\]"):
+                prg.F(t)
+        assert np.array_equal(prg.F(1.0), first)
+        assert np.array_equal(prg.F(1.0 - 1e-13), first)
+
 
 class TestRandomGenerators:
     def test_spd_and_unimodular(self):
@@ -196,9 +214,13 @@ class TestErrorStudy:
         with pytest.warns(UserWarning, match="Richardson gap"):
             hn.run_error_study(hn.RunConfig(reference_substeps=4000))
 
-    def test_reference_floor_validated(self):
-        with pytest.raises(DomainError):
-            hn.run_error_study(hn.RunConfig(reference_substeps=100))
+    @pytest.mark.parametrize(
+        "study", [hn.run_error_study, hn.run_convergence], ids=["nonprop", "convergence"]
+    )
+    def test_reference_floor_validated(self, study):
+        # 30 coarse steps need 3000 substeps; 2999 are refused before any run
+        with pytest.raises(DomainError, match="100x the coarse resolution"):
+            study(hn.RunConfig(reference_substeps=2999))
 
     def test_deterministic(self, error_study_result):
         result = error_study_result
@@ -216,10 +238,6 @@ class TestConvergenceStudy:
         res = hn.run_convergence(cfg)
         assert res.values["indeterminate"]["ifebm"]
         assert res.checks["order_indeterminate_flagged_ifebm"]
-
-    def test_needs_four_levels(self):
-        with pytest.raises(DomainError):
-            hn.run_convergence(hn.RunConfig(), levels=3)
 
 
 class TestRobustnessStudy:
@@ -305,6 +323,17 @@ class TestTangentSweepStudy:
         # magnitude characteristic of this cell
         assert 2e-7 < v < 3e-6
         assert "tangent_sweep.csv" in res.tables
+        # bit for bit the tangents at an explicit march's incoming states
+        program, p = hn.LoadingProgram(), MaterialParams(1.0, 1.0, 10.0)
+        for m in ("ifebm", "2iebm"):
+            stepper = LAGRANGIAN_STEPPERS[m]
+            state, tangents = LagrangianState.identity(), []
+            for t in np.linspace(0.0, 3.0, 31)[1:]:
+                C = program.C(float(t))
+                tangents.append(consistent_tangent(stepper, C, state, 0.1, p, h=2e-5))
+                state = stepper(C, state, 0.1, p).state
+            want = symmetry_deviation(tangents)
+            assert res.values["deviation"][f"{m},dt=0.1,eta=10.0"] == want
 
 
 class TestCli:
