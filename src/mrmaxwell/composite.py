@@ -45,6 +45,7 @@ from .constitutive import (
     ifebm_step_lagrangian,
     stress_2pk,
 )
+from .constitutive import _CORRECTIONS, _lagrangian_lanes
 
 __all__ = [
     "EquilibriumParams",
@@ -150,10 +151,15 @@ def composite_step(
     indeterminate pressure term ``-p C^-1``.
     """
     eq = equilibrium_stress(C_next, model.equilibrium)
-    results = [
-        stepper(C_next, state, dt, params)
-        for params, state in zip(model.branches, model.states)
-    ]
+    corrections = _CORRECTIONS.get(stepper)
+    if corrections is None or not model.branches:
+        results = [
+            stepper(C_next, state, dt, params)
+            for params, state in zip(model.branches, model.states)
+        ]
+    else:
+        Ci = np.array([state.Ci for state in model.states])
+        results = _lagrangian_lanes(C_next, Ci, dt, model.branches, corrections)
     total = eq.copy()
     for r in results:
         total += r.stress

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import cycle
 from typing import Callable, Optional
 
 import numpy as np
@@ -107,9 +108,9 @@ def _check_manifold(A, name):
         raise DomainError(f"{name} has non-finite entries")
     if a[1] != a[3] or a[2] != a[6] or a[5] != a[7]:
         raise DomainError(f"{name} must be exactly symmetric (use tensor3.sym)")
-    if not t3.is_spd(A):
+    if not t3._is_spd9(*a):
         raise DomainError(f"{name} is not positive definite")
-    d = det(A)
+    d = t3._det9(*a)
     if abs(d - 1.0) > _DET_ONE_TOL:
         raise DomainError(f"{name} must be unimodular, det = {d!r}")
 
@@ -203,7 +204,7 @@ def stress_2pk(C: np.ndarray, Ci: np.ndarray, p: MaterialParams) -> np.ndarray:
     if abs(det(Ci) - 1.0) > 1e-10:
         raise DomainError("Ci must be unimodular within 1e-10")
     Cbar = unimodular(C)
-    return _stress_from_parts(inverse(C), Cbar, inverse(Cbar), Ci, p)
+    return _stress_from_parts(inverse(C), Cbar, inverse(Cbar), Ci, [p])
 
 
 def kirchhoff_eulerian(Be_inv_bar: np.ndarray, p: MaterialParams) -> np.ndarray:
@@ -327,13 +328,20 @@ def _strain_parts(C_next):
     return Cbar, sq, isq, Cbar_inv, Cbar_inv / scale
 
 
-def _stress_from_parts(C_inv, Cbar, Cbar_inv, Ci, p):
-    # the raw product c10 Cbar Ci^-1 - c01 Ci Cbar^-1 cancels badly near
-    # relaxed states (Ci ~ Cbar); rewriting it through D = Ci - Cbar is
-    # algebraically identical and keeps the round-off at the size of D
+def _stress_from_parts(C_inv, Cbar, Cbar_inv, Ci, params):
+    # of one lane or each of a stack: the raw product c10 Cbar Ci^-1 - c01
+    # Ci Cbar^-1 cancels badly near relaxed states (Ci ~ Cbar); rewriting it
+    # through D = Ci - Cbar is algebraically identical and keeps the
+    # round-off at the size of D
+    if len(params) == 1:
+        c10, c01 = params[0].c10, params[0].c01
+        floor = (c10 + c01) * 1e-12
+    else:
+        c10, c01 = np.array([(p.c10, p.c01) for p in params]).T[..., None, None]
+        floor = ((c10 + c01) * 1e-12)[:, 0, 0]
     D = Ci - Cbar
-    term = p.c10 * (D @ inverse(Ci)) + p.c01 * (D @ Cbar_inv)
-    scale = t3.norm(C_inv) * (t3.norm(term) + (p.c10 + p.c01) * 1e-12)
+    term = c10 * (D @ inverse(Ci)) + c01 * (D @ Cbar_inv)
+    scale = t3.norm(C_inv) * (t3.norm(term) + floor)
     return -sym(C_inv @ deviator(term), scale=scale)
 
 
@@ -382,20 +390,14 @@ def _det_residual(w, phi, eps):
     return det_x - 1.0, slope
 
 
-def _closed_form_root(W, beta, eps, corrections, name):
-    # the root X of phi X = (W + beta I) - eps X^2 and its phi: the
-    # first-order estimate of phi, then `corrections` Newton steps on
-    # det X(phi) = 1.  W is the congruence of the state alone (isq Ci isq,
-    # or G^T Be^-1 G); that of the state plus beta times the strain is
-    # exactly W + beta I, so beta shifts the spectrum without entering
-    # the floating-point assembly
-    w, V = np.linalg.eigh(W)
+def _root(w, beta, eps, corrections, name):
+    # one lane's eigenvalues of X and phi (estimate, then `corrections`
+    # Newton steps on det X(phi) = 1) from the spectrum w of W, the state's
+    # congruence; that of the state plus beta times the strain is exactly
+    # W + beta I, so beta shifts w without entering the assembly
     if not w[0] > 0.0:
-        raise DomainError(
-            f"{name} lost positive definiteness", min_eigenvalue=float(w[0])
-        )
-    # the beta part of the quadratic shifts the spectrum exactly
-    w = (w + beta).tolist()
+        raise DomainError(f"{name} lost positive definiteness", min_eigenvalue=w[0])
+    w = [w[0] + beta, w[1] + beta, w[2] + beta]
     if not w[2] < math.inf:
         raise DomainError(f"{name} overflows when shifted by beta = {beta!r}")
     # where phi^2 or eps w could overflow, the quadratic is multiplied by a
@@ -409,29 +411,50 @@ def _closed_form_root(W, beta, eps, corrections, name):
     for _ in range(corrections):
         r, slope = _det_residual(w, phi, eps)
         phi -= r / slope
-    x = [_root_eigvals(v, phi, eps, math.sqrt) for v in w]
-    return (V * x) @ V.T, phi / scale
+    return [_root_eigvals(v, phi, eps, math.sqrt) for v in w], phi / scale
 
 
-def _ci_update(Ci, sq, isq, beta, eps, corrections):
-    # the closed-form update of Ci towards a strain whose unimodular part
-    # has the square root sq (and its inverse isq): the root X on the
-    # congruence isq Ci isq, mapped back as unimodular(sq X sq); and phi
+def _closed_form_root(W, coeffs, corrections, name):
+    # the root X of phi X = (W + beta I) - eps X^2 of one W or of each of a
+    # stack (n, 3, 3), and the list of phi; coeffs holds one (beta, eps)
+    # for all or one per lane; W is isq Ci isq, or G^T Be^-1 G
+    w, V = np.linalg.eigh(W)
+    if W.ndim == 2:
+        x, phi = _root(w.tolist(), *coeffs[0], corrections, name)
+        return (V * x) @ V.T, [phi]
+    lanes = zip(w.tolist(), cycle(coeffs))
+    x, phi = zip(*[_root(w_k, *c, corrections, name) for w_k, c in lanes])
+    return (V * np.array(x)[:, None, :]) @ V.swapaxes(1, 2), list(phi)
+
+
+def _ci_update(Ci, sq, isq, coeffs, corrections):
+    # the closed-form update of Ci (of one lane or each of a stack) towards
+    # a strain whose unimodular part has the square root sq (inverse isq):
+    # the root X on isq Ci isq, mapped back as unimodular(sq X sq); and phi
     W = sym(isq @ Ci @ isq, check=False)
-    X, phi = _closed_form_root(W, beta, eps, corrections, "quadratic input")
+    X, phi = _closed_form_root(W, coeffs, corrections, "quadratic input")
     return unimodular(sym(sq @ X @ sq, check=False)), phi
 
 
-def _lagrangian_step(C_next, state, dt, p, corrections):
-    beta, eps = _coefficients(dt, p)
+def _lagrangian_lanes(C_next, Ci, dt, params, corrections):
+    # the closed-form step's StepResult for C_next and Ci (3, 3), or the
+    # list of those of the lanes of a stack (n, 3, 3); C_next, Ci and params
+    # are one per lane or one shared.  Each stage runs over all lanes first
+    coeffs = [_coefficients(dt, p) for p in params]
     t3.require_spd(C_next, "C_next")
     Cbar, sq, isq, Cbar_inv, C_inv = _strain_parts(C_next)
-    Ci_new, phi = _ci_update(state.Ci, sq, isq, beta, eps, corrections)
-    return StepResult(
-        LagrangianState(Ci_new),
-        _stress_from_parts(C_inv, Cbar, Cbar_inv, Ci_new, p),
-        StepDiagnostics(phi=phi, iterations=corrections),
-    )
+    Ci_new, phis = _ci_update(Ci, sq, isq, coeffs, corrections)
+    if Ci_new.ndim == 2:
+        state = LagrangianState(Ci_new)
+        stress = _stress_from_parts(C_inv, Cbar, Cbar_inv, Ci_new, params)
+        diagnostics = StepDiagnostics(phi=phis[0], iterations=corrections)
+        return StepResult(state, stress, diagnostics)
+    states = [LagrangianState(A) for A in Ci_new]
+    stresses = _stress_from_parts(C_inv, Cbar, Cbar_inv, Ci_new, params)
+    return [
+        StepResult(state, T, StepDiagnostics(phi=phi, iterations=corrections))
+        for state, T, phi in zip(states, stresses, phis)
+    ]
 
 
 def ifebm_step_lagrangian(
@@ -442,7 +465,7 @@ def ifebm_step_lagrangian(
     Closed form; preserves symmetry, positive definiteness and the unit
     determinant of the internal variable for any dt >= 0.
     """
-    return _lagrangian_step(C_next, state, dt, p, 0)
+    return _lagrangian_lanes(C_next, state.Ci, dt, [p], 0)
 
 
 def twoiter_step(
@@ -456,7 +479,7 @@ def twoiter_step(
     eigenvalues ``w_i`` of the quadratic's input; the derivative is
     always negative, so every correction is defined.
     """
-    return _lagrangian_step(C_next, state, dt, p, 2)
+    return _lagrangian_lanes(C_next, state.Ci, dt, [p], 2)
 
 
 def ifebm_step_eulerian(
@@ -471,8 +494,8 @@ def ifebm_step_eulerian(
     if not np.isfinite(F_next).all() or not det(F_next) > 0.0:
         raise DomainError("F_next must be finite with positive determinant")
     G = inverse(unimodular(F_next @ inverse(state.F_prev)))
-    X, phi = _closed_form_root(
-        sym(G.T @ state.Be_inv_bar @ G, check=False), beta, eps, 0, "trial state"
+    X, (phi,) = _closed_form_root(
+        sym(G.T @ state.Be_inv_bar @ G, check=False), [(beta, eps)], 0, "trial state"
     )
     Be_inv_new = unimodular(sym(X, check=False))
     return StepResult(
@@ -671,6 +694,9 @@ def em_step(
     return _newton_baseline(_em_rhs, "em", C_next, state, dt, p)
 
 
+# phi corrections of the steppers that the tangent and composite run as lanes
+_CORRECTIONS = {ifebm_step_lagrangian: 0, twoiter_step: 2}
+
 LAGRANGIAN_STEPPERS: dict[str, Callable] = {
     "ifebm": ifebm_step_lagrangian,
     "2iebm": twoiter_step,
@@ -709,7 +735,7 @@ def _march(C_of_t, Ci0, t_grid, p, n_substeps):
     for k in range(len(t_grid) - 1):
         t0, t1 = float(t_grid[k]), float(t_grid[k + 1])
         h = (t1 - t0) / n_substeps
-        beta, eps = _coefficients(h, p)
+        coeffs = [_coefficients(h, p)]
         Ci = state.Ci
         for first in range(1, n_substeps + 1, _MARCH_BLOCK):
             # the strain parts do not depend on Ci: those of a block of
@@ -722,7 +748,7 @@ def _march(C_of_t, Ci0, t_grid, p, n_substeps):
             )
             _, sq, isq, _, _ = _strain_parts(C_block)
             for sq_s, isq_s in zip(sq, isq):
-                Ci, _ = _ci_update(Ci, sq_s, isq_s, beta, eps, 0)
+                Ci, _ = _ci_update(Ci, sq_s, isq_s, coeffs, 0)
         state = LagrangianState(Ci)
         states.append(state.Ci)
         stresses.append(stress_2pk(C_of_t(t1), state.Ci, p))

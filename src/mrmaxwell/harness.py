@@ -110,10 +110,16 @@ class LoadingProgram:
 
     def __post_init__(self):
         if self.kind == "uniaxial":
-            if not self.frequency > 0.0 or self.cycles < 1:
-                raise DomainError("uniaxial program needs frequency > 0, cycles >= 1")
-            if not -1.0 < self.amplitude:
-                raise DomainError("amplitude must leave 1 + strain positive")
+            if not 0.0 < self.frequency < math.inf or self.cycles < 1:
+                raise DomainError(
+                    "uniaxial program needs a finite frequency > 0 and cycles >= 1, "
+                    f"got frequency = {self.frequency!r}, cycles = {self.cycles!r}"
+                )
+            if not -1.0 < self.amplitude < math.inf:
+                raise DomainError(
+                    "amplitude must be finite and leave 1 + strain positive, "
+                    f"got amplitude = {self.amplitude!r}"
+                )
             object.__setattr__(self, "_times", [0.0, self.cycles / self.frequency])
             return
         if self.kind == "nonproportional":
@@ -229,6 +235,16 @@ class RunConfig:
                 raise DomainError(f"unknown method {m!r}")
         if self.formulation not in ("lagrangian", "eulerian"):
             raise DomainError(f"unknown formulation {self.formulation!r}")
+        for name in ("cycles", "reference_substeps", "coarse_steps_per_cycle",
+                     "fine_steps_per_cycle"):
+            if not getattr(self, name) >= 1:
+                raise DomainError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if self.fine_steps_per_cycle % self.coarse_steps_per_cycle:
+            # run_uniaxial samples the fine grid at every coarse time
+            raise DomainError(
+                f"fine_steps_per_cycle = {self.fine_steps_per_cycle} is not a "
+                f"multiple of coarse_steps_per_cycle = {self.coarse_steps_per_cycle}"
+            )
 
     @property
     def material(self) -> MaterialParams:

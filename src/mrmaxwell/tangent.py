@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import DomainError
 from . import tensor3 as t3
+from .constitutive import _CORRECTIONS, _lagrangian_lanes
 
 __all__ = [
     "stress_to_voigt",
@@ -76,11 +77,11 @@ def consistent_tangent(
 
     ``stepper`` is any Lagrangian step function ``(C, state, dt, params)
     -> StepResult``; the state entering the step is held fixed while the
-    strain input is perturbed.  The default step ``h = 1e-6 *
-    max(||C||_F, 1)`` sits near the double-precision optimum for central
-    differences.  If a perturbed strain loses positive definiteness the
-    step is shrunk once by a factor 10, after which DomainError is
-    raised.
+    strain input is perturbed (ifebm and 2iebm step the twelve perturbed
+    strains as one stack).  The default step ``h = 1e-6 * max(||C||_F,
+    1)`` sits near the double-precision optimum for central differences.
+    If a perturbed strain loses positive definiteness the step is shrunk
+    once by a factor 10, after which DomainError is raised.
     """
     if h is None:
         h = 1e-6 * max(float(np.linalg.norm(C_next)), 1.0)
@@ -97,7 +98,12 @@ def consistent_tangent(
             "perturbed strain is not SPD even after shrinking h"
         )
 
-    T = stress_to_voigt(np.array([stepper(C, state, dt, p).stress for C in Cs]))
+    corrections = _CORRECTIONS.get(stepper)
+    if corrections is None:
+        results = [stepper(C, state, dt, p) for C in Cs]
+    else:
+        results = _lagrangian_lanes(Cs, state.Ci, dt, [p], corrections)
+    T = stress_to_voigt(np.array([r.stress for r in results]))
     # row-major, as callers' norms sum in memory order
     return np.ascontiguousarray(((T[:6] - T[6:]) / (2.0 * h)).T)
 

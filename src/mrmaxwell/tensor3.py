@@ -1,9 +1,9 @@
 """Exact 3x3 tensor algebra for finite-strain constitutive updates.
 
 All routines operate on plain numpy arrays of shape (3, 3); ``det``,
-``trace``, ``inverse``, ``deviator``, ``unimodular``, ``sym`` and
-``mat_exp`` also take stacks of shape (..., 3, 3) and give each member
-the result of a one-tensor call, bit for bit.
+``trace``, ``inverse``, ``deviator``, ``unimodular``, ``sym``, ``norm``,
+``require_spd`` and ``mat_exp`` also take stacks of shape (..., 3, 3)
+and give each member the result of a one-tensor call, bit for bit.
 
 * ``Tensor3``     is any such array (deformation gradients, rotations, ...).
 * ``SymTensor3``  is one that is symmetric bit-for-bit.  Symmetry is a
@@ -60,9 +60,9 @@ def sym(A: np.ndarray, check: bool = True, scale: float = 0.0) -> np.ndarray:
     sized, or ``AssertionError`` is raised (under ``python -O`` too); the
     callers in this package only symmetrize products that are symmetric
     in exact arithmetic, so a large skew part indicates a bug upstream.  ``scale``
-    sets the magnitude of the operands the product was formed from, for
-    results that are small by cancellation (e.g. stresses near a relaxed
-    state); the bound is 1e-10 * max(||result||, scale).
+    (one per member of a stack, or one for all) sets the magnitude of the
+    operands the product was formed from, for results small by cancellation
+    (e.g. stresses near a relaxed state); the bound is 1e-10 * max(||result||, scale).
     """
     At = A.T if A.ndim == 2 else A.swapaxes(-1, -2)
     S = (A + At) / 2.0
@@ -77,13 +77,15 @@ def _skew_norm_ok(A, S, scale=0.0, rel=1e-10):
         skew = math.sqrt(2.0) * math.hypot(a[1] - a[3], a[2] - a[6], a[5] - a[7])
         return skew <= rel * max(norm(S), scale, 1e-300)
     skew = np.linalg.norm(A - A.swapaxes(-1, -2), axis=(-2, -1))
-    bound = np.maximum(np.linalg.norm(S, axis=(-2, -1)), max(scale, 1e-300))
+    bound = np.maximum(np.linalg.norm(S, axis=(-2, -1)), np.maximum(scale, 1e-300))
     return bool((skew <= rel * bound).all())
 
 
-def norm(A: np.ndarray) -> float:
-    """Frobenius norm of one tensor."""
-    return math.hypot(*A.ravel().tolist())
+def norm(A: np.ndarray):
+    """Frobenius norm: a float for one tensor, an array over a stack."""
+    if A.ndim == 2:
+        return math.hypot(*A.ravel().tolist())
+    return np.array([math.hypot(*a) for a in _rows(A)]).reshape(A.shape[:-2])
 
 
 # the six symmetric components (11, 22, 33, 12, 13, 23) within the nine
@@ -219,11 +221,11 @@ def is_spd(A: np.ndarray) -> bool:
 
 
 def require_spd(A: np.ndarray, name: str = "tensor") -> None:
-    a = A.ravel().tolist()
-    if not all(map(math.isfinite, a)):
-        raise DomainError(f"{name} has non-finite entries")
-    if not _is_spd9(*a):
-        raise DomainError(f"{name} is not symmetric positive definite")
+    for a in _rows(A) if A.ndim > 2 else [A.ravel().tolist()]:
+        if not all(map(math.isfinite, a)):
+            raise DomainError(f"{name} has non-finite entries")
+        if not _is_spd9(*a):
+            raise DomainError(f"{name} is not symmetric positive definite")
 
 
 def _spd_eigen(A, name):

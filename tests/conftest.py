@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import mrmaxwell
+from mrmaxwell import LagrangianState
 from mrmaxwell import tensor3 as t3
 
 
@@ -50,3 +51,30 @@ def rand_unimodular(rng, lo=0.5, hi=2.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def per_call(stepper):
+    """An opaque wrapper of ``stepper``: the tangent and the composite do
+    not know it as a closed-form stepper, so they call it once per lane."""
+    return lambda *args: stepper(*args)
+
+
+def invalid_state(Ci):
+    """A LagrangianState holding ``Ci`` without the state's validation."""
+    state = object.__new__(LagrangianState)
+    object.__setattr__(state, "Ci", np.array(Ci, dtype=float))
+    return state
+
+
+@pytest.fixture
+def count_eigh(monkeypatch):
+    """Calls of ``numpy.linalg.eigh``, counted by replacing the attribute."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls

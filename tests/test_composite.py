@@ -16,11 +16,15 @@ from mrmaxwell import (
     ifebm_step_lagrangian,
     load_model,
     table_model_path,
+    twoiter_step,
     uniaxial_axial_stress,
 )
 from mrmaxwell import tensor3 as t3
+from mrmaxwell.harness import LoadingProgram
 
-from conftest import rand_spd, rand_unimodular_spd
+from conftest import invalid_state, per_call, rand_spd, rand_unimodular_spd
+
+CLOSED_FORM = [ifebm_step_lagrangian, twoiter_step]
 
 
 def energy(C, p):
@@ -153,6 +157,92 @@ class TestCompositeStep:
             res = composite_step(C, model, 10.0)
             assert np.linalg.norm(res.model.states[0].Ci - np.eye(3)) < 1e-12
             model = res.model
+
+
+class TestLanePath:
+    # ifebm and 2iebm step the branches as one stack; every output must
+    # equal that of the per-call loop bit for bit
+
+    @staticmethod
+    def both(C, model, dt, stepper):
+        lanes = composite_step(C, model, dt, stepper)
+        loop = composite_step(C, model, dt, per_call(stepper))
+        for a, b in (
+            (lanes.total_stress, loop.total_stress),
+            (lanes.equilibrium_part, loop.equilibrium_part),
+            *zip(lanes.branch_stresses, loop.branch_stresses),
+            *((x.Ci, y.Ci) for x, y in zip(lanes.model.states, loop.model.states)),
+        ):
+            assert np.array_equal(a, b)
+        assert lanes.branch_diagnostics == loop.branch_diagnostics
+        assert len(lanes.branch_stresses) == len(model.branches)
+        return lanes
+
+    @pytest.mark.parametrize("stepper", CLOSED_FORM)
+    def test_tmj_march(self, stepper):
+        program = LoadingProgram()
+        model = load_model(table_model_path())
+        for t in np.linspace(0.0, 3.0, 31)[1:]:
+            model = self.both(program.C(float(t)), model, 0.1, stepper).model
+
+    @pytest.mark.parametrize("stepper", CLOSED_FORM)
+    def test_random_branches(self, stepper, rng):
+        # each branch with its own moduli, viscosity and state
+        moduli = [(1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.7, 0.3), (0.2, 0.9)]
+        for k in range(20):
+            branches = [
+                MaterialParams(c10, c01, float(np.exp(rng.uniform(-3, 3))))
+                for c10, c01 in moduli[: 1 + k % 5]
+            ]
+            states = [LagrangianState(rand_unimodular_spd(rng)) for _ in branches]
+            model = CompositeModel(
+                EquilibriumParams(0.2, 0.1, 20.0), tuple(branches), tuple(states)
+            )
+            dt = float(np.exp(rng.uniform(np.log(1e-3), np.log(1e3))))
+            self.both(rand_spd(rng), model, dt, stepper)
+
+    @pytest.mark.parametrize("stepper", CLOSED_FORM)
+    @pytest.mark.parametrize("dt", [1e103, 1e300])
+    def test_huge_steps(self, stepper, dt, rng):
+        branches = (
+            MaterialParams(1.0, 1.0, 1.0),
+            MaterialParams(1.0, 0.0, 2.0),
+            MaterialParams(0.0, 1.0, 0.5),
+        )
+        states = tuple(LagrangianState(rand_unimodular_spd(rng)) for _ in branches)
+        self.both(rand_spd(rng), CompositeModel(EQ_INC, branches, states), dt, stepper)
+
+    @pytest.mark.parametrize("stepper", CLOSED_FORM)
+    def test_zero_branches(self, stepper, rng):
+        model = CompositeModel.relaxed(EquilibriumParams(0.2, 0.1, 20.0), [])
+        res = self.both(rand_spd(rng), model, 0.1, stepper)
+        assert res.branch_diagnostics == ()
+
+    @pytest.mark.parametrize("stepper", CLOSED_FORM)
+    def test_bad_lane_raises(self, stepper):
+        C = np.diag([1.2, 1.0, 0.9])
+        ok = MaterialParams(1.0, 1.0, 1.0)
+        # the second branch's state is indefinite, or its dt c10/eta overflows
+        indefinite = invalid_state(np.diag([2.0, -1.0, -0.5]))
+        bad_state = CompositeModel(
+            EQ_INC, (ok, ok), (LagrangianState.identity(), indefinite)
+        )
+        bad_params = CompositeModel.relaxed(EQ_INC, [ok, MaterialParams(1, 1, 1e-10)])
+        for wrapped in (stepper, per_call(stepper)):
+            with pytest.raises(DomainError, match="lost positive definiteness"):
+                composite_step(C, bad_state, 0.1, wrapped)
+            with pytest.raises(DomainError, match=r"dt = 1e\+300 overflows"):
+                composite_step(C, bad_params, 1e300, wrapped)
+
+    def test_strain_prepared_once(self, count_eigh):
+        # one decomposition of the shared strain and one of the four
+        # branches' congruences; the per-call loop makes two per branch
+        model = load_model(table_model_path())
+        C = np.diag([1.2, 1.0, 1.0 / 1.2])
+        composite_step(C, model, 0.1)
+        assert len(count_eigh) == 2
+        composite_step(C, model, 0.1, per_call(ifebm_step_lagrangian))
+        assert len(count_eigh) == 2 + 8
 
 
 class TestUniaxial:

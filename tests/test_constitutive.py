@@ -637,7 +637,7 @@ class TestHugeSteps:
             beta = 0.0 if log_beta is None else math.exp(rng.uniform(*log_beta))
             eps = math.exp(rng.uniform(*log_eps))
             corrections = 2 * (k % 2)
-            X, phi = _closed_form_root(W, beta, eps, corrections, "W")
+            X, (phi,) = _closed_form_root(W, [(beta, eps)], corrections, "W")
             w, V = np.linalg.eigh(W)
             w = (w + beta).tolist()
             phi0 = float(np.cbrt(w[0] * w[1] * w[2]))
@@ -697,7 +697,7 @@ class TestImplicitConsistency:
             beta = dt * P111.c10 / P111.eta
             eps = dt * P111.c01 / P111.eta
             Cbar, sq, isq, Cbar_inv, _ = _strain_parts(C)
-            X, phi = _closed_form_root(sym(isq @ Ci_n @ isq), beta, eps, 0, "W")
+            X, (phi,) = _closed_form_root(sym(isq @ Ci_n @ isq), [(beta, eps)], 0, "W")
             Ci_star = sym(sq @ X @ sq)  # before projection
             # phi Ci* = Ci_n + beta Cbar - eps Ci* Cbar^-1 Ci*
             resid = (

@@ -102,6 +102,12 @@ class TestUniaxialProgram:
         assert abs(t3.det(F) - 1.0) < 1e-14
         assert F[1, 1] == F[2, 2]
 
+    @pytest.mark.parametrize("field", ["frequency", "amplitude"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_rejected_by_name(self, field, value):
+        with pytest.raises(DomainError, match=f"{field} = {value}"):
+            hn.LoadingProgram(kind="uniaxial", **{field: value})
+
 
 class TestCustomProgram:
     def test_interpolates_keyframes(self):
@@ -157,6 +163,22 @@ class TestRunConfig:
             hn.RunConfig(methods="simplectic")
         with pytest.raises(DomainError):
             hn.RunConfig(formulation="spatial")
+
+    @pytest.mark.parametrize(
+        "field", ["cycles", "reference_substeps", "coarse_steps_per_cycle",
+                  "fine_steps_per_cycle"],
+    )
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_counts_must_be_positive(self, field, value):
+        with pytest.raises(DomainError, match=f"{field} must be >= 1, got {value}"):
+            hn.RunConfig(**{field: value})
+
+    def test_fine_grid_must_refine_coarse_grid(self):
+        # run_uniaxial would compare fine t = 0.3k with coarse t = k/3
+        with pytest.raises(DomainError, match="10 is not a multiple of .* = 3"):
+            hn.RunConfig(coarse_steps_per_cycle=3, fine_steps_per_cycle=10)
+        cfg = hn.RunConfig(coarse_steps_per_cycle=3, fine_steps_per_cycle=12)
+        assert cfg.fine_steps_per_cycle // cfg.coarse_steps_per_cycle == 4
 
 
 @pytest.fixture(scope="module")

@@ -20,7 +20,14 @@ from mrmaxwell import (
 from mrmaxwell import tensor3 as t3
 from mrmaxwell.tangent import _perturbed_strains
 
-from conftest import rand_spd
+from conftest import (
+    invalid_state,
+    per_call,
+    rand_spd,
+    rand_unimodular_spd,
+)
+
+CLOSED_FORM = [ifebm_step_lagrangian, twoiter_step]
 
 
 def elastic_identity_tangent(c10):
@@ -162,6 +169,80 @@ class TestConsistentTangent:
                 MaterialParams(1.0, 1.0, 1.0),
                 h=0.0,
             )
+
+
+class TestLanePath:
+    # ifebm and 2iebm step the twelve perturbed strains as one stack; the
+    # tangent must equal that of the per-call loop bit for bit
+
+    @staticmethod
+    def both(stepper, C, state, dt, p):
+        lanes = consistent_tangent(stepper, C, state, dt, p)
+        loop = consistent_tangent(per_call(stepper), C, state, dt, p)
+        assert np.array_equal(lanes, loop)
+        return lanes
+
+    @pytest.mark.parametrize("stepper", CLOSED_FORM)
+    def test_random_points(self, stepper, rng):
+        moduli = [(1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.7, 0.3)]
+        for k in range(40):
+            p = MaterialParams(*moduli[k % 4], float(np.exp(rng.uniform(-3, 3))))
+            dt = float(np.exp(rng.uniform(np.log(1e-3), np.log(1e3))))
+            state = LagrangianState(rand_unimodular_spd(rng))
+            self.both(stepper, rand_spd(rng), state, dt, p)
+
+    @pytest.mark.parametrize("stepper", CLOSED_FORM)
+    def test_shrink_path(self, stepper):
+        # the default h leaves the SPD cone, h/10 does not
+        C = t3.sym(np.diag([1.0, 1.0, 5e-7]), check=False)
+        for p in (MaterialParams(1.0, 0.0, 1.0), MaterialParams(1.0, 1.0, 1.0)):
+            M = self.both(stepper, C, LagrangianState.identity(), 0.1, p)
+            assert np.isfinite(M).all()
+
+    @pytest.mark.parametrize("stepper", CLOSED_FORM)
+    @pytest.mark.parametrize("dt", [1e103, 1e300])
+    def test_huge_steps(self, stepper, dt, rng):
+        # beyond the threshold where the root scales its quadratic
+        for moduli in ((1.0, 1.0), (1.0, 0.0), (0.0, 1.0)):
+            p = MaterialParams(*moduli, 1.0)
+            state = LagrangianState(rand_unimodular_spd(rng))
+            self.both(stepper, rand_spd(rng), state, dt, p)
+
+    @pytest.mark.parametrize("stepper", CLOSED_FORM)
+    def test_tmj_branches(self, stepper):
+        from mrmaxwell import load_model, table_model_path
+        from mrmaxwell.harness import LoadingProgram
+
+        program = LoadingProgram()
+        for p in load_model(table_model_path()).branches:
+            state = LagrangianState.identity()
+            for t in np.linspace(0.0, 3.0, 11)[1:]:
+                C = program.C(float(t))
+                self.both(stepper, C, state, 0.3, p)
+                state = stepper(C, state, 0.3, p).state
+
+    @pytest.mark.parametrize("stepper", CLOSED_FORM)
+    def test_bad_lane_raises(self, stepper):
+        C = np.diag([1.2, 1.0, 0.9])
+        bad = invalid_state(np.diag([2.0, -1.0, -0.5]))
+        for wrapped in (stepper, per_call(stepper)):
+            with pytest.raises(DomainError, match="lost positive definiteness"):
+                consistent_tangent(wrapped, C, bad, 0.1, MaterialParams(1, 1, 1))
+            with pytest.raises(DomainError, match=r"dt = 1e\+300 overflows"):
+                consistent_tangent(
+                    wrapped, C, LagrangianState.identity(), 1e300,
+                    MaterialParams(1.0, 1.0, 1e-10),
+                )
+
+    def test_two_eigh_calls(self, count_eigh):
+        # one stacked decomposition of the twelve strains, one of their
+        # congruences; the per-call loop makes two per strain
+        args = (np.diag([1.2, 1.0, 0.9]), LagrangianState.identity(), 0.1,
+                MaterialParams(1.0, 1.0, 1.0))
+        consistent_tangent(ifebm_step_lagrangian, *args)
+        assert len(count_eigh) == 2
+        consistent_tangent(per_call(ifebm_step_lagrangian), *args)
+        assert len(count_eigh) == 2 + 24
 
 
 class TestSymmetryDeviation:

@@ -215,6 +215,7 @@ class TestStacks:
             t3.trace: G,
             t3.inverse: G,
             t3.deviator: G,
+            t3.norm: G,
             t3.unimodular: S,
             lambda A: t3.sym(A, check=False): G,
             t3.mat_exp: G * np.exp(rng.uniform(-3.0, 3.0, (2, 4, 1, 1))),
@@ -244,6 +245,13 @@ class TestStacks:
         assert np.array_equal(t3.sym(M[:1]), M[:1])
         with pytest.raises(AssertionError):
             t3.sym(M)
+        # one scale per member: a skew part of 1e-9 is round-off only for
+        # a member formed from operands of size 100
+        Z = np.zeros((2, 3, 3))
+        Z[1, 0, 1] = 1e-9
+        assert np.array_equal(t3.sym(Z, scale=[0.0, 100.0]), t3.sym(Z, check=False))
+        with pytest.raises(AssertionError):
+            t3.sym(Z, scale=[100.0, 0.0])
 
     @pytest.mark.parametrize(
         "f, bad, later",
@@ -253,6 +261,8 @@ class TestStacks:
             (t3.unimodular, np.diag([1.0, -1.0, 1.0]), np.diag([1.0, 0.0, 1.0])),
             (t3.unimodular, np.diag([1.0, 0.0, 1.0]), np.diag([1.0, -1.0, 1.0])),
             (t3.mat_exp, np.diag([1.0, np.inf, 1.0]), np.diag([1.0, np.nan, 1.0])),
+            (t3.require_spd, np.diag([1.0, -1.0, 1.0]), np.diag([1.0, np.nan, 1.0])),
+            (t3.require_spd, np.diag([1.0, np.nan, 1.0]), np.diag([1.0, -1.0, 1.0])),
         ],
     )
     def test_first_bad_member_reported(self, f, bad, later):
