@@ -8,9 +8,12 @@ Subcommands map one-to-one onto the harness studies::
     mrmaxwell uniaxial       --model params.json
     mrmaxwell robustness     --seed 7 --summary json
 
-Every run prints a pass/fail summary (text or JSON) and exits with
-status 0 exactly when all self-checks of the invoked study pass.  CSV
-tables are written to ``--out`` when given.
+A subcommand has a flag for each ``RunConfig`` field its study reads
+(``_STUDIES``), plus ``--out`` and ``--summary``.  Any other flag, and a
+value that the configuration or the study rejects with a ``DomainError``,
+is a usage error: exit status 2, with the error's own message.  Otherwise
+the run prints a pass/fail summary (text or JSON), writes its CSV tables
+to ``--out`` when given, and exits 0 exactly when all its self-checks pass.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .errors import DomainError
 from .harness import (
+    METHOD_NAMES,
     RunConfig,
     run_convergence,
     run_error_study,
@@ -27,12 +32,37 @@ from .harness import (
     run_uniaxial,
 )
 
+# flag spelling and argparse keywords of each RunConfig field a study reads
+_FLAGS = {
+    "dt": ("--dt", dict(type=float, help="time step")),
+    "eta": ("--eta", dict(type=float, help="viscosity")),
+    "c10": ("--c10", dict(type=float)),
+    "c01": ("--c01", dict(type=float)),
+    "methods": ("--method", dict(choices=("all", *METHOD_NAMES),
+                                 help="stepper selection (default: all)")),
+    "formulation": ("--formulation", dict(choices=("lagrangian", "eulerian"))),
+    "reference_substeps": ("--reference-substeps", dict(
+        type=int, help="total closed-form substeps of the reference solution")),
+    "seed": ("--seed", dict(type=int)),
+    "fd_step": ("--fd-step", dict(
+        type=float, help="finite-difference step for consistent tangents")),
+    "model_file": ("--model", dict(metavar="MODEL", help="composite model JSON file")),
+    "cycles": ("--cycles", dict(type=int)),
+    "coarse_steps_per_cycle": ("--coarse-steps",
+                               dict(type=int, metavar="COARSE_STEPS")),
+    "fine_steps_per_cycle": ("--fine-steps", dict(type=int, metavar="FINE_STEPS")),
+}
+
+# each subcommand's study and the RunConfig fields that study reads
 _STUDIES = {
-    "nonprop": run_error_study,
-    "convergence": run_convergence,
-    "tangent-sweep": run_tangent_sweep,
-    "uniaxial": run_uniaxial,
-    "robustness": run_robustness,
+    "nonprop": (run_error_study, ("dt", "eta", "c10", "c01", "methods",
+                                  "formulation", "reference_substeps")),
+    "convergence": (run_convergence, ("dt", "eta", "c10", "c01", "methods",
+                                      "reference_substeps")),
+    "tangent-sweep": (run_tangent_sweep, ("c10", "c01", "methods", "fd_step")),
+    "uniaxial": (run_uniaxial, ("methods", "model_file", "cycles",
+                                "coarse_steps_per_cycle", "fine_steps_per_cycle")),
+    "robustness": (run_robustness, ("eta", "c10", "c01", "methods", "seed")),
 }
 
 
@@ -44,61 +74,29 @@ def _build_parser() -> argparse.ArgumentParser:
         description="verification studies for the finite-strain Maxwell material",
     )
     sub = parser.add_subparsers(dest="study", required=True)
-    for name in _STUDIES:
+    for name, (_, fields) in _STUDIES.items():
         sp = sub.add_parser(
             name, help=f"run the {name} study", argument_default=argparse.SUPPRESS
         )
-        sp.add_argument("--dt", type=float, help="time step")
-        sp.add_argument("--eta", type=float, help="viscosity")
-        sp.add_argument("--c10", type=float)
-        sp.add_argument("--c01", type=float)
-        sp.add_argument(
-            "--method",
-            dest="methods",
-            choices=["all", "ifebm", "2iebm", "mebm", "em"],
-            help="stepper selection (default: all)",
-        )
-        sp.add_argument("--formulation", choices=["lagrangian", "eulerian"])
+        for field in fields:
+            flag, keywords = _FLAGS[field]
+            sp.add_argument(flag, dest=field, **keywords)
         sp.add_argument("--out", default=None, help="directory for CSV output")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument(
-            "--fd-step",
-            type=float,
-            help="finite-difference step for consistent tangents",
-        )
         sp.add_argument("--summary", default="text", choices=["text", "json"])
-        sp.add_argument(
-            "--reference-substeps",
-            type=int,
-            help="total closed-form substeps of the reference solution",
-        )
-        if name == "uniaxial":
-            sp.add_argument(
-                "--model",
-                dest="model_file",
-                metavar="MODEL",
-                help="composite model JSON file",
-            )
-            sp.add_argument("--cycles", type=int)
-            sp.add_argument(
-                "--coarse-steps",
-                dest="coarse_steps_per_cycle",
-                metavar="COARSE_STEPS",
-                type=int,
-            )
-            sp.add_argument(
-                "--fine-steps",
-                dest="fine_steps_per_cycle",
-                metavar="FINE_STEPS",
-                type=int,
-            )
+        sp.set_defaults(parser=sp)
     return parser
 
 
 def main(argv=None) -> int:
     options = vars(_build_parser().parse_args(argv))
-    study, out, summary = (options.pop(k) for k in ("study", "out", "summary"))
-    result = _STUDIES[study](RunConfig(**options))
+    study, parser, out, summary = (
+        options.pop(k) for k in ("study", "parser", "out", "summary")
+    )
+    run, _ = _STUDIES[study]
+    try:
+        result = run(RunConfig(**options))
+    except DomainError as exc:
+        parser.error(str(exc))
     if out:
         for path in result.write(out):
             print(f"wrote {path}", file=sys.stderr)

@@ -22,7 +22,6 @@ files.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import warnings
@@ -63,7 +62,7 @@ __all__ = [
     "METHOD_NAMES",
 ]
 
-METHOD_NAMES = ("ifebm", "2iebm", "mebm", "em")
+METHOD_NAMES = tuple(LAGRANGIAN_STEPPERS)
 
 # keyframes of the bundled non-proportional program: identity, an axial
 # stretch, a simple shear, and the stretch rotated onto the second axis
@@ -80,6 +79,14 @@ _TIME_TOL = 1e-12
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _csv(header, rows) -> str:
+    # floats at 17 significant digits, any other cell as its string
+    return "".join(
+        ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in line) + "\n"
+        for line in [header, *rows]
+    )
 
 
 @dataclass(frozen=True)
@@ -219,7 +226,6 @@ class RunConfig:
     fine_steps_per_cycle: int = 5000
     frequencies: tuple = (10.0, 1.0, 0.1)
     amplitudes: tuple = (0.2, 0.4)
-    robustness_dts: tuple = (0.5, 1.0)
     tangent_dts: tuple = (0.1, 0.05)
     tangent_etas: tuple = (100.0, 10.0, 1.0, 0.1, 0.01, 0.001)
 
@@ -235,6 +241,10 @@ class RunConfig:
                 raise DomainError(f"unknown method {m!r}")
         if self.formulation not in ("lagrangian", "eulerian"):
             raise DomainError(f"unknown formulation {self.formulation!r}")
+        if self.formulation == "eulerian" and "ifebm" not in self.methods:
+            raise DomainError(
+                f"formulation 'eulerian' needs ifebm in methods, got {self.methods!r}"
+            )
         for name in ("cycles", "reference_substeps", "coarse_steps_per_cycle",
                      "fine_steps_per_cycle"):
             if not getattr(self, name) >= 1:
@@ -462,17 +472,14 @@ def run_error_study(cfg: RunConfig) -> StudyResult:
             )
             values["gap_2iebm_mebm"] = gap_2iebm_mebm
 
-    buf = io.StringIO()
-    cols = [f"error_{m}" for m in cfg.methods]
-    buf.write(",".join(["t"] + cols) + "\n")
-    for k, t in enumerate(ts):
-        row = [_fmt(float(t))] + [_fmt(float(errors[m][k])) for m in cfg.methods]
-        buf.write(",".join(row) + "\n")
-
+    csv = _csv(
+        ["t"] + [f"error_{m}" for m in cfg.methods],
+        ([t] + [errors[m][k] for m in cfg.methods] for k, t in enumerate(ts)),
+    )
     return StudyResult(
         "nonprop",
         checks=checks,
-        tables={"nonprop_errors.csv": buf.getvalue()},
+        tables={"nonprop_errors.csv": csv},
         values=values,
     )
 
@@ -523,17 +530,15 @@ def run_convergence(cfg: RunConfig) -> StudyResult:
             1.7 <= max_err[m][0] / max_err[m][1] <= 2.3
         )
 
-    buf = io.StringIO()
-    buf.write("method,dt,max_error,observed_order\n")
-    for m in cfg.methods:
-        for i, dt in enumerate(dts):
-            order = "" if i == 0 else _fmt(orders[m][i - 1])
-            buf.write(f"{m},{_fmt(dt)},{_fmt(max_err[m][i])},{order}\n")
-
+    csv = _csv(
+        ["method", "dt", "max_error", "observed_order"],
+        ([m, dt, max_err[m][i], orders[m][i - 1] if i else ""]
+         for m in cfg.methods for i, dt in enumerate(dts)),
+    )
     return StudyResult(
         "convergence",
         checks=checks,
-        tables={"convergence.csv": buf.getvalue()},
+        tables={"convergence.csv": csv},
         values={
             "dts": dts,
             "max_error": max_err,
@@ -554,10 +559,11 @@ def run_tangent_sweep(cfg: RunConfig) -> StudyResult:
     are reported as ``<1e-9`` in the CSV.
     """
     program = LoadingProgram()
-    methods = [m for m in ("ifebm", "2iebm") if m in cfg.methods] or [
-        "ifebm",
-        "2iebm",
-    ]
+    methods = [m for m in ("ifebm", "2iebm") if m in cfg.methods]
+    if not methods:
+        raise DomainError(
+            f"the tangent sweep needs ifebm or 2iebm in methods, got {cfg.methods!r}"
+        )
     deviations = {}
     for m in methods:
         stepper = LAGRANGIAN_STEPPERS[m]
@@ -603,22 +609,16 @@ def run_tangent_sweep(cfg: RunConfig) -> StudyResult:
             for eta in cfg.tangent_etas
         )
 
-    buf = io.StringIO()
-    buf.write(
-        "method,dt," + ",".join(f"eta_{e:g}" for e in cfg.tangent_etas) + "\n"
+    cells = {k: "<1e-9" if v < 1e-9 else v for k, v in deviations.items()}
+    csv = _csv(
+        ["method", "dt"] + [f"eta_{e:g}" for e in cfg.tangent_etas],
+        ([m, f"{dt:g}"] + [cells[(m, dt, eta)] for eta in cfg.tangent_etas]
+         for m in methods for dt in cfg.tangent_dts),
     )
-    for m in methods:
-        for dt in cfg.tangent_dts:
-            cells = []
-            for eta in cfg.tangent_etas:
-                v = deviations[(m, dt, eta)]
-                cells.append("<1e-9" if v < 1e-9 else _fmt(v))
-            buf.write(f"{m},{dt:g}," + ",".join(cells) + "\n")
-
     return StudyResult(
         "tangent-sweep",
         checks=checks,
-        tables={"tangent_sweep.csv": buf.getvalue()},
+        tables={"tangent_sweep.csv": csv},
         values={
             "deviation": {
                 f"{m},dt={dt},eta={eta}": v
@@ -635,11 +635,14 @@ def run_uniaxial(cfg: RunConfig) -> StudyResult:
     stay within 3 percent of the fine one (measured against the peak
     stress), and the per-cycle hysteresis areas must be non-negative.
     """
-    model_path = cfg.model_file or table_model_path()
-    base_model = load_model(model_path)
-    stepper = LAGRANGIAN_STEPPERS[
-        cfg.methods[0] if len(cfg.methods) == 1 else "ifebm"
-    ]
+    # the default selection, all methods, runs the closed-form stepper
+    methods = ("ifebm",) if cfg.methods == METHOD_NAMES else cfg.methods
+    if len(methods) != 1:
+        raise DomainError(
+            f"the uniaxial study needs one method in methods, got {cfg.methods!r}"
+        )
+    stepper = LAGRANGIAN_STEPPERS[methods[0]]
+    base_model = load_model(cfg.model_file or table_model_path())
 
     checks = {}
     values = {"cells": {}}
@@ -685,15 +688,11 @@ def run_uniaxial(cfg: RunConfig) -> StudyResult:
                 "cycle_areas": areas,
             }
 
-            buf = io.StringIO()
-            buf.write("grid,t,strain,stress\n")
-            for label in ("coarse", "fine"):
-                ts_, es_, ss_ = curves[label]
-                for t, e, s in zip(ts_, es_, ss_):
-                    buf.write(
-                        f"{label},{_fmt(float(t))},{_fmt(float(e))},{_fmt(float(s))}\n"
-                    )
-            tables[f"uniaxial_{key}.csv"] = buf.getvalue()
+            tables[f"uniaxial_{key}.csv"] = _csv(
+                ["grid", "t", "strain", "stress"],
+                ([label, *point] for label in ("coarse", "fine")
+                 for point in zip(*curves[label])),
+            )
 
     return StudyResult("uniaxial", checks=checks, tables=tables, values=values)
 
@@ -713,9 +712,9 @@ def run_robustness(cfg: RunConfig) -> StudyResult:
     p = cfg.material
 
     effort = {}
-    small_dt = 0.05
+    large_dts, small_dt = (0.5, 1.0), 0.05
     for m in cfg.methods:
-        for dt in tuple(cfg.robustness_dts) + (small_dt,):
+        for dt in large_dts + (small_dt,):
             _, _, _, diags = nonprop_stress_history(m, dt, p)
             effort[(m, dt)] = {
                 "total_iterations": sum(d.iterations for d in diags),
@@ -730,16 +729,16 @@ def run_robustness(cfg: RunConfig) -> StudyResult:
             checks[f"{m}_never_substeps"] = all(
                 effort[(m, dt)]["substep_events"] == 0
                 and effort[(m, dt)]["divergences"] == 0
-                for dt in cfg.robustness_dts
+                for dt in large_dts
             )
     if "ifebm" in cfg.methods:
         checks["ifebm_zero_iterations"] = all(
             effort[("ifebm", dt)]["total_iterations"] == 0
-            for dt in cfg.robustness_dts
+            for dt in large_dts
         )
     for m in ("mebm", "em"):
         if m in cfg.methods:
-            largest = max(cfg.robustness_dts)
+            largest = max(large_dts)
             stressed = (
                 effort[(m, largest)]["substep_events"] >= 1
                 or effort[(m, largest)]["divergences"] >= 1
@@ -768,20 +767,15 @@ def run_robustness(cfg: RunConfig) -> StudyResult:
     checks["subtractive_form_blows_up"] = blowup > 1e-4
     checks["stable_form_matches_eps0_limit"] = limit_gap < 1e-10
 
-    buf = io.StringIO()
-    buf.write(
-        "method,dt,total_iterations,max_iterations,substep_events,divergences\n"
+    columns = ["total_iterations", "max_iterations", "substep_events", "divergences"]
+    csv = _csv(
+        ["method", "dt"] + columns,
+        ([m, dt] + [e[c] for c in columns] for (m, dt), e in sorted(effort.items())),
     )
-    for (m, dt), e in sorted(effort.items()):
-        buf.write(
-            f"{m},{_fmt(dt)},{e['total_iterations']},{e['max_iterations']},"
-            f"{e['substep_events']},{e['divergences']}\n"
-        )
-
     return StudyResult(
         "robustness",
         checks=checks,
-        tables={"robustness.csv": buf.getvalue()},
+        tables={"robustness.csv": csv},
         values={
             "effort": {f"{m},dt={dt:g}": e for (m, dt), e in effort.items()},
             "subtractive_deviation": blowup,

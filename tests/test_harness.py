@@ -1,5 +1,6 @@
 """Loading programs, study drivers, CSV output, CLI."""
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -164,6 +165,13 @@ class TestRunConfig:
         with pytest.raises(DomainError):
             hn.RunConfig(formulation="spatial")
 
+    def test_eulerian_needs_ifebm(self):
+        # the error study reports the Eulerian history of ifebm only
+        for methods in ("mebm", ("2iebm", "em")):
+            with pytest.raises(DomainError, match="'eulerian' needs ifebm in methods"):
+                hn.RunConfig(formulation="eulerian", methods=methods)
+        hn.RunConfig(formulation="eulerian", methods=("em", "ifebm"))
+
     @pytest.mark.parametrize(
         "field", ["cycles", "reference_substeps", "coarse_steps_per_cycle",
                   "fine_steps_per_cycle"],
@@ -323,6 +331,17 @@ class TestUniaxialStudy:
         res = hn.run_uniaxial(cfg)
         assert res.passed, res.summary()
 
+    def test_one_method(self):
+        tiny = dict(frequencies=(1.0,), amplitudes=(0.2,), cycles=1,
+                    coarse_steps_per_cycle=2, fine_steps_per_cycle=4)
+        for methods in (("ifebm", "mebm"), ("2iebm", "mebm", "em")):
+            with pytest.raises(DomainError, match="needs one method in methods"):
+                hn.run_uniaxial(hn.RunConfig(methods=methods, **tiny))
+        # the default selection, all methods, runs ifebm
+        tables = {m: hn.run_uniaxial(hn.RunConfig(methods=m, **tiny)).tables
+                  for m in ("all", "ifebm", "em")}
+        assert tables["all"] == tables["ifebm"] != tables["em"]
+
     def test_zero_amplitude_is_zero_stress(self):
         cfg = hn.RunConfig(
             frequencies=(1.0,),
@@ -357,6 +376,55 @@ class TestTangentSweepStudy:
             want = symmetry_deviation(tangents)
             assert res.values["deviation"][f"{m},dt=0.1,eta=10.0"] == want
 
+    def test_needs_a_closed_form_stepper(self):
+        for methods in ("mebm", ("mebm", "em")):
+            with pytest.raises(DomainError, match="needs ifebm or 2iebm in methods"):
+                hn.run_tangent_sweep(hn.RunConfig(methods=methods))
+
+
+# each CLI-settable RunConfig field: its flag, a value as typed, and the
+# value RunConfig holds for it
+CLI_VALUES = {
+    "dt": ("--dt", "0.2", 0.2),
+    "eta": ("--eta", "3", 3.0),
+    "c10": ("--c10", "0.5", 0.5),
+    "c01": ("--c01", "0.25", 0.25),
+    "methods": ("--method", "ifebm", ("ifebm",)),
+    "formulation": ("--formulation", "eulerian", "eulerian"),
+    "reference_substeps": ("--reference-substeps", "777", 777),
+    "seed": ("--seed", "4", 4),
+    "fd_step": ("--fd-step", "1e-5", 1e-5),
+    "model_file": ("--model", "m.json", "m.json"),
+    "cycles": ("--cycles", "3", 3),
+    "coarse_steps_per_cycle": ("--coarse-steps", "7", 7),
+    "fine_steps_per_cycle": ("--fine-steps", "70", 70),
+}
+
+# a configuration at which each study runs in a fraction of a second
+SMALL = {
+    "nonprop": dict(dt=1.0, reference_substeps=300),
+    "convergence": dict(dt=1.0, reference_substeps=300),
+    "tangent-sweep": dict(tangent_dts=(1.0,), tangent_etas=(1.0,)),
+    "uniaxial": dict(frequencies=(1.0,), amplitudes=(0.2,), cycles=1,
+                     coarse_steps_per_cycle=2, fine_steps_per_cycle=4),
+    "robustness": dict(methods="ifebm"),
+}
+
+
+def fields_read(study, cfg):
+    """The RunConfig fields ``study`` reads from ``cfg``."""
+    reads = set()
+
+    class Recording(hn.RunConfig):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    # swapped in after construction, so __post_init__'s reads are not counted
+    cfg.__class__ = Recording
+    study(cfg)
+    return reads & {f.name for f in dataclasses.fields(hn.RunConfig)}
+
 
 class TestCli:
     def test_robustness_exit_zero(self, tmp_path, capsys):
@@ -388,7 +456,10 @@ class TestCli:
 
     @pytest.mark.parametrize("study", ["nonprop", "convergence", "tangent-sweep"])
     def test_json_summary_round_trip(self, study, capsys):
-        cheap = ["--dt", "0.5", "--reference-substeps", "600"]
+        # the tangent sweep's grid of steps and viscosities is fixed
+        cheap = [] if study == "tangent-sweep" else [
+            "--dt", "0.5", "--reference-substeps", "600"
+        ]
         code = cli_main([study, "--summary", "json"] + cheap)
         payload = json.loads(capsys.readouterr().out)
         assert payload["study"] == study
@@ -405,8 +476,8 @@ class TestCli:
             seen.append(cfg)
             return hn.StudyResult("stub")
 
-        for name in list(cli._STUDIES):
-            monkeypatch.setitem(cli._STUDIES, name, study)
+        for name, (_, fields) in list(cli._STUDIES.items()):
+            monkeypatch.setitem(cli._STUDIES, name, (study, fields))
         return seen
 
     def test_bare_study_uses_run_config_defaults(self, recorded, capsys):
@@ -414,21 +485,55 @@ class TestCli:
             assert cli_main([name]) == 0
         assert recorded == [hn.RunConfig()] * len(cli._STUDIES)
 
-    def test_flags_set_their_fields(self, recorded, capsys):
-        cli_main(
-            "uniaxial --dt 0.2 --eta 3 --c10 0.5 --c01 0.25 --method em "
-            "--formulation eulerian --seed 4 --fd-step 1e-5 "
-            "--reference-substeps 777 --model m.json --cycles 3 "
-            "--coarse-steps 7 --fine-steps 70".split()
+    @pytest.mark.filterwarnings("ignore:reference not converged")
+    @pytest.mark.parametrize("study", list(cli._STUDIES))
+    def test_flags_are_the_fields_read(self, study):
+        assert set(cli._FLAGS) == set(CLI_VALUES)
+        run, fields = cli._STUDIES[study]
+        read = fields_read(run, hn.RunConfig(**SMALL[study]))
+        assert read & set(CLI_VALUES) == set(fields)
+
+    @pytest.mark.parametrize("study", list(cli._STUDIES))
+    def test_flags_set_their_fields(self, study, recorded, capsys):
+        fields = cli._STUDIES[study][1]
+        argv = [study]
+        for field in fields:
+            argv += CLI_VALUES[field][:2]
+        assert cli_main(argv) == 0
+        assert recorded == [hn.RunConfig(**{f: CLI_VALUES[f][2] for f in fields})]
+
+    @pytest.mark.parametrize("study", list(cli._STUDIES))
+    def test_other_flags_rejected(self, study, recorded, capsys):
+        for field in set(CLI_VALUES) - set(cli._STUDIES[study][1]):
+            flag, typed, _ = CLI_VALUES[field]
+            with pytest.raises(SystemExit) as stop:
+                cli_main([study, flag, typed])
+            assert stop.value.code == 2
+            err = capsys.readouterr().err
+            assert f"unrecognized arguments: {flag} {typed}" in err
+        assert recorded == []
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("uniaxial --coarse-steps 3 --fine-steps 10",
+             "fine_steps_per_cycle = 10 is not a multiple of "
+             "coarse_steps_per_cycle = 3"),
+            ("nonprop --dt 0", "dt must be positive"),
+            ("nonprop --dt 0.7", "dt = 0.7 does not divide the domain [0, 3.0]"),
+            ("tangent-sweep --method mebm",
+             "the tangent sweep needs ifebm or 2iebm in methods, got ('mebm',)"),
+        ],
+        ids=["fine-steps", "dt-zero", "dt-not-dividing", "tangent-mebm"],
+    )
+    def test_domain_error_is_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as stop:
+            cli_main(argv.split())
+        assert stop.value.code == 2
+        study = argv.split()[0]
+        assert capsys.readouterr().err.endswith(
+            f"mrmaxwell {study}: error: {message}\n"
         )
-        assert recorded == [
-            hn.RunConfig(
-                dt=0.2, eta=3.0, c10=0.5, c01=0.25, methods="em",
-                formulation="eulerian", seed=4, fd_step=1e-5,
-                reference_substeps=777, model_file="m.json", cycles=3,
-                coarse_steps_per_cycle=7, fine_steps_per_cycle=70,
-            )
-        ]
 
     def test_unknown_method_rejected(self):
         with pytest.raises(SystemExit):
