@@ -1,9 +1,9 @@
-"""Symmetry of the numerically differentiated consistent tangent.
+"""Symmetry of the exact consistent tangent of the closed-form steppers.
 
 The closed-form stepper yields a nearly symmetric tangent; adding two
-scalar Newton corrections (the 2iebm variant) pushes the asymmetry to
-the measurement floor, which matters when a symmetric global solver is
-to be used.  The full (dt, eta) grid is produced by
+scalar Newton corrections (the 2iebm variant) pushes the asymmetry
+below 1e-8, near round-off on most cells, which matters when a
+symmetric global solver is to be used.  The full (dt, eta) grid is produced by
 
     mrmaxwell tangent-sweep --out results/
 

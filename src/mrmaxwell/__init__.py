@@ -2,9 +2,9 @@
 
 A constitutive-integration kernel built around an iteration-free implicit
 update of the inelastic right Cauchy-Green tensor, with Newton-based
-baseline integrators, numerically differentiated consistent tangents, a
-generalized Maxwell composite, and the verification studies exercising
-all of them.
+baseline integrators, consistent tangents (exact for the closed-form
+update, numerically differentiated otherwise), a generalized Maxwell
+composite, and the verification studies exercising all of them.
 """
 
 from . import composite, constitutive, errors, harness, tangent, tensor3

@@ -4,7 +4,7 @@ Subcommands map one-to-one onto the harness studies::
 
     mrmaxwell nonprop        --dt 0.1 --eta 1.0 --out results/
     mrmaxwell convergence    --dt 0.1
-    mrmaxwell tangent-sweep  --fd-step 1e-6
+    mrmaxwell tangent-sweep  --c01 0.5
     mrmaxwell uniaxial       --model params.json
     mrmaxwell robustness     --seed 7 --summary json
 
@@ -44,8 +44,6 @@ _FLAGS = {
     "reference_substeps": ("--reference-substeps", dict(
         type=int, help="total closed-form substeps of the reference solution")),
     "seed": ("--seed", dict(type=int)),
-    "fd_step": ("--fd-step", dict(
-        type=float, help="finite-difference step for consistent tangents")),
     "model_file": ("--model", dict(metavar="MODEL", help="composite model JSON file")),
     "cycles": ("--cycles", dict(type=int)),
     "coarse_steps_per_cycle": ("--coarse-steps",
@@ -59,7 +57,7 @@ _STUDIES = {
                                   "formulation", "reference_substeps")),
     "convergence": (run_convergence, ("dt", "eta", "c10", "c01", "methods",
                                       "reference_substeps")),
-    "tangent-sweep": (run_tangent_sweep, ("c10", "c01", "methods", "fd_step")),
+    "tangent-sweep": (run_tangent_sweep, ("c10", "c01", "methods")),
     "uniaxial": (run_uniaxial, ("methods", "model_file", "cycles",
                                 "coarse_steps_per_cycle", "fine_steps_per_cycle")),
     "robustness": (run_robustness, ("eta", "c10", "c01", "methods", "seed")),

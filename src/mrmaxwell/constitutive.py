@@ -298,10 +298,19 @@ def residual_R(phi: float, A: np.ndarray, eps: float) -> float:
 # closed-form steppers
 
 
-def _strain_parts(C_next):
+def _tr_dot(A, B):
+    # trace(A @ B) for symmetric A, B (of each member of a stack); each
+    # member's nine products are summed from contiguous memory, in the
+    # order of a one-tensor sum, whatever the layout of the inputs
+    AB = np.ascontiguousarray(A * B)
+    return AB.reshape(AB.shape[:-2] + (9,)).sum(axis=-1)
+
+
+def _strain_parts(C_next, dC=None):
     # unimodular strain, its square-root factors and the inverses, from one
     # determinant and one decomposition; of one strain or of each member of
-    # a stack (..., 3, 3)
+    # a stack (..., 3, 3).  With dC, a stack (n, 3, 3) of directions of one
+    # strain, also the derivatives along each of the parts but isq
     stack = C_next.ndim > 2
     d = det(C_next)
     for d_k in d.ravel().tolist() if stack else (d,):
@@ -325,14 +334,24 @@ def _strain_parts(C_next):
     sq = (V * r) @ Vt
     isq = (V / r) @ Vt
     Cbar_inv = sym((V / w) @ Vt, check=False)
-    return Cbar, sq, isq, Cbar_inv, Cbar_inv / scale
+    parts = Cbar, sq, isq, Cbar_inv, Cbar_inv / scale
+    if dC is None:
+        return parts
+    C_inv = parts[4]
+    dCbar = dC / scale - (_tr_dot(C_inv, dC) / 3.0)[:, None, None] * Cbar
+    # sq dsq + dsq sq = dCbar, solved in Cbar's eigenbasis
+    dsq = V @ ((Vt @ dCbar @ V) / (r[:, None] + r)) @ Vt
+    # the derivative of an inverse A^-1 is -A^-1 dA A^-1
+    return parts, (dCbar, dsq, -Cbar_inv @ dCbar @ Cbar_inv, -C_inv @ dC @ C_inv)
 
 
-def _stress_from_parts(C_inv, Cbar, Cbar_inv, Ci, params):
+def _stress_from_parts(C_inv, Cbar, Cbar_inv, Ci, params, d=None):
     # of one lane or each of a stack: the raw product c10 Cbar Ci^-1 - c01
     # Ci Cbar^-1 cancels badly near relaxed states (Ci ~ Cbar); rewriting it
     # through D = Ci - Cbar is algebraically identical and keeps the
-    # round-off at the size of D
+    # round-off at the size of D.  With d, the stacks (n, 3, 3) of the
+    # derivatives of C_inv, Cbar, Cbar_inv and Ci along n directions (one
+    # lane), the stress's derivatives along them instead
     if len(params) == 1:
         c10, c01 = params[0].c10, params[0].c01
         floor = (c10 + c01) * 1e-12
@@ -340,7 +359,15 @@ def _stress_from_parts(C_inv, Cbar, Cbar_inv, Ci, params):
         c10, c01 = np.array([(p.c10, p.c01) for p in params]).T[..., None, None]
         floor = ((c10 + c01) * 1e-12)[:, 0, 0]
     D = Ci - Cbar
-    term = c10 * (D @ inverse(Ci)) + c01 * (D @ Cbar_inv)
+    Ci_inv = inverse(Ci)
+    term = c10 * (D @ Ci_inv) + c01 * (D @ Cbar_inv)
+    if d is not None:
+        dC_inv, dCbar, dCbar_inv, dCi = d
+        dD = dCi - dCbar
+        dterm = c10 * ((dD - D @ Ci_inv @ dCi) @ Ci_inv) + c01 * (
+            dD @ Cbar_inv + D @ dCbar_inv
+        )
+        return -sym(dC_inv @ deviator(term) + C_inv @ deviator(dterm), check=False)
     scale = t3.norm(C_inv) * (t3.norm(term) + floor)
     return -sym(C_inv @ deviator(term), scale=scale)
 
@@ -372,13 +399,15 @@ def _coefficients(dt, p):
 def _phi_estimate(w, eps, scale):
     # the first-order estimate phi0 - tr/(3 phi0) eps, phi0 = cbrt(det), of
     # the quadratic times `scale`, a power of two (eps is scaled already,
-    # the spectrum w is not); where the cube of w could overflow, det and
-    # tr are formed in units of a power of two near the largest w
+    # the spectrum w is not), and phi0; where the cube of w could overflow,
+    # det and tr are formed in units of a power of two near the largest w
     unit = _scale_for(w[2])
     u0, u1, u2 = w[0] * unit, w[1] * unit, w[2] * unit
     q0 = float(np.cbrt(u0 * u1 * u2))
     phi0 = q0 / unit * scale
-    return phi0 - ((u0 + u1) + u2) / (3.0 * q0) * eps if eps != 0.0 else phi0
+    if eps == 0.0:
+        return phi0, phi0
+    return phi0 - ((u0 + u1) + u2) / (3.0 * q0) * eps, phi0
 
 
 def _det_residual(w, phi, eps):
@@ -390,11 +419,40 @@ def _det_residual(w, phi, eps):
     return det_x - 1.0, slope
 
 
-def _root(w, beta, eps, corrections, name):
+def _correction_slope(w, phi, eps, r, slope, dw, dphi):
+    # the derivatives of one Newton correction phi - r/slope along n
+    # directions, from those of phi (dphi, (n,)) and of the spectrum w (dw,
+    # (n, 3)): r = det X - 1, slope = -det X sum_i 1/s_i, and each x_i moves
+    # by (dw_i - x_i dphi)/s_i, where s_i = sqrt(phi^2 + 4 eps w_i)
+    s = [math.sqrt(phi * phi + 4.0 * eps * v) for v in w]
+    x = [_root_eigvals(v, phi, eps, math.sqrt) for v in w]
+    det_x = r + 1.0
+    dr = det_x * (dw @ [1.0 / (a * b) for a, b in zip(x, s)]) + slope * dphi
+    # each 1/s_i moves by -(phi dphi + 2 eps dw_i)/s_i^3
+    cubes = [1.0 / (b * b * b) for b in s]
+    dslope = det_x * (phi * sum(cubes) * dphi + 2.0 * eps * (dw @ cubes)) - dr * sum(
+        1.0 / b for b in s
+    )
+    return dphi - (dr - r / slope * dslope) / slope
+
+
+def _root_slope(w, x, phi, eps, dW, dphi):
+    # the derivatives of X along the directions dW (n, 3, 3), all in W's
+    # eigenbasis: the divided differences (x_i - x_j)/(w_i - w_j) of the
+    # root are 2/(s_i + s_j), with no 0/0 at repeated w, and x_i moves by
+    # -x_i/s_i per unit of phi
+    s = [math.sqrt(phi * phi + 4.0 * eps * v) for v in w]
+    dX = dW * [[2.0 / (a + b) for b in s] for a in s]
+    return dX - dphi[:, None, None] * np.diag([a / b for a, b in zip(x, s)])
+
+
+def _root(w, beta, eps, corrections, name, dW=None):
     # one lane's eigenvalues of X and phi (estimate, then `corrections`
     # Newton steps on det X(phi) = 1) from the spectrum w of W, the state's
     # congruence; that of the state plus beta times the strain is exactly
-    # W + beta I, so beta shifts w without entering the assembly
+    # W + beta I, so beta shifts w without entering the assembly.  With dW,
+    # a stack (n, 3, 3) of directions of W in its eigenbasis, also the
+    # derivatives of X along them in that basis
     if not w[0] > 0.0:
         raise DomainError(f"{name} lost positive definiteness", min_eigenvalue=w[0])
     w = [w[0] + beta, w[1] + beta, w[2] + beta]
@@ -406,12 +464,23 @@ def _root(w, beta, eps, corrections, name):
     # scaled back)
     scale = _scale_for(max(w[2], eps))
     eps *= scale
-    phi = _phi_estimate(w, eps, scale)
+    phi, phi0 = _phi_estimate(w, eps, scale)
     w = [w[0] * scale, w[1] * scale, w[2] * scale]
+    if dW is not None:
+        # derivatives in the scaled units too; the estimate phi0 - a, a =
+        # tr eps/(3 phi0), has the slope (phi0 + a)/(3 w_i) - eps/(3 phi0)
+        dW = dW * scale
+        dw = dW.diagonal(axis1=1, axis2=2)
+        dphi = dw @ [(2.0 * phi0 - phi) / (3.0 * v) - eps / (3.0 * phi0) for v in w]
     for _ in range(corrections):
         r, slope = _det_residual(w, phi, eps)
+        if dW is not None:
+            dphi = _correction_slope(w, phi, eps, r, slope, dw, dphi)
         phi -= r / slope
-    return [_root_eigvals(v, phi, eps, math.sqrt) for v in w], phi / scale
+    x = [_root_eigvals(v, phi, eps, math.sqrt) for v in w]
+    if dW is None:
+        return x, phi / scale
+    return x, phi / scale, _root_slope(w, x, phi, eps, dW, dphi)
 
 
 def _closed_form_root(W, coeffs, corrections, name):
@@ -455,6 +524,35 @@ def _lagrangian_lanes(C_next, Ci, dt, params, corrections):
         StepResult(state, T, StepDiagnostics(phi=phi, iterations=corrections))
         for state, T, phi in zip(states, stresses, phis)
     ]
+
+
+def _lagrangian_tangent(C_next, Ci, dt, p, corrections, dC):
+    # the exact derivatives of the closed-form step's stress along the
+    # directions dC (n, 3, 3) of C_next, Ci held fixed: the step's stages
+    # run once on C_next, each also carrying the derivatives as one stack
+    beta, eps = _coefficients(dt, p)
+    t3.require_spd(C_next, "C_next")
+    (Cbar, sq, isq, Cbar_inv, C_inv), (dCbar, dsq, dCbar_inv, dC_inv) = (
+        _strain_parts(C_next, dC)
+    )
+    # the congruence W = isq Ci isq (isq moves by -isq dsq isq) and its
+    # root X, the root's derivatives in W's eigenbasis V
+    W = sym(isq @ Ci @ isq, check=False)
+    G = -(isq @ dsq) @ W
+    w, V = np.linalg.eigh(W)
+    dW = V.T @ (G + G.swapaxes(1, 2)) @ V
+    x, _, dX = _root(w.tolist(), beta, eps, corrections, "quadratic input", dW)
+    X = (V * x) @ V.T
+    # the map back Ci_new = unimodular(Y), Y = sq X sq
+    Y = sym(sq @ X @ sq, check=False)
+    Ci_new = LagrangianState(unimodular(Y)).Ci
+    H = dsq @ (X @ sq)
+    sqV = sq @ V
+    dY = (H + H.swapaxes(1, 2) + sqV @ dX @ sqV.T) / np.cbrt(det(Y))
+    dCi = dY - (_tr_dot(inverse(Ci_new), dY) / 3.0)[:, None, None] * Ci_new
+    return _stress_from_parts(
+        C_inv, Cbar, Cbar_inv, Ci_new, [p], (dC_inv, dCbar, dCbar_inv, dCi)
+    )
 
 
 def ifebm_step_lagrangian(
@@ -507,14 +605,6 @@ def ifebm_step_eulerian(
 
 # --------------------------------------------------------------------------
 # Newton-based baselines
-
-
-def _tr_dot(A, B):
-    # trace(A @ B) for symmetric A, B (of each member of a stack); each
-    # member's nine products are summed from contiguous memory, in the
-    # order of a one-tensor sum, whatever the layout of the inputs
-    AB = np.ascontiguousarray(A * B)
-    return AB.reshape(AB.shape[:-2] + (9,)).sum(axis=-1)
 
 
 class _NewtonFailure(Exception):
@@ -694,7 +784,8 @@ def em_step(
     return _newton_baseline(_em_rhs, "em", C_next, state, dt, p)
 
 
-# phi corrections of the steppers that the tangent and composite run as lanes
+# phi corrections of the closed-form steppers: the tangent differentiates
+# them exactly, the composite runs their branches as lanes
 _CORRECTIONS = {ifebm_step_lagrangian: 0, twoiter_step: 2}
 
 LAGRANGIAN_STEPPERS: dict[str, Callable] = {

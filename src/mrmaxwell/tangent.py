@@ -1,8 +1,12 @@
-"""Consistent tangent operators by central-difference differentiation.
+"""Consistent tangent operators: exact for the closed-form steppers,
+central differences for any other.
 
 The tangent is the derivative of the discrete stress update with respect
 to the discrete strain input, taken with the internal state entering the
-step held fixed.  Stress and strain tensors are flattened to 6-vectors:
+step held fixed.  For ``ifebm_step_lagrangian`` and ``twoiter_step`` it
+is the exact (algorithmic) derivative of the update; every other stepper,
+and any call with an explicit finite-difference step, is differentiated
+numerically.  Stress and strain tensors are flattened to 6-vectors:
 
 * stress vector  (T11, T22, T33, T12, T13, T23)
 * strain vector  (C11, C22, C33, 2 C12, 2 C13, 2 C23)
@@ -21,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError
 from . import tensor3 as t3
-from .constitutive import _CORRECTIONS, _lagrangian_lanes
+from .constitutive import _CORRECTIONS, _lagrangian_tangent
 
 __all__ = [
     "stress_to_voigt",
@@ -56,6 +60,10 @@ def voigt_to_strain(v: np.ndarray) -> np.ndarray:
     return t3.unpack_sym(np.asarray(v) / _STRAIN_WEIGHT)
 
 
+# the strain-vector slots as directions of C: slot j moved by one
+_SLOT_DIRECTIONS = voigt_to_strain(np.eye(6))
+
+
 def _perturbed_strains(C, h):
     # rows j and 6 + j: C with strain-vector slot j moved by +h and -h
     x = np.repeat(strain_to_voigt(C)[None], 12, axis=0)
@@ -73,16 +81,34 @@ def consistent_tangent(
     p,
     h: float | None = None,
 ) -> np.ndarray:
-    """6x6 derivative of the stress update by central differences.
+    """6x6 derivative of the stress update with respect to the strain.
 
     ``stepper`` is any Lagrangian step function ``(C, state, dt, params)
-    -> StepResult``; the state entering the step is held fixed while the
-    strain input is perturbed (ifebm and 2iebm step the twelve perturbed
-    strains as one stack).  The default step ``h = 1e-6 * max(||C||_F,
-    1)`` sits near the double-precision optimum for central differences.
+    -> StepResult``; the state entering the step is held fixed.  With
+    ``h = None`` and a closed-form stepper (``ifebm_step_lagrangian``,
+    ``twoiter_step``) the result is the exact derivative of the discrete
+    update: one step, with the derivatives along the six strain slots
+    carried through it.  Otherwise it is taken by central differences with
+    step ``h``, calling the stepper once per perturbed strain; the default
+    ``h = 1e-6 * max(||C||_F, 1)`` sits near the double-precision optimum.
     If a perturbed strain loses positive definiteness the step is shrunk
     once by a factor 10, after which DomainError is raised.
     """
+    corrections = _CORRECTIONS.get(stepper)
+    if h is None and corrections is not None:
+        dT = stress_to_voigt(
+            _lagrangian_tangent(
+                C_next, state.Ci, dt, p, corrections, _SLOT_DIRECTIONS
+            )
+        )
+    else:
+        dT = _central_differences(stepper, C_next, state, dt, p, h)
+    # row-major, as callers' norms sum in memory order
+    return np.ascontiguousarray(dT.T)
+
+
+def _central_differences(stepper, C_next, state, dt, p, h):
+    # row j: the stress vector's central difference along strain slot j
     if h is None:
         h = 1e-6 * max(float(np.linalg.norm(C_next)), 1.0)
     if not h > 0.0:
@@ -98,14 +124,8 @@ def consistent_tangent(
             "perturbed strain is not SPD even after shrinking h"
         )
 
-    corrections = _CORRECTIONS.get(stepper)
-    if corrections is None:
-        results = [stepper(C, state, dt, p) for C in Cs]
-    else:
-        results = _lagrangian_lanes(Cs, state.Ci, dt, [p], corrections)
-    T = stress_to_voigt(np.array([r.stress for r in results]))
-    # row-major, as callers' norms sum in memory order
-    return np.ascontiguousarray(((T[:6] - T[6:]) / (2.0 * h)).T)
+    T = stress_to_voigt(np.array([stepper(C, state, dt, p).stress for C in Cs]))
+    return (T[:6] - T[6:]) / (2.0 * h)
 
 
 def symmetry_deviation(tangent_history: Sequence[np.ndarray]) -> float:

@@ -59,6 +59,26 @@ def per_call(stepper):
     return lambda *args: stepper(*args)
 
 
+def fd_oracle(stepper, C, state, dt, p):
+    """The per-call central-difference tangent of ``stepper`` and an
+    estimate of its relative error: its gap to the Richardson extrapolation
+    ``(16 T(4h) - T(16h)) / 15`` of the tangents at 4h and 16h.  The step h
+    is the default ``1e-6 * max(||C||_F, 1)``, divided by ten until the
+    strains perturbed by 16h stay positive definite."""
+    from mrmaxwell import consistent_tangent
+    from mrmaxwell.tangent import _perturbed_strains
+
+    h = 1e-6 * max(float(np.linalg.norm(C)), 1.0)
+    while not all(map(t3.is_spd, _perturbed_strains(C, 16.0 * h))):
+        h /= 10.0
+    T, T4, T16 = (
+        consistent_tangent(per_call(stepper), C, state, dt, p, h=s * h)
+        for s in (1.0, 4.0, 16.0)
+    )
+    R = (16.0 * T4 - T16) / 15.0
+    return T, float(np.linalg.norm(T - R) / np.linalg.norm(R))
+
+
 def invalid_state(Ci):
     """A LagrangianState holding ``Ci`` without the state's validation."""
     state = object.__new__(LagrangianState)

@@ -165,6 +165,17 @@ class TestRunConfig:
         with pytest.raises(DomainError):
             hn.RunConfig(formulation="spatial")
 
+    @pytest.mark.parametrize(
+        "study", ["run_error_study", "run_convergence", "run_tangent_sweep",
+                  "run_uniaxial", "run_robustness"],
+    )
+    @pytest.mark.parametrize("methods", [(), []])
+    def test_empty_method_selection_rejected(self, study, methods):
+        # the error study would fail in min() over no errors, and the
+        # convergence study would pass having checked nothing
+        with pytest.raises(DomainError, match="methods must name at least one"):
+            getattr(hn, study)(hn.RunConfig(methods=methods))
+
     def test_eulerian_needs_ifebm(self):
         # the error study reports the Eulerian history of ifebm only
         for methods in ("mebm", ("2iebm", "em")):
@@ -371,7 +382,7 @@ class TestTangentSweepStudy:
             state, tangents = LagrangianState.identity(), []
             for t in np.linspace(0.0, 3.0, 31)[1:]:
                 C = program.C(float(t))
-                tangents.append(consistent_tangent(stepper, C, state, 0.1, p, h=2e-5))
+                tangents.append(consistent_tangent(stepper, C, state, 0.1, p))
                 state = stepper(C, state, 0.1, p).state
             want = symmetry_deviation(tangents)
             assert res.values["deviation"][f"{m},dt=0.1,eta=10.0"] == want
@@ -393,7 +404,6 @@ CLI_VALUES = {
     "formulation": ("--formulation", "eulerian", "eulerian"),
     "reference_substeps": ("--reference-substeps", "777", 777),
     "seed": ("--seed", "4", 4),
-    "fd_step": ("--fd-step", "1e-5", 1e-5),
     "model_file": ("--model", "m.json", "m.json"),
     "cycles": ("--cycles", "3", 3),
     "coarse_steps_per_cycle": ("--coarse-steps", "7", 7),

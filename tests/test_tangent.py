@@ -21,6 +21,7 @@ from mrmaxwell import tensor3 as t3
 from mrmaxwell.tangent import _perturbed_strains
 
 from conftest import (
+    fd_oracle,
     invalid_state,
     per_call,
     rand_spd,
@@ -28,6 +29,17 @@ from conftest import (
 )
 
 CLOSED_FORM = [ifebm_step_lagrangian, twoiter_step]
+
+
+def exact_matches_oracle(stepper, C, state, dt, p):
+    """The exact tangent, after checking it against the finite-difference
+    oracle: within ten times the oracle's error estimate, or 1e-8,
+    relative."""
+    M = consistent_tangent(stepper, C, state, dt, p)
+    T, est = fd_oracle(stepper, C, state, dt, p)
+    gap = np.linalg.norm(M - T) / np.linalg.norm(T)
+    assert gap <= max(10.0 * est, 1e-8), (gap, est)
+    return M
 
 
 def elastic_identity_tangent(c10):
@@ -147,16 +159,17 @@ class TestConsistentTangent:
         p = MaterialParams(1.0, 0.0, 1.0)
         C = t3.sym(np.diag([1.0, 1.0, 5e-7]), check=False)
         M = consistent_tangent(
-            ifebm_step_lagrangian, C, LagrangianState.identity(), 0.0, p
+            per_call(ifebm_step_lagrangian), C, LagrangianState.identity(), 0.0, p
         )
         assert np.isfinite(M).all()
 
     def test_raises_when_not_spd_after_shrink(self):
+        # central differences only: the exact tangent perturbs no strain
         p = MaterialParams(1.0, 0.0, 1.0)
         C = t3.sym(np.diag([1.0, 1.0, 5e-9]), check=False)
         with pytest.raises(DomainError):
             consistent_tangent(
-                ifebm_step_lagrangian, C, LagrangianState.identity(), 0.0, p
+                per_call(ifebm_step_lagrangian), C, LagrangianState.identity(), 0.0, p
             )
 
     def test_bad_h_raises(self):
@@ -172,15 +185,9 @@ class TestConsistentTangent:
 
 
 class TestLanePath:
-    # ifebm and 2iebm step the twelve perturbed strains as one stack; the
-    # tangent must equal that of the per-call loop bit for bit
-
-    @staticmethod
-    def both(stepper, C, state, dt, p):
-        lanes = consistent_tangent(stepper, C, state, dt, p)
-        loop = consistent_tangent(per_call(stepper), C, state, dt, p)
-        assert np.array_equal(lanes, loop)
-        return lanes
+    # ifebm and 2iebm carry the six strain slots through one step as a
+    # (6, 3, 3) stack of directions; the result must match the per-call
+    # finite-difference oracle
 
     @pytest.mark.parametrize("stepper", CLOSED_FORM)
     def test_random_points(self, stepper, rng):
@@ -189,14 +196,15 @@ class TestLanePath:
             p = MaterialParams(*moduli[k % 4], float(np.exp(rng.uniform(-3, 3))))
             dt = float(np.exp(rng.uniform(np.log(1e-3), np.log(1e3))))
             state = LagrangianState(rand_unimodular_spd(rng))
-            self.both(stepper, rand_spd(rng), state, dt, p)
+            exact_matches_oracle(stepper, rand_spd(rng), state, dt, p)
 
     @pytest.mark.parametrize("stepper", CLOSED_FORM)
     def test_shrink_path(self, stepper):
-        # the default h leaves the SPD cone, h/10 does not
+        # the finite differences need the h/10 shrink here, the exact
+        # tangent does not
         C = t3.sym(np.diag([1.0, 1.0, 5e-7]), check=False)
         for p in (MaterialParams(1.0, 0.0, 1.0), MaterialParams(1.0, 1.0, 1.0)):
-            M = self.both(stepper, C, LagrangianState.identity(), 0.1, p)
+            M = exact_matches_oracle(stepper, C, LagrangianState.identity(), 0.1, p)
             assert np.isfinite(M).all()
 
     @pytest.mark.parametrize("stepper", CLOSED_FORM)
@@ -206,7 +214,7 @@ class TestLanePath:
         for moduli in ((1.0, 1.0), (1.0, 0.0), (0.0, 1.0)):
             p = MaterialParams(*moduli, 1.0)
             state = LagrangianState(rand_unimodular_spd(rng))
-            self.both(stepper, rand_spd(rng), state, dt, p)
+            exact_matches_oracle(stepper, rand_spd(rng), state, dt, p)
 
     @pytest.mark.parametrize("stepper", CLOSED_FORM)
     def test_tmj_branches(self, stepper):
@@ -218,7 +226,7 @@ class TestLanePath:
             state = LagrangianState.identity()
             for t in np.linspace(0.0, 3.0, 11)[1:]:
                 C = program.C(float(t))
-                self.both(stepper, C, state, 0.3, p)
+                exact_matches_oracle(stepper, C, state, 0.3, p)
                 state = stepper(C, state, 0.3, p).state
 
     @pytest.mark.parametrize("stepper", CLOSED_FORM)
@@ -243,6 +251,60 @@ class TestLanePath:
         assert len(count_eigh) == 2
         consistent_tangent(per_call(ifebm_step_lagrangian), *args)
         assert len(count_eigh) == 2 + 24
+
+
+class TestExactTangent:
+    # the edges of the exact tangent: no step, the natural state and
+    # repeated eigenvalues, where the divided differences would be 0/0
+
+    MODULI = [(1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.7, 0.3)]
+
+    @pytest.mark.parametrize("stepper", CLOSED_FORM)
+    def test_natural_state_is_analytic(self, stepper):
+        # at C = Ci = I and dt = 0 both springs linearize to the deviatoric
+        # projector: dT = (c10 + c01) dE^D
+        for c10, c01 in self.MODULI:
+            p = MaterialParams(c10, c01, 1.0)
+            M = consistent_tangent(
+                stepper, np.eye(3), LagrangianState.identity(), 0.0, p
+            )
+            want = elastic_identity_tangent(c10 + c01)
+            assert np.linalg.norm(M - want) < 1e-14 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("stepper", CLOSED_FORM)
+    def test_zero_step(self, stepper, rng):
+        for c10, c01 in self.MODULI:
+            state = LagrangianState(rand_unimodular_spd(rng))
+            exact_matches_oracle(
+                stepper, rand_spd(rng), state, 0.0, MaterialParams(c10, c01, 1.0)
+            )
+
+    @pytest.mark.parametrize("stepper", CLOSED_FORM)
+    def test_repeated_eigenvalues(self, stepper, rng):
+        # C = Ci = I flowing, and C = diag(a, a, b) from I and from a
+        # random state
+        for c10, c01 in self.MODULI:
+            p = MaterialParams(c10, c01, 0.5)
+            exact_matches_oracle(
+                stepper, np.eye(3), LagrangianState.identity(), 0.3, p
+            )
+            C = np.diag([1.3, 1.3, 0.6])
+            for state in (
+                LagrangianState.identity(),
+                LagrangianState(rand_unimodular_spd(rng)),
+            ):
+                exact_matches_oracle(stepper, C, state, 0.3, p)
+
+    def test_explicit_h_differences(self):
+        # an explicit step asks for central differences, also of a
+        # closed-form stepper
+        args = (np.diag([1.2, 1.0, 0.9]), LagrangianState.identity(), 0.1,
+                MaterialParams(1.0, 1.0, 1.0))
+        for stepper in CLOSED_FORM:
+            assert np.array_equal(
+                consistent_tangent(stepper, *args, h=1e-5),
+                consistent_tangent(per_call(stepper), *args, h=1e-5),
+            )
 
 
 class TestSymmetryDeviation:
