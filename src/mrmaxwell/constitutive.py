@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import cycle
 from typing import Callable, Optional
 
 import numpy as np
@@ -486,12 +485,12 @@ def _root(w, beta, eps, corrections, name, dW=None):
 def _closed_form_root(W, coeffs, corrections, name):
     # the root X of phi X = (W + beta I) - eps X^2 of one W or of each of a
     # stack (n, 3, 3), and the list of phi; coeffs holds one (beta, eps)
-    # for all or one per lane; W is isq Ci isq, or G^T Be^-1 G
+    # per lane; W is isq Ci isq, or G^T Be^-1 G
     w, V = np.linalg.eigh(W)
     if W.ndim == 2:
         x, phi = _root(w.tolist(), *coeffs[0], corrections, name)
         return (V * x) @ V.T, [phi]
-    lanes = zip(w.tolist(), cycle(coeffs))
+    lanes = zip(w.tolist(), coeffs, strict=True)
     x, phi = zip(*[_root(w_k, *c, corrections, name) for w_k, c in lanes])
     return (V * np.array(x)[:, None, :]) @ V.swapaxes(1, 2), list(phi)
 
@@ -507,8 +506,9 @@ def _ci_update(Ci, sq, isq, coeffs, corrections):
 
 def _lagrangian_lanes(C_next, Ci, dt, params, corrections):
     # the closed-form step's StepResult for C_next and Ci (3, 3), or the
-    # list of those of the lanes of a stack (n, 3, 3); C_next, Ci and params
-    # are one per lane or one shared.  Each stage runs over all lanes first
+    # list of those of the lanes of a stack (n, 3, 3); C_next and Ci are one
+    # per lane or one shared, a stack takes one params per lane.  Each stage
+    # runs over all lanes first
     coeffs = [_coefficients(dt, p) for p in params]
     t3.require_spd(C_next, "C_next")
     Cbar, sq, isq, Cbar_inv, C_inv = _strain_parts(C_next)
@@ -607,12 +607,6 @@ def ifebm_step_eulerian(
 # Newton-based baselines
 
 
-class _NewtonFailure(Exception):
-    def __init__(self, iterations):
-        super().__init__(iterations)
-        self.iterations = iterations
-
-
 def _fd_points(x, delta):
     # row 0: the packed point x; row j + 1: x with component j moved by
     # delta (the forward-difference points of the Jacobian's column j)
@@ -627,86 +621,85 @@ def _fd_jacobian(Cs, out, g, delta):
     return ((t3.pack_sym(Cs[1:] - out[1:]) - g) / delta).T
 
 
-def _newton_solve(rhs, Ci_n):
-    """Solve Ci = rhs(Ci) on the six symmetric components.
+def _newton_solve(rhs, Ci_n, h):
+    """Solve Ci = rhs(Ci, Ci_n, h) on the six symmetric components.
 
     Plain Newton from Ci_n with forward-difference Jacobian.  Each
     iterate and its six forward-difference points go through ``rhs`` as
     one ``(7, 3, 3)`` stack, so ``rhs`` must take ``(..., 3, 3)`` stacks
-    and give each member its one-tensor value.  Raises _NewtonFailure
-    (carrying the iteration count) when the iteration exhausts its
-    budget or leaves the admissible set.
+    and give each member its one-tensor value.  Returns the root and the
+    iteration count, the root being None when the iteration exhausts its
+    budget or leaves the admissible set.  Overflow and invalid values are
+    not reported: every non-finite outcome below counts as divergence.
     """
     norm_n = np.linalg.norm(Ci_n)
     tol = 1e-12 * norm_n
     big = 1e8 * max(1.0, norm_n)
     x = t3.pack_sym(Ci_n)
     iterations = 0
-    for _ in range(50):
-        Ci = t3.unpack_sym(x)
-        delta = 1e-7 * max(np.linalg.norm(Ci), 1.0)
-        Cs = _fd_points(x, delta)
-        try:
-            out = rhs(Cs)
-            R = Ci - out[0]
-        except DomainError:
-            # a point left the domain: the iterate's own value decides
-            # whether the solve failed or converged before the Jacobian
-            out = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(50):
+            Ci = t3.unpack_sym(x)
+            delta = 1e-7 * max(np.linalg.norm(Ci), 1.0)
+            Cs = _fd_points(x, delta)
             try:
-                R = Ci - rhs(Ci)
+                out = rhs(Cs, Ci_n, h)
+                R = Ci - out[0]
             except DomainError:
-                raise _NewtonFailure(iterations)
-        rnorm = np.linalg.norm(R)
-        if not math.isfinite(rnorm) or rnorm > big:
-            raise _NewtonFailure(iterations)
-        if rnorm < tol:
-            # indefinite roots satisfy the equations but are off the
-            # manifold; treat them as divergence and bisect
-            if not t3.is_spd(Ci):
-                raise _NewtonFailure(iterations)
-            return Ci, iterations
-        iterations += 1
-        if out is None:
-            raise _NewtonFailure(iterations)
-        g = t3.pack_sym(R)
-        try:
-            step = np.linalg.solve(_fd_jacobian(Cs, out, g, delta), g)
-        except np.linalg.LinAlgError:
-            raise _NewtonFailure(iterations)
-        if not np.isfinite(step).all():
-            raise _NewtonFailure(iterations)
-        x = x - step
-    raise _NewtonFailure(iterations)
+                # a point left the domain: the iterate's own value decides
+                # whether the solve failed or converged before the Jacobian
+                out = None
+                try:
+                    R = Ci - rhs(Ci, Ci_n, h)
+                except DomainError:
+                    return None, iterations
+            rnorm = np.linalg.norm(R)
+            if not math.isfinite(rnorm) or rnorm > big:
+                return None, iterations
+            if rnorm < tol:
+                # indefinite roots satisfy the equations but are off the
+                # manifold; treat them as divergence and bisect
+                return (Ci if t3.is_spd(Ci) else None), iterations
+            iterations += 1
+            if out is None:
+                return None, iterations
+            g = t3.pack_sym(R)
+            try:
+                step = np.linalg.solve(_fd_jacobian(Cs, out, g, delta), g)
+            except np.linalg.LinAlgError:
+                return None, iterations
+            if not np.isfinite(step).all():
+                return None, iterations
+            x = x - step
+    return None, iterations
 
 
-def _substepping_solve(make_rhs, Ci_n, dt, label, depth=0):
+def _substepping_solve(rhs, Ci_n, dt, label, depth=0):
     """Newton solve with recursive step bisection as the recovery path."""
-    try:
-        Ci_new, iters = _newton_solve(make_rhs(Ci_n, dt), Ci_n)
+    Ci_new, iters = _newton_solve(rhs, Ci_n, dt)
+    if Ci_new is not None:
         return Ci_new, StepDiagnostics(iterations=iters)
-    except _NewtonFailure as fail:
-        if depth >= 20:
-            raise ConvergenceError(
-                f"{label}: no convergence after bisecting to depth {depth}"
-            )
-        half = dt / 2.0
-        Ci_mid, d1 = _substepping_solve(make_rhs, Ci_n, half, label, depth + 1)
-        Ci_new, d2 = _substepping_solve(make_rhs, Ci_mid, half, label, depth + 1)
-        return Ci_new, StepDiagnostics(
-            iterations=fail.iterations + d1.iterations + d2.iterations,
-            substeps=1 + d1.substeps + d2.substeps,
-            divergences=1 + d1.divergences + d2.divergences,
+    if depth >= 20:
+        raise ConvergenceError(
+            f"{label}: no convergence after bisecting to depth {depth}"
         )
+    half = dt / 2.0
+    Ci_mid, d1 = _substepping_solve(rhs, Ci_n, half, label, depth + 1)
+    Ci_new, d2 = _substepping_solve(rhs, Ci_mid, half, label, depth + 1)
+    return Ci_new, StepDiagnostics(
+        iterations=iters + d1.iterations + d2.iterations,
+        substeps=1 + d1.substeps + d2.substeps,
+        divergences=1 + d1.divergences + d2.divergences,
+    )
 
 
 def _newton_baseline(rhs_family, label, C_next, state, dt, p):
     # the step shared by the Newton baselines: rhs_family(Cbar, p) gives
-    # make_rhs(Ci_n, h), the right-hand side of one (sub)step's fixed point
+    # rhs(Ci, Ci_n, h), the right-hand side of one (sub)step's fixed point
     _coefficients(dt, p)
     t3.require_spd(C_next, "C_next")
-    make_rhs = rhs_family(unimodular(C_next), p)
-    Ci_new, diag = _substepping_solve(make_rhs, state.Ci, dt, label)
+    rhs = rhs_family(unimodular(C_next), p)
+    Ci_new, diag = _substepping_solve(rhs, state.Ci, dt, label)
     Ci_new = unimodular(sym(Ci_new, check=False))
     return StepResult(
         LagrangianState(Ci_new), stress_2pk(C_next, Ci_new, p), diag
@@ -714,49 +707,37 @@ def _newton_baseline(rhs_family, label, C_next, state, dt, p):
 
 
 def _mebm_rhs(Cbar, p):
-    # Ci -> unimodular(Ci_n + h f(Ci) Ci), for one Ci or a stack of them
+    # (Ci, Ci_n, h) -> unimodular(Ci_n + h f(Ci) Ci), for one Ci or a stack
+    # of them, with f(Ci) Ci written in the manifestly symmetric form
     Cbar_inv = inverse(Cbar)
 
-    def flow_times_ci(Ci):
-        # f(Ci) Ci, written in the manifestly symmetric form
-        Ci_inv = inverse(Ci)
+    def rhs(Ci, Ci_n, h):
         tr_part = (
-            p.c10 * _tr_dot(Cbar, Ci_inv) - p.c01 * _tr_dot(Ci, Cbar_inv)
+            p.c10 * _tr_dot(Cbar, inverse(Ci)) - p.c01 * _tr_dot(Ci, Cbar_inv)
         ) / 3.0
-        return (
+        flow_times_ci = (
             p.c10 * Cbar
             - p.c01 * sym(Ci @ Cbar_inv @ Ci, check=False)
             - tr_part[..., None, None] * Ci
         ) / p.eta
+        return unimodular(Ci_n + h * flow_times_ci)
 
-    def make_rhs(Ci_n, h):
-        def rhs(Ci):
-            return unimodular(Ci_n + h * flow_times_ci(Ci))
-
-        return rhs
-
-    return make_rhs
+    return rhs
 
 
 def _em_rhs(Cbar, p):
-    # Ci -> exp(h f(Ci)) Ci_n, for one Ci or a stack of them
+    # (Ci, Ci_n, h) -> exp(h f(Ci)) Ci_n, for one Ci or a stack of them;
+    # exp would overflow double precision beyond a 1-norm of 700, so
+    # mat_exp refuses such arguments, reported as divergence
     Cbar_inv = inverse(Cbar)
 
-    def flow(Ci):
-        return deviator(
+    def rhs(Ci, Ci_n, h):
+        flow = deviator(
             (p.c10 * (Cbar @ inverse(Ci)) - p.c01 * (Ci @ Cbar_inv)) / p.eta
         )
+        return sym(t3.mat_exp(h * flow, max_norm=700.0) @ Ci_n, check=False)
 
-    def make_rhs(Ci_n, h):
-        def rhs(Ci):
-            # exp would overflow double precision beyond a 1-norm of 700;
-            # mat_exp refuses such arguments, reported as divergence
-            E = t3.mat_exp(h * flow(Ci), max_norm=700.0)
-            return sym(E @ Ci_n, check=False)
-
-        return rhs
-
-    return make_rhs
+    return rhs
 
 
 def mebm_step(

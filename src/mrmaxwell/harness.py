@@ -707,7 +707,6 @@ def run_robustness(cfg: RunConfig) -> StudyResult:
     form must agree with the eps = 0 limit while the subtractive form
     visibly loses accuracy on wide-spectrum inputs.
     """
-    program = LoadingProgram()
     p = cfg.material
 
     effort = {}

@@ -20,6 +20,7 @@ from mrmaxwell import (
     uniaxial_axial_stress,
 )
 from mrmaxwell import tensor3 as t3
+from mrmaxwell.constitutive import _closed_form_root
 from mrmaxwell.harness import LoadingProgram
 
 from conftest import invalid_state, per_call, rand_spd, rand_unimodular_spd
@@ -233,6 +234,14 @@ class TestLanePath:
                 composite_step(C, bad_state, 0.1, wrapped)
             with pytest.raises(DomainError, match=r"dt = 1e\+300 overflows"):
                 composite_step(C, bad_params, 1e300, wrapped)
+
+    def test_lanes_need_one_coefficient_pair_each(self):
+        # a stack of two lanes with one (beta, eps) is refused, not shared
+        W = np.array([np.eye(3), 2.0 * np.eye(3)])
+        with pytest.raises(ValueError):
+            _closed_form_root(W, [(0.1, 0.1)], 0, "W")
+        X, phis = _closed_form_root(W, [(0.1, 0.1)] * 2, 0, "W")
+        assert len(phis) == 2 and X.shape == (2, 3, 3)
 
     def test_strain_prepared_once(self, count_eigh):
         # one decomposition of the shared strain and one of the four

@@ -1,12 +1,14 @@
 """Single-branch material: stress laws, the five steppers, reference solver."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import mrmaxwell as mm
 from mrmaxwell import (
+    ConvergenceError,
     DomainError,
     EulerianState,
     LagrangianState,
@@ -34,7 +36,6 @@ from mrmaxwell.constitutive import (
     _fd_points,
     _mebm_rhs,
     _newton_solve,
-    _NewtonFailure,
     _root_eigvals,
     _strain_parts,
 )
@@ -440,7 +441,7 @@ class TestNewtonBaselines:
             assert abs(t3.det(res.state.Ci) - 1.0) < 1e-12
 
 
-def _columnwise_jacobian(rhs, x, g, delta):
+def _columnwise_jacobian(rhs, x, g, delta, Ci_n, h):
     # one right-hand side per perturbed component, the loop that the
     # stacked evaluation stands in for
     J = np.empty((6, 6))
@@ -448,7 +449,7 @@ def _columnwise_jacobian(rhs, x, g, delta):
         xp = x.copy()
         xp[j] += delta
         Cp = t3.unpack_sym(xp)
-        J[:, j] = (t3.pack_sym(Cp - rhs(Cp)) - g) / delta
+        J[:, j] = (t3.pack_sym(Cp - rhs(Cp, Ci_n, h)) - g) / delta
     return J
 
 
@@ -482,21 +483,23 @@ class TestStackedJacobian:
             Cbar = sym(t3.unimodular(C))
             for family in (_mebm_rhs, _em_rhs):
                 for dt in (0.5, 1.0):
-                    rhs = family(Cbar, P111)(Ci_n, dt)
+                    rhs = family(Cbar, P111)
                     x = t3.pack_sym(Ci_n)
                     for _ in range(4):
                         Ci = t3.unpack_sym(x)
                         delta = 1e-7 * max(np.linalg.norm(Ci), 1.0)
                         Cs = _fd_points(x, delta)
                         try:
-                            value = rhs(Ci)
+                            value = rhs(Ci, Ci_n, dt)
                             g = t3.pack_sym(Ci - value)
-                            want = _columnwise_jacobian(rhs, x, g, delta)
+                            want = _columnwise_jacobian(
+                                rhs, x, g, delta, Ci_n, dt
+                            )
                         except DomainError:
                             with pytest.raises(DomainError):
-                                rhs(Cs)
+                                rhs(Cs, Ci_n, dt)
                             break
-                        out = rhs(Cs)
+                        out = rhs(Cs, Ci_n, dt)
                         assert np.array_equal(out[0], value)
                         got = _fd_jacobian(Cs, out, g, delta)
                         assert np.array_equal(got, want)
@@ -513,10 +516,12 @@ class TestStackedJacobian:
 
 
 class TestNewtonDomainFailures:
+    I = np.eye(3)
+
     # the contraction Ci -> (Ci + I) / 2, refused wherever C11 > limit
     @staticmethod
     def _rhs(limit):
-        def rhs(Ci):
+        def rhs(Ci, Ci_n, h):
             if (Ci[..., 0, 0] > limit).any():
                 raise DomainError("outside the toy domain")
             return (Ci + np.eye(3)) / 2.0
@@ -524,19 +529,65 @@ class TestNewtonDomainFailures:
         return rhs
 
     def test_failing_iterate_is_a_divergence_before_counting(self):
-        with pytest.raises(_NewtonFailure) as fail:
-            _newton_solve(self._rhs(1.5), 2.0 * np.eye(3))
-        assert fail.value.iterations == 0
+        assert _newton_solve(self._rhs(1.5), 2.0 * np.eye(3), 1.0) == (None, 0)
 
     def test_failing_jacobian_point_counts_the_iteration(self):
         # the iterate (C11 = 2) is inside, its C11 + delta point is not
-        with pytest.raises(_NewtonFailure) as fail:
-            _newton_solve(self._rhs(2.0 + 1e-7), 2.0 * np.eye(3))
-        assert fail.value.iterations == 1
+        got = _newton_solve(self._rhs(2.0 + 1e-7), 2.0 * np.eye(3), 1.0)
+        assert got == (None, 1)
 
     def test_converged_iterate_needs_no_jacobian(self):
-        Ci, iterations = _newton_solve(self._rhs(1.0), np.eye(3))
+        Ci, iterations = _newton_solve(self._rhs(1.0), np.eye(3), 1.0)
         assert iterations == 0 and np.array_equal(Ci, np.eye(3))
+
+    # toy right-hand sides that end the solve at each of its other exits
+    def test_indefinite_root_is_a_divergence(self):
+        D = np.diag([1.0, 1.0, -1.0])
+        got = _newton_solve(lambda Ci, Ci_n, h: (Ci + D) / 2.0, self.I, 1.0)
+        assert got == (None, 2)
+
+    def test_singular_jacobian(self):
+        # Ci - rhs(Ci) is constant, so the FD Jacobian is exactly zero
+        got = _newton_solve(lambda Ci, Ci_n, h: Ci + 0.5 * self.I, self.I, 1.0)
+        assert got == (None, 1)
+
+    def test_non_finite_step(self):
+        # sqrt(2 - C11) is NaN at the C11 + delta point of the iterate
+        # C11 = 2; that point's NaN, and its warning, stay inside the solve,
+        # and the NaN step it gives never becomes an iterate
+        def rhs(Ci, Ci_n, h):
+            if not np.isfinite(Ci[..., 1:, 1:]).all():
+                raise ValueError("non-finite iterate")
+            root = np.sqrt(2.0 - Ci[..., 0, 0])[..., None, None]
+            return (Ci + self.I) / 2.0 + root * self.I
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _newton_solve(rhs, 2.0 * self.I, 1.0) == (None, 1)
+
+    def test_budget_spent(self):
+        # Newton on x^3 - 2x + 2 cycles 0, 1, 0, ... (here x = Ci, from 0)
+        def rhs(Ci, Ci_n, h):
+            return Ci - (Ci @ Ci @ Ci - 2.0 * Ci + 2.0 * self.I)
+
+        assert _newton_solve(rhs, 0.0 * self.I, 1.0) == (None, 50)
+
+    def test_bisection_depth_exhausted(self):
+        C = np.diag([8.0, 1.0, 1.0 / 8.0])
+        for name, step in (("mebm", mebm_step), ("em", em_step)):
+            with pytest.raises(ConvergenceError) as fail:
+                step(C, LagrangianState.identity(), 1.0, MaterialParams(1, 1, 1e-6))
+            assert str(fail.value) == (
+                f"{name}: no convergence after bisecting to depth 20"
+            )
+
+    def test_diverging_iterate_warns_nothing(self):
+        # the em iterates overflow before the step bisects four times
+        C = np.diag([8.0, 1.0, 1.0 / 8.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = em_step(C, LagrangianState.identity(), 5.0, P111).diagnostics
+        assert (d.iterations, d.substeps, d.divergences) == (30, 4, 4)
 
 
 class TestStackedStrainParts:

@@ -251,6 +251,21 @@ class TestErrorStudy:
         ]
         assert all(e == 0.0 for e in errs)
 
+    @pytest.mark.filterwarnings("ignore:reference not converged")
+    def test_eulerian_formulation(self):
+        # the spatial-form history stands in for ifebm's material one
+        runs = {
+            f: hn.run_error_study(
+                hn.RunConfig(
+                    formulation=f, methods=("ifebm",), reference_substeps=3000
+                )
+            )
+            for f in ("lagrangian", "eulerian")
+        }
+        assert runs["eulerian"].passed, runs["eulerian"].summary()
+        want, got = (runs[f].values["max_error"]["ifebm"] for f in runs)
+        assert got == pytest.approx(want, rel=1e-10)
+
     def test_unconverged_reference_warns(self):
         with pytest.warns(UserWarning, match="Richardson gap"):
             hn.run_error_study(hn.RunConfig(reference_substeps=4000))
