@@ -118,7 +118,7 @@ def equilibrium_stress(C: np.ndarray, p: EquilibriumParams) -> np.ndarray:
     stands in for must be supplied by the boundary conditions of the
     driving protocol.
     """
-    t3.require_spd(C, "C")
+    C = t3.require_spd(C, "C")
     Cbar = unimodular(C)
     C_inv = inverse(C)
     Cbar_inv = inverse(Cbar)

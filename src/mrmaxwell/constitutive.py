@@ -31,9 +31,9 @@ Five implicit time steppers are provided:
     Exponential-map integrator, also solved by Newton iteration
     (baseline).
 
-The Newton-based baselines start from the previous state and may fail to
-converge for large steps; they then bisect the step recursively.  The
-closed-form steppers never iterate and never substep.
+The Newton-based baselines iterate from the previous state on the six
+packed components as Python floats, and bisect the step recursively where
+Newton fails.  The closed-form steppers never iterate and never substep.
 """
 
 from __future__ import annotations
@@ -198,8 +198,8 @@ def stress_2pk(C: np.ndarray, Ci: np.ndarray, p: MaterialParams) -> np.ndarray:
     The product is symmetric in exact arithmetic and symmetrized after
     evaluation.
     """
-    t3.require_spd(C, "C")
-    t3.require_spd(Ci, "Ci")
+    C = t3.require_spd(C, "C")
+    Ci = t3.require_spd(Ci, "Ci")
     if abs(det(Ci) - 1.0) > 1e-10:
         raise DomainError("Ci must be unimodular within 1e-10")
     Cbar = unimodular(C)
@@ -510,7 +510,7 @@ def _lagrangian_lanes(C_next, Ci, dt, params, corrections):
     # per lane or one shared, a stack takes one params per lane.  Each stage
     # runs over all lanes first
     coeffs = [_coefficients(dt, p) for p in params]
-    t3.require_spd(C_next, "C_next")
+    C_next = t3.require_spd(C_next, "C_next")
     Cbar, sq, isq, Cbar_inv, C_inv = _strain_parts(C_next)
     Ci_new, phis = _ci_update(Ci, sq, isq, coeffs, corrections)
     if Ci_new.ndim == 2:
@@ -531,7 +531,7 @@ def _lagrangian_tangent(C_next, Ci, dt, p, corrections, dC):
     # directions dC (n, 3, 3) of C_next, Ci held fixed: the step's stages
     # run once on C_next, each also carrying the derivatives as one stack
     beta, eps = _coefficients(dt, p)
-    t3.require_spd(C_next, "C_next")
+    C_next = t3.require_spd(C_next, "C_next")
     (Cbar, sq, isq, Cbar_inv, C_inv), (dCbar, dsq, dCbar_inv, dC_inv) = (
         _strain_parts(C_next, dC)
     )
@@ -607,76 +607,53 @@ def ifebm_step_eulerian(
 # Newton-based baselines
 
 
-def _fd_points(x, delta):
-    # row 0: the packed point x; row j + 1: x with component j moved by
-    # delta (the forward-difference points of the Jacobian's column j)
-    xs = np.repeat(x[None], 7, axis=0)
-    xs.flat[6::7] += delta
-    return t3.unpack_sym(xs)
+def _newton_solve(residual, Ci_n, h):
+    """Solve Ci = rhs(Ci, Ci_n, h) by Newton from Ci_n, the iterate x held
+    as the six packed components (11, 22, 33, 12, 13, 23) in floats.
 
-
-def _fd_jacobian(Cs, out, g, delta):
-    # forward-difference Jacobian of pack(Ci - rhs(Ci)) from out =
-    # rhs(Cs) at the points Cs of _fd_points and the value g at the point
-    return ((t3.pack_sym(Cs[1:] - out[1:]) - g) / delta).T
-
-
-def _newton_solve(rhs, Ci_n, h):
-    """Solve Ci = rhs(Ci, Ci_n, h) on the six symmetric components.
-
-    Plain Newton from Ci_n with forward-difference Jacobian.  Each
-    iterate and its six forward-difference points go through ``rhs`` as
-    one ``(7, 3, 3)`` stack, so ``rhs`` must take ``(..., 3, 3)`` stacks
-    and give each member its one-tensor value.  Returns the root and the
-    iteration count, the root being None when the iteration exhausts its
-    budget or leaves the admissible set.  Overflow and invalid values are
-    not reported: every non-finite outcome below counts as divergence.
+    ``residual(x, Ci_n, h, delta)`` gives the floats ``x - pack(rhs(Ci))``
+    and a function for their forward-difference Jacobian of step delta (None
+    where those points leave the domain).  Returns the root, None when the
+    budget is spent or the admissible set left, and the iteration count.
+    Overflow, invalid values and float exceptions count as divergence.
     """
-    norm_n = np.linalg.norm(Ci_n)
+    a = Ci_n.ravel().tolist()
+    norm_n = math.hypot(*a)
     tol = 1e-12 * norm_n
     big = 1e8 * max(1.0, norm_n)
-    x = t3.pack_sym(Ci_n)
+    x = [a[0], a[4], a[8], a[1], a[2], a[5]]
     iterations = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(50):
-            Ci = t3.unpack_sym(x)
-            delta = 1e-7 * max(np.linalg.norm(Ci), 1.0)
-            Cs = _fd_points(x, delta)
+            norm = math.hypot(*x, x[3], x[4], x[5])
             try:
-                out = rhs(Cs, Ci_n, h)
-                R = Ci - out[0]
-            except DomainError:
-                # a point left the domain: the iterate's own value decides
-                # whether the solve failed or converged before the Jacobian
-                out = None
-                try:
-                    R = Ci - rhs(Ci, Ci_n, h)
-                except DomainError:
-                    return None, iterations
-            rnorm = np.linalg.norm(R)
-            if not math.isfinite(rnorm) or rnorm > big:
+                g, jacobian = residual(x, Ci_n, h, 1e-7 * max(norm, 1.0))
+            except (DomainError, ArithmeticError):
+                return None, iterations
+            rnorm = math.hypot(*g, g[3], g[4], g[5])
+            if not rnorm <= big:
                 return None, iterations
             if rnorm < tol:
                 # indefinite roots satisfy the equations but are off the
                 # manifold; treat them as divergence and bisect
+                Ci = t3.unpack_sym(np.array(x))
                 return (Ci if t3.is_spd(Ci) else None), iterations
             iterations += 1
-            if out is None:
+            if jacobian is None:
                 return None, iterations
-            g = t3.pack_sym(R)
             try:
-                step = np.linalg.solve(_fd_jacobian(Cs, out, g, delta), g)
-            except np.linalg.LinAlgError:
+                step = np.linalg.solve(jacobian(), g)
+            except (DomainError, ArithmeticError, np.linalg.LinAlgError):
                 return None, iterations
             if not np.isfinite(step).all():
                 return None, iterations
-            x = x - step
+            x = [u - v for u, v in zip(x, step.tolist())]
     return None, iterations
 
 
-def _substepping_solve(rhs, Ci_n, dt, label, depth=0):
+def _substepping_solve(residual, Ci_n, dt, label, depth=0):
     """Newton solve with recursive step bisection as the recovery path."""
-    Ci_new, iters = _newton_solve(rhs, Ci_n, dt)
+    Ci_new, iters = _newton_solve(residual, Ci_n, dt)
     if Ci_new is not None:
         return Ci_new, StepDiagnostics(iterations=iters)
     if depth >= 20:
@@ -684,8 +661,8 @@ def _substepping_solve(rhs, Ci_n, dt, label, depth=0):
             f"{label}: no convergence after bisecting to depth {depth}"
         )
     half = dt / 2.0
-    Ci_mid, d1 = _substepping_solve(rhs, Ci_n, half, label, depth + 1)
-    Ci_new, d2 = _substepping_solve(rhs, Ci_mid, half, label, depth + 1)
+    Ci_mid, d1 = _substepping_solve(residual, Ci_n, half, label, depth + 1)
+    Ci_new, d2 = _substepping_solve(residual, Ci_mid, half, label, depth + 1)
     return Ci_new, StepDiagnostics(
         iterations=iters + d1.iterations + d2.iterations,
         substeps=1 + d1.substeps + d2.substeps,
@@ -693,42 +670,84 @@ def _substepping_solve(rhs, Ci_n, dt, label, depth=0):
     )
 
 
-def _newton_baseline(rhs_family, label, C_next, state, dt, p):
-    # the step shared by the Newton baselines: rhs_family(Cbar, p) gives
-    # rhs(Ci, Ci_n, h), the right-hand side of one (sub)step's fixed point
+def _newton_baseline(family, label, C_next, state, dt, p):
+    # the step of both Newton baselines; family(Cbar, p) gives the residual
     _coefficients(dt, p)
-    t3.require_spd(C_next, "C_next")
-    rhs = rhs_family(unimodular(C_next), p)
-    Ci_new, diag = _substepping_solve(rhs, state.Ci, dt, label)
-    Ci_new = unimodular(sym(Ci_new, check=False))
-    return StepResult(
-        LagrangianState(Ci_new), stress_2pk(C_next, Ci_new, p), diag
-    )
+    C_next = t3.require_spd(C_next, "C_next")
+    Cbar = unimodular(C_next)
+    Ci_new, diag = _substepping_solve(family(Cbar, p), state.Ci, dt, label)
+    state = LagrangianState(unimodular(Ci_new))
+    T = _stress_from_parts(inverse(C_next), Cbar, inverse(Cbar), state.Ci, [p])
+    return StepResult(state, T, diag)
 
 
-def _mebm_rhs(Cbar, p):
-    # (Ci, Ci_n, h) -> unimodular(Ci_n + h f(Ci) Ci), for one Ci or a stack
-    # of them, with f(Ci) Ci written in the manifestly symmetric form
-    Cbar_inv = inverse(Cbar)
+def _mebm_residual(Cbar, p):
+    # Ci - unimodular(Ci_n + h f(Ci) Ci), f(Ci) Ci = (c10 Cbar - c01 Ci Cbar^-1
+    # Ci - tr_part Ci) / eta, in straight-line float code; the six FD points
+    # are evaluated only when the Jacobian is asked for
+    c = Cbar.ravel().tolist()
+    b00, b01, b02, _, b11, b12, _, _, b22 = t3._inverse9(*c)
+    q0, q1, q2, q3, q4, q5 = c[0], c[4], c[8], c[1], c[2], c[5]
+    c10, c01, eta = p.c10, p.c01, p.eta
+    e0, e1, e2, e3, e4, e5 = (c10 * q for q in (q0, q1, q2, q3, q4, q5))
 
-    def rhs(Ci, Ci_n, h):
-        tr_part = (
-            p.c10 * _tr_dot(Cbar, inverse(Ci)) - p.c01 * _tr_dot(Ci, Cbar_inv)
-        ) / 3.0
-        flow_times_ci = (
-            p.c10 * Cbar
-            - p.c01 * sym(Ci @ Cbar_inv @ Ci, check=False)
-            - tr_part[..., None, None] * Ci
-        ) / p.eta
-        return unimodular(Ci_n + h * flow_times_ci)
+    def value(x, n, h):
+        a00, a11, a22, a01, a02, a12 = x
+        i = t3._inverse9(a00, a01, a02, a01, a11, a12, a02, a12, a22)
+        # the rows of P = Ci Cbar^-1
+        p00 = a00 * b00 + a01 * b01 + a02 * b02
+        p01 = a00 * b01 + a01 * b11 + a02 * b12
+        p02 = a00 * b02 + a01 * b12 + a02 * b22
+        p10 = a01 * b00 + a11 * b01 + a12 * b02
+        p11 = a01 * b01 + a11 * b11 + a12 * b12
+        p12 = a01 * b02 + a11 * b12 + a12 * b22
+        p20 = a02 * b00 + a12 * b01 + a22 * b02
+        p21 = a02 * b01 + a12 * b11 + a22 * b12
+        p22 = a02 * b02 + a12 * b12 + a22 * b22
+        # tr(Cbar Ci^-1) and tr(Ci Cbar^-1), both pairs symmetric
+        t1 = q0 * i[0] + q1 * i[4] + q2 * i[8]
+        t1 += 2.0 * (q3 * i[1] + q4 * i[2] + q5 * i[5])
+        t2 = a00 * b00 + a11 * b11 + a22 * b22
+        t2 += 2.0 * (a01 * b01 + a02 * b02 + a12 * b12)
+        t = (c10 * t1 - c01 * t2) / 3.0
+        # M = Ci_n + h f(Ci) Ci (P Ci by its upper triangle), unimodular(M)
+        hs = h / eta
+        m0 = n[0] + hs * (e0 - c01 * (p00 * a00 + p01 * a01 + p02 * a02) - t * a00)
+        m1 = n[4] + hs * (e1 - c01 * (p10 * a01 + p11 * a11 + p12 * a12) - t * a11)
+        m2 = n[8] + hs * (e2 - c01 * (p20 * a02 + p21 * a12 + p22 * a22) - t * a22)
+        m3 = n[1] + hs * (e3 - c01 * (p00 * a01 + p01 * a11 + p02 * a12) - t * a01)
+        m4 = n[2] + hs * (e4 - c01 * (p00 * a02 + p01 * a12 + p02 * a22) - t * a02)
+        m5 = n[5] + hs * (e5 - c01 * (p10 * a02 + p11 * a12 + p12 * a22) - t * a12)
+        d = t3._det9(m0, m3, m4, m3, m1, m5, m4, m5, m2)
+        if not d > 0.0:
+            raise DomainError(f"unimodular part requires det > 0, got det = {d}")
+        r = d ** (1.0 / 3.0)
+        return [
+            a00 - m0 / r, a11 - m1 / r, a22 - m2 / r,
+            a01 - m3 / r, a02 - m4 / r, a12 - m5 / r,
+        ]
 
-    return rhs
+    def residual(x, Ci_n, h, delta):
+        n = Ci_n.ravel().tolist()
+        g = value(x, n, h)
+
+        def jacobian():
+            points = []
+            for j in range(6):
+                xj = list(x)
+                xj[j] += delta
+                points.append(value(xj, n, h))
+            return ((np.array(points) - g) / delta).T
+
+        return g, jacobian
+
+    return residual
 
 
-def _em_rhs(Cbar, p):
-    # (Ci, Ci_n, h) -> exp(h f(Ci)) Ci_n, for one Ci or a stack of them;
-    # exp would overflow double precision beyond a 1-norm of 700, so
-    # mat_exp refuses such arguments, reported as divergence
+def _em_residual(Cbar, p):
+    # Ci - exp(h f(Ci)) Ci_n, the iterate and its six FD points as one
+    # (7, 3, 3) stack; exp would overflow beyond a 1-norm of 700, so mat_exp
+    # refuses such arguments, reported as divergence
     Cbar_inv = inverse(Cbar)
 
     def rhs(Ci, Ci_n, h):
@@ -737,7 +756,19 @@ def _em_rhs(Cbar, p):
         )
         return sym(t3.mat_exp(h * flow, max_norm=700.0) @ Ci_n, check=False)
 
-    return rhs
+    def residual(x, Ci_n, h, delta):
+        xs = np.array([x] * 7)
+        xs.flat[6::7] += delta
+        Cs = t3.unpack_sym(xs)
+        try:
+            G = t3.pack_sym(Cs - rhs(Cs, Ci_n, h))
+        except DomainError:
+            # a point left the domain: the iterate's own value decides
+            # whether the solve failed or converged before the Jacobian
+            return t3.pack_sym(Cs[0] - rhs(Cs[0], Ci_n, h)).tolist(), None
+        return G[0].tolist(), lambda: ((G[1:] - G[0]) / delta).T
+
+    return residual
 
 
 def mebm_step(
@@ -749,7 +780,7 @@ def mebm_step(
     symmetric components; the projection makes det(Ci) = 1 by
     construction.  Divergent Newton runs bisect the step (depth <= 20).
     """
-    return _newton_baseline(_mebm_rhs, "mebm", C_next, state, dt, p)
+    return _newton_baseline(_mebm_residual, "mebm", C_next, state, dt, p)
 
 
 def em_step(
@@ -762,7 +793,7 @@ def em_step(
     is projected with :func:`~mrmaxwell.tensor3.unimodular` for
     exactness.  Same Newton and substepping policy as :func:`mebm_step`.
     """
-    return _newton_baseline(_em_rhs, "em", C_next, state, dt, p)
+    return _newton_baseline(_em_residual, "em", C_next, state, dt, p)
 
 
 # phi corrections of the closed-form steppers: the tangent differentiates

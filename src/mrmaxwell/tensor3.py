@@ -220,12 +220,21 @@ def is_spd(A: np.ndarray) -> bool:
     return _is_spd9(*A.ravel().tolist())
 
 
-def require_spd(A: np.ndarray, name: str = "tensor") -> None:
+def require_spd(A: np.ndarray, name: str = "tensor") -> np.ndarray:
+    """A (each member of a stack) checked finite, symmetric and positive
+    definite: A itself if exactly symmetric, ``sym(A)`` if its skew part is
+    round-off (as :func:`sym` bounds it); else ``DomainError`` names it."""
+    skewed = False
     for a in _rows(A) if A.ndim > 2 else [A.ravel().tolist()]:
         if not all(map(math.isfinite, a)):
             raise DomainError(f"{name} has non-finite entries")
+        skewed = skewed or a[1] != a[3] or a[2] != a[6] or a[5] != a[7]
         if not _is_spd9(*a):
             raise DomainError(f"{name} is not symmetric positive definite")
+    S = sym(A, check=False) if skewed else A
+    if skewed and not _skew_norm_ok(A, S):
+        raise DomainError(f"{name} is not symmetric: skew part beyond round-off")
+    return S
 
 
 def _spd_eigen(A, name):

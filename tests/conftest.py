@@ -48,6 +48,18 @@ def rand_unimodular(rng, lo=0.5, hi=2.0):
     return rand_rotation(rng) @ rand_unimodular_spd(rng, lo, hi)
 
 
+def skewed_strain():
+    """A strain ``(Q * lam) @ Q.T`` whose product leaves a skew part of
+    3.5e-18, and its relaxed state ``sym(unimodular(sym(C)))``."""
+    rng = np.random.default_rng(7)
+    Q, R = np.linalg.qr(rng.standard_normal((3, 3)))
+    Q = Q * np.sign(np.diag(R))
+    lam = np.exp(rng.uniform(np.log(0.5), np.log(4.0), 3))
+    C = (Q * lam) @ Q.T
+    Ci = t3.sym(t3.unimodular(t3.sym(C, check=False)), check=False)
+    return C, Ci
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -67,6 +67,7 @@ def test_criterion_02_manifold_preservation():
         step = mm.LAGRANGIAN_STEPPERS[method]
         worst_det = 0.0
         min_eig = math.inf
+        t_method = time.perf_counter()
         for k in range(10_000):
             C = rand_spd(rng, lo, hi)
             Ci = rand_unimodular_spd(rng, lo, hi)
@@ -82,7 +83,10 @@ def test_criterion_02_manifold_preservation():
             worst_det = max(worst_det, abs(t3.det(res.state.Ci) - 1.0))
             min_eig = min(min_eig, float(np.linalg.eigvalsh(res.state.Ci)[0]))
         ok &= worst_det < 1e-12 and min_eig > 0.0
-        details.append(f"{method}: |det-1| {worst_det:.1e}, min eig {min_eig:.2f}")
+        details.append(
+            f"{method}: |det-1| {worst_det:.1e}, min eig {min_eig:.2f}, "
+            f"{time.perf_counter() - t_method:.1f}s"
+        )
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 30.0
     assert _report(

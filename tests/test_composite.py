@@ -23,7 +23,13 @@ from mrmaxwell import tensor3 as t3
 from mrmaxwell.constitutive import _closed_form_root
 from mrmaxwell.harness import LoadingProgram
 
-from conftest import invalid_state, per_call, rand_spd, rand_unimodular_spd
+from conftest import (
+    invalid_state,
+    per_call,
+    rand_spd,
+    rand_unimodular_spd,
+    skewed_strain,
+)
 
 CLOSED_FORM = [ifebm_step_lagrangian, twoiter_step]
 
@@ -96,6 +102,17 @@ class TestEquilibriumStress:
     def test_non_spd_raises(self):
         with pytest.raises(DomainError):
             equilibrium_stress(np.diag([1.0, -2.0, 1.0]), EQ_INC)
+
+    @pytest.mark.parametrize("k", [20.0, math.inf])
+    def test_asymmetric_strain(self, k):
+        # a round-off skew part is removed, a larger one refused by name
+        p = EquilibriumParams(0.3, 0.15, k)
+        C, _ = skewed_strain()
+        want = equilibrium_stress(t3.sym(C, check=False), p)
+        assert np.array_equal(equilibrium_stress(C, p), want)
+        C[0, 1] += 0.3
+        with pytest.raises(DomainError, match="C is not symmetric"):
+            equilibrium_stress(C, p)
 
 
 class TestEquilibriumParams:

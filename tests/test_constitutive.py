@@ -31,16 +31,20 @@ from mrmaxwell import tensor3 as t3
 from mrmaxwell.constitutive import (
     _closed_form_root,
     _det_residual,
-    _em_rhs,
-    _fd_jacobian,
-    _fd_points,
-    _mebm_rhs,
+    _em_residual,
+    _mebm_residual,
     _newton_solve,
     _root_eigvals,
     _strain_parts,
 )
 
-from conftest import rand_rotation, rand_spd, rand_unimodular, rand_unimodular_spd
+from conftest import (
+    rand_rotation,
+    rand_spd,
+    rand_unimodular,
+    rand_unimodular_spd,
+    skewed_strain,
+)
 
 P111 = MaterialParams(1.0, 1.0, 1.0)
 
@@ -441,16 +445,60 @@ class TestNewtonBaselines:
             assert abs(t3.det(res.state.Ci) - 1.0) < 1e-12
 
 
-def _columnwise_jacobian(rhs, x, g, delta, Ci_n, h):
-    # one right-hand side per perturbed component, the loop that the
-    # stacked evaluation stands in for
+def _mebm_rhs(Cbar, p):
+    # the numpy expression of mebm's right-hand side, the oracle of
+    # _mebm_residual: unimodular(Ci_n + h f(Ci) Ci), with f(Ci) Ci in the
+    # manifestly symmetric form
+    Cbar_inv = t3.inverse(Cbar)
+
+    def rhs(Ci, Ci_n, h):
+        tr_part = (
+            p.c10 * np.trace(Cbar @ t3.inverse(Ci)) - p.c01 * np.trace(Ci @ Cbar_inv)
+        ) / 3.0
+        flow_times_ci = (
+            p.c10 * Cbar - p.c01 * sym(Ci @ Cbar_inv @ Ci) - tr_part * Ci
+        ) / p.eta
+        return t3.unimodular(Ci_n + h * flow_times_ci)
+
+    return rhs
+
+
+def _em_rhs(Cbar, p):
+    # em's right-hand side exp(h f(Ci)) Ci_n of one Ci, as _em_residual
+    # evaluates it on each member of its stack
+    Cbar_inv = t3.inverse(Cbar)
+
+    def rhs(Ci, Ci_n, h):
+        flow = t3.deviator(
+            (p.c10 * (Cbar @ t3.inverse(Ci)) - p.c01 * (Ci @ Cbar_inv)) / p.eta
+        )
+        return sym(t3.mat_exp(h * flow, max_norm=700.0) @ Ci_n)
+
+    return rhs
+
+
+def _columnwise_jacobian(residual, x, g, delta, Ci_n, h):
+    # one residual per perturbed component, the loop that a family's own
+    # Jacobian stands in for
     J = np.empty((6, 6))
     for j in range(6):
-        xp = x.copy()
+        xp = list(x)
         xp[j] += delta
-        Cp = t3.unpack_sym(xp)
-        J[:, j] = (t3.pack_sym(Cp - rhs(Cp, Ci_n, h)) - g) / delta
+        J[:, j] = (np.array(residual(xp, Ci_n, h, delta)[0]) - g) / delta
     return J
+
+
+def _residual_of(rhs):
+    # the residual of Ci = rhs(Ci, Ci_n, h), for a toy rhs on numpy arrays:
+    # the iterate's value, and its Jacobian column by column when asked for
+    def residual(x, Ci_n, h, delta):
+        Ci = t3.unpack_sym(np.array(x))
+        g = t3.pack_sym(Ci - rhs(Ci, Ci_n, h))
+        return g.tolist(), lambda: _columnwise_jacobian(
+            residual, x, g, delta, Ci_n, h
+        )
+
+    return residual
 
 
 def _baseline_points():
@@ -476,35 +524,33 @@ class TestStackedJacobian:
     ]
 
     def test_matches_columnwise_jacobian(self):
-        # bit equality of the residual and the Jacobian along Newton
+        # bit equality of em's residual with its one-tensor oracle, and of
+        # each family's Jacobian with one residual per column, along Newton
         # iterates, including the divergent ones of the bisecting points
         checked = 0
         for C, Ci_n in _baseline_points():
             Cbar = sym(t3.unimodular(C))
-            for family in (_mebm_rhs, _em_rhs):
+            for family, oracle in ((_mebm_residual, None), (_em_residual, _em_rhs)):
                 for dt in (0.5, 1.0):
-                    rhs = family(Cbar, P111)
-                    x = t3.pack_sym(Ci_n)
+                    residual = family(Cbar, P111)
+                    x = t3.pack_sym(Ci_n).tolist()
                     for _ in range(4):
-                        Ci = t3.unpack_sym(x)
+                        Ci = t3.unpack_sym(np.array(x))
                         delta = 1e-7 * max(np.linalg.norm(Ci), 1.0)
-                        Cs = _fd_points(x, delta)
                         try:
-                            value = rhs(Ci, Ci_n, dt)
-                            g = t3.pack_sym(Ci - value)
+                            g, jacobian = residual(x, Ci_n, dt, delta)
                             want = _columnwise_jacobian(
-                                rhs, x, g, delta, Ci_n, dt
+                                residual, x, g, delta, Ci_n, dt
                             )
                         except DomainError:
-                            with pytest.raises(DomainError):
-                                rhs(Cs, Ci_n, dt)
                             break
-                        out = rhs(Cs, Ci_n, dt)
-                        assert np.array_equal(out[0], value)
-                        got = _fd_jacobian(Cs, out, g, delta)
+                        if oracle is not None:
+                            value = oracle(Cbar, P111)(Ci, Ci_n, dt)
+                            assert g == t3.pack_sym(Ci - value).tolist()
+                        got = jacobian()
                         assert np.array_equal(got, want)
                         checked += 1
-                        x = x - np.linalg.solve(got, g)
+                        x = (np.array(x) - np.linalg.solve(got, g)).tolist()
         assert checked >= 60
 
     def test_effort_unchanged(self):
@@ -513,6 +559,67 @@ class TestStackedJacobian:
                 for step, want in zip((mebm_step, em_step), expected):
                     d = step(C, LagrangianState(Ci), dt, P111).diagnostics
                     assert (d.iterations, d.substeps, d.divergences) == want
+
+
+class TestMebmFloatResidual:
+    @staticmethod
+    def _error(C, Ci, Ci_n, dt, p):
+        # the float residual against the numpy oracle, relative to the size
+        # of the right-hand side, and the round-off amplification of M =
+        # Ci_n + dt f(Ci) Ci: the size of its terms times |M^-1| (both
+        # forms lose digits alike where the terms cancel); None where both
+        # leave the domain
+        Cbar = sym(t3.unimodular(C))
+        residual = _mebm_residual(Cbar, p)
+        x = t3.pack_sym(Ci).tolist()
+        try:
+            value = _mebm_rhs(Cbar, p)(Ci, Ci_n, dt)
+        except DomainError:
+            with pytest.raises(DomainError, match="det > 0"):
+                residual(x, Ci_n, dt, 1e-7)
+            return None
+        g, _ = residual(x, Ci_n, dt, 1e-7)
+        error = np.abs(np.array(g) - t3.pack_sym(Ci - value)).max()
+        Cbar_inv, Ci_inv = t3.inverse(Cbar), t3.inverse(Ci)
+        t = (p.c10 * np.trace(Cbar @ Ci_inv) - p.c01 * np.trace(Ci @ Cbar_inv)) / 3.0
+        flow = p.c10 * Cbar - p.c01 * Ci @ Cbar_inv @ Ci - t * Ci
+        norm = np.linalg.norm
+        terms = norm(Ci_n) + dt / p.eta * (
+            p.c10 * norm(Cbar) + p.c01 * norm(Ci) ** 2 * norm(Cbar_inv) + abs(t) * norm(Ci)
+        )
+        M_inv = np.linalg.inv(Ci_n + dt / p.eta * flow)
+        return error / np.abs(value).max(), terms * norm(M_inv)
+
+    def _check(self, errors, at_least):
+        # 1e-14 relative, or 1e-15 times the amplification beyond 10
+        checked = [e for e in errors if e is not None]
+        assert len(checked) >= at_least
+        for error, amplification in checked:
+            assert error <= 1e-14 * max(1.0, amplification / 10.0)
+
+    def test_baseline_points(self):
+        # at each point's state, at its strain and between the two
+        self._check(
+            [
+                self._error(C, Ci, Ci_n, dt, P111)
+                for C, Ci_n in _baseline_points()
+                for Ci in (Ci_n, C, (Ci_n + C) / 2.0)
+                for dt in (0.05, 0.5, 1.0)
+            ],
+            30,
+        )
+
+    def test_seeded_points(self, rng):
+        errors = []
+        for _ in range(300):
+            C = rand_spd(rng, 0.2, 5.0)
+            Ci_n = rand_unimodular_spd(rng, 0.2, 5.0)
+            Ci = Ci_n + 0.1 * sym(rng.standard_normal((3, 3)))
+            dt = float(rng.uniform(0.0, 2.0))
+            c10, c01, eta = rng.uniform(0.0, 2.0, 3) + [0.1, 0.0, 0.05]
+            p = MaterialParams(float(c10), float(c01), float(eta))
+            errors.append(self._error(C, Ci, Ci_n, dt, p))
+        self._check(errors, 100)
 
 
 class TestNewtonDomainFailures:
@@ -526,7 +633,7 @@ class TestNewtonDomainFailures:
                 raise DomainError("outside the toy domain")
             return (Ci + np.eye(3)) / 2.0
 
-        return rhs
+        return _residual_of(rhs)
 
     def test_failing_iterate_is_a_divergence_before_counting(self):
         assert _newton_solve(self._rhs(1.5), 2.0 * np.eye(3), 1.0) == (None, 0)
@@ -543,13 +650,13 @@ class TestNewtonDomainFailures:
     # toy right-hand sides that end the solve at each of its other exits
     def test_indefinite_root_is_a_divergence(self):
         D = np.diag([1.0, 1.0, -1.0])
-        got = _newton_solve(lambda Ci, Ci_n, h: (Ci + D) / 2.0, self.I, 1.0)
-        assert got == (None, 2)
+        rhs = _residual_of(lambda Ci, Ci_n, h: (Ci + D) / 2.0)
+        assert _newton_solve(rhs, self.I, 1.0) == (None, 2)
 
     def test_singular_jacobian(self):
         # Ci - rhs(Ci) is constant, so the FD Jacobian is exactly zero
-        got = _newton_solve(lambda Ci, Ci_n, h: Ci + 0.5 * self.I, self.I, 1.0)
-        assert got == (None, 1)
+        rhs = _residual_of(lambda Ci, Ci_n, h: Ci + 0.5 * self.I)
+        assert _newton_solve(rhs, self.I, 1.0) == (None, 1)
 
     def test_non_finite_step(self):
         # sqrt(2 - C11) is NaN at the C11 + delta point of the iterate
@@ -563,14 +670,50 @@ class TestNewtonDomainFailures:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _newton_solve(rhs, 2.0 * self.I, 1.0) == (None, 1)
+            assert _newton_solve(_residual_of(rhs), 2.0 * self.I, 1.0) == (None, 1)
 
     def test_budget_spent(self):
         # Newton on x^3 - 2x + 2 cycles 0, 1, 0, ... (here x = Ci, from 0)
         def rhs(Ci, Ci_n, h):
             return Ci - (Ci @ Ci @ Ci - 2.0 * Ci + 2.0 * self.I)
 
-        assert _newton_solve(rhs, 0.0 * self.I, 1.0) == (None, 50)
+        assert _newton_solve(_residual_of(rhs), 0.0 * self.I, 1.0) == (None, 50)
+
+    @pytest.mark.parametrize("error", [ZeroDivisionError, OverflowError])
+    def test_float_exceptions_are_divergences(self, error):
+        # a float residual that raises, at the iterate or at a Jacobian
+        # point, ends the solve as a divergence
+        contraction = self._rhs(math.inf)
+
+        def failing(*args):
+            raise error
+
+        def failing_jacobian(x, Ci_n, h, delta):
+            return contraction(x, Ci_n, h, delta)[0], failing
+
+        assert _newton_solve(failing, 2.0 * self.I, 1.0) == (None, 0)
+        assert _newton_solve(failing_jacobian, 2.0 * self.I, 1.0) == (None, 1)
+
+    def test_em_stack_refused_falls_back_to_the_iterate(self, monkeypatch):
+        # mat_exp refusing the (7, 3, 3) stack: the iterate's own value,
+        # without a Jacobian, decides whether the solve converged or failed
+        C, Ci_n = _baseline_points()[0]
+        Cbar = sym(t3.unimodular(C))
+        mat_exp = t3.mat_exp
+
+        def refusing_stacks(A, max_norm):
+            if A.ndim > 2:
+                raise DomainError("a point outside")
+            return mat_exp(A, max_norm)
+
+        monkeypatch.setattr(t3, "mat_exp", refusing_stacks)
+        residual = _em_residual(Cbar, P111)
+        g, jacobian = residual(t3.pack_sym(Ci_n).tolist(), Ci_n, 0.5, 1e-7)
+        value = _em_rhs(Cbar, P111)(Ci_n, Ci_n, 0.5)
+        assert jacobian is None and g == t3.pack_sym(Ci_n - value).tolist()
+        assert _newton_solve(residual, Ci_n, 0.5) == (None, 1)
+        Ci, iterations = _newton_solve(residual, Ci_n, 0.0)
+        assert iterations == 0 and np.array_equal(Ci, Ci_n)
 
     def test_bisection_depth_exhausted(self):
         C = np.diag([8.0, 1.0, 1.0 / 8.0])
@@ -588,6 +731,71 @@ class TestNewtonDomainFailures:
             warnings.simplefilter("error")
             d = em_step(C, LagrangianState.identity(), 5.0, P111).diagnostics
         assert (d.iterations, d.substeps, d.divergences) == (30, 4, 4)
+
+    # (iterations, substeps, divergences), or the ConvergenceError, of
+    # diag(8, 1, 1/8) from the identity: the effort of the numpy Newton
+    # layer that the float one replaced
+    @pytest.mark.parametrize(
+        "method, eta, dt, want",
+        [
+            ("mebm", 1.0, 5.0, (34, 6, 6)),
+            ("em", 1.0, 5.0, (30, 4, 4)),
+            ("mebm", 1e-3, 1.0, (86, 15, 15)),
+            ("em", 1e-3, 1.0, (49, 11, 11)),
+            ("mebm", 1e-6, 5.0, None),
+            ("em", 1e-6, 5.0, None),
+        ],
+    )
+    def test_hard_steps_keep_their_effort(self, method, eta, dt, want):
+        C = np.diag([8.0, 1.0, 1.0 / 8.0])
+        step = mm.LAGRANGIAN_STEPPERS[method]
+        p = MaterialParams(1.0, 1.0, eta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if want is None:
+                with pytest.raises(ConvergenceError, match="depth 20"):
+                    step(C, LagrangianState.identity(), dt, p)
+                return
+            d = step(C, LagrangianState.identity(), dt, p).diagnostics
+        assert (d.iterations, d.substeps, d.divergences) == want
+
+
+class TestAsymmetricStrain:
+    # a strain's round-off skew part is removed where it enters; a larger
+    # one is refused by name, by every Lagrangian stepper and stress_2pk
+    @pytest.mark.parametrize("method", ["ifebm", "2iebm", "mebm", "em"])
+    def test_round_off_skew_removed(self, method):
+        C, Ci = skewed_strain()
+        assert 0.0 < np.abs(C - C.T).max() < 1e-17
+        step = mm.LAGRANGIAN_STEPPERS[method]
+        for dt in (0.0, 0.5):
+            got = step(C, LagrangianState(Ci), dt, P111)
+            want = step(sym(C), LagrangianState(Ci), dt, P111)
+            assert np.array_equal(got.state.Ci, want.state.Ci)
+            assert np.array_equal(got.stress, want.stress)
+
+    def test_stress_2pk_round_off_skew_removed(self):
+        C, Ci = skewed_strain()
+        assert np.array_equal(stress_2pk(C, Ci, P111), stress_2pk(sym(C), Ci, P111))
+
+    @pytest.mark.parametrize("method", ["ifebm", "2iebm", "mebm", "em"])
+    def test_large_skew_rejected_by_name(self, method):
+        C, Ci = skewed_strain()
+        C[0, 1] += 0.3
+        step = mm.LAGRANGIAN_STEPPERS[method]
+        for dt in (0.0, 0.5):
+            with pytest.raises(DomainError, match="C_next is not symmetric"):
+                step(C, LagrangianState(Ci), dt, P111)
+
+    def test_stress_2pk_large_skew_rejected_by_name(self):
+        C, Ci = skewed_strain()
+        C[0, 1] += 0.3
+        with pytest.raises(DomainError, match="C is not symmetric"):
+            stress_2pk(C, Ci, P111)
+
+    def test_symmetric_strain_kept_as_is(self, rng):
+        C = rand_spd(rng)
+        assert t3.require_spd(C, "C") is C
 
 
 class TestStackedStrainParts:

@@ -1,5 +1,7 @@
-"""Package surface: the public names, and the demos that use them."""
+"""Package surface: the public names, and the demos and the benchmark that
+use them."""
 
+import json
 import os
 import subprocess
 import sys
@@ -26,6 +28,7 @@ PUBLIC_NAMES = {
 
 DEMO_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "demos")
 DEMOS = sorted(f for f in os.listdir(DEMO_DIR) if f.endswith(".py"))
+PERFBENCH_RUN = os.path.join(DEMO_DIR, "..", "perfbench", "run.py")
 
 
 def test_public_names():
@@ -46,3 +49,23 @@ def test_demo_runs(demo, tmp_path):
         timeout=600,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("fault, code", [(None, 0), ("stress", 1)])
+def test_newton_golden_gate(fault, code, tmp_path):
+    # one second of the newton-baselines workload: its gate holds every
+    # mebm/em step to the golden states and stresses (1e-10 relative), and
+    # a corrupted stress must fail it
+    args = ["--workload", "newton-baselines", "--seed", "1", "--seconds", "1"]
+    args += ["--trace", "0"] + (["--fault", fault] if fault else [])
+    proc = subprocess.run(
+        [sys.executable, PERFBENCH_RUN, *args],
+        cwd=tmp_path,
+        env=package_env(),
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == code, proc.stdout[-2000:] + proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is (fault is None)

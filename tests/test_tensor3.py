@@ -10,7 +10,7 @@ import pytest
 from mrmaxwell import DomainError
 from mrmaxwell import tensor3 as t3
 
-from conftest import package_env, rand_spd
+from conftest import package_env, rand_spd, skewed_strain
 
 
 def series_exp_oracle(A, substeps=128, terms=40):
@@ -296,3 +296,25 @@ class TestNorm:
             A = rng.standard_normal((3, 3)) * np.exp(rng.uniform(-20, 20))
             assert t3.norm(A) == pytest.approx(np.linalg.norm(A), rel=1e-15)
             assert isinstance(t3.norm(A), float)
+
+
+class TestRequireSpd:
+    def test_symmetric_input_returned_as_is(self, rng):
+        A = rand_spd(rng)
+        assert t3.require_spd(A) is A
+        stack = np.array([rand_spd(rng) for _ in range(3)])
+        assert t3.require_spd(stack) is stack
+
+    def test_round_off_skew_removed(self, rng):
+        C, _ = skewed_strain()
+        assert np.array_equal(t3.require_spd(C), t3.sym(C, check=False))
+        stack = np.array([rand_spd(rng), C])
+        assert np.array_equal(t3.require_spd(stack), t3.sym(stack, check=False))
+
+    def test_large_skew_rejected_by_name(self, rng):
+        C, _ = skewed_strain()
+        C[1, 2] -= 1e-6
+        with pytest.raises(DomainError, match="B is not symmetric"):
+            t3.require_spd(C, "B")
+        with pytest.raises(DomainError, match="B is not symmetric"):
+            t3.require_spd(np.array([rand_spd(rng), C]), "B")
