@@ -307,39 +307,29 @@ def _tr_dot(A, B):
 
 def _strain_parts(C_next, dC=None):
     # unimodular strain, its square-root factors and the inverses, from one
-    # determinant and one decomposition; of one strain or of each member of
-    # a stack (..., 3, 3).  With dC, a stack (n, 3, 3) of directions of one
-    # strain, also the derivatives along each of the parts but isq
-    stack = C_next.ndim > 2
+    # determinant and one decomposition.  With dC, a stack (n, 3, 3) of
+    # directions, also the derivatives along each of the parts but isq
     d = det(C_next)
-    for d_k in d.ravel().tolist() if stack else (d,):
-        if not d_k > 0.0:
-            raise DomainError(f"strain input must have det > 0, got {d_k}")
-    scale = np.cbrt(d)[..., None, None] if stack else np.cbrt(d)
+    if not d > 0.0:
+        raise DomainError(f"strain input must have det > 0, got {d}")
+    scale = np.cbrt(d)
     Cbar = C_next / scale
     w, V = np.linalg.eigh(Cbar)
-    for w_k in w[..., 0].ravel().tolist() if stack else (w[0],):
-        if not w_k > 0.0:
-            raise DomainError(
-                "strain input is not positive definite",
-                min_eigenvalue=float(w_k),
-            )
-    if stack:
-        w = w[..., None, :]
-        Vt = V.swapaxes(-1, -2)
-    else:
-        Vt = V.T
+    if not w[0] > 0.0:
+        raise DomainError(
+            "strain input is not positive definite", min_eigenvalue=float(w[0])
+        )
     r = np.sqrt(w)
-    sq = (V * r) @ Vt
-    isq = (V / r) @ Vt
-    Cbar_inv = sym((V / w) @ Vt, check=False)
+    sq = (V * r) @ V.T
+    isq = (V / r) @ V.T
+    Cbar_inv = sym((V / w) @ V.T, check=False)
     parts = Cbar, sq, isq, Cbar_inv, Cbar_inv / scale
     if dC is None:
         return parts
     C_inv = parts[4]
     dCbar = dC / scale - (_tr_dot(C_inv, dC) / 3.0)[:, None, None] * Cbar
     # sq dsq + dsq sq = dCbar, solved in Cbar's eigenbasis
-    dsq = V @ ((Vt @ dCbar @ V) / (r[:, None] + r)) @ Vt
+    dsq = V @ ((V.T @ dCbar @ V) / (r[:, None] + r)) @ V.T
     # the derivative of an inverse A^-1 is -A^-1 dA A^-1
     return parts, (dCbar, dsq, -Cbar_inv @ dCbar @ Cbar_inv, -C_inv @ dC @ C_inv)
 
@@ -506,9 +496,9 @@ def _ci_update(Ci, sq, isq, coeffs, corrections):
 
 def _lagrangian_lanes(C_next, Ci, dt, params, corrections):
     # the closed-form step's StepResult for C_next and Ci (3, 3), or the
-    # list of those of the lanes of a stack (n, 3, 3); C_next and Ci are one
-    # per lane or one shared, a stack takes one params per lane.  Each stage
-    # runs over all lanes first
+    # list of those of the lanes of a stack Ci (n, 3, 3), which share
+    # C_next and take one params per lane.  Each stage runs over all lanes
+    # first
     coeffs = [_coefficients(dt, p) for p in params]
     C_next = t3.require_spd(C_next, "C_next")
     Cbar, sq, isq, Cbar_inv, C_inv = _strain_parts(C_next)
@@ -827,32 +817,80 @@ class ReferenceSolution:
     richardson_gap: float
 
 
-# substeps whose strains the reference march prepares together
-_MARCH_BLOCK = 256
+# a march substep whose W has a spread w3/w1 above this takes the eigen path:
+# the polynomial form drifts from it by up to 1e-13 below, 1.1e-11 to 1000
+_SPREAD_MAX = 100.0
+
+
+def _march_substep(C, a, beta, eps):
+    # one closed-form substep towards the strain C on Python floats, Ci and the
+    # result as upper triangles (11, 22, 33, 12, 13, 23).  X = f(W), f(w) = x(w
+    # + beta), is Newton's interpolation on the spectrum w1 <= w2 <= w3 of W,
+    # that of P = Ci Cbar^-1; as sq W sq = Ci and sq W^2 sq = P Ci, Y = sq X sq
+    # = f(w1) Cbar + f[w1,w2] (Ci - w1 Cbar) + f[w1,w2,w3] (P - w1) (Ci - w2 Cbar)
+    c = C.ravel().tolist()
+    r = t3._cbrt_det9(c, "strain input")
+    q0, q1, q2, q3, q4, q5 = c[0] / r, c[4] / r, c[8] / r, c[1] / r, c[2] / r, c[5] / r
+    q = (q0, q3, q4, q3, q1, q5, q4, q5, q2)
+    if not t3._is_spd9(*q):
+        raise DomainError("strain input is not positive definite")
+    b00, b01, b02, _, b11, b12, _, _, b22 = t3._inverse9(*q)
+    a00, a11, a22, a01, a02, a12 = a
+    p00 = a00 * b00 + a01 * b01 + a02 * b02
+    p01 = a00 * b01 + a01 * b11 + a02 * b12
+    p02 = a00 * b02 + a01 * b12 + a02 * b22
+    p10 = a01 * b00 + a11 * b01 + a12 * b02
+    p11 = a01 * b01 + a11 * b11 + a12 * b12
+    p12 = a01 * b02 + a11 * b12 + a12 * b22
+    p20 = a02 * b00 + a12 * b01 + a22 * b02
+    p21 = a02 * b01 + a12 * b11 + a22 * b12
+    p22 = a02 * b02 + a12 * b12 + a22 * b22
+    # the spectrum from P's deviator D: m = tr P/3, k2 = tr(D^2)/6, det(D)/2
+    m = (p00 + p11 + p22) / 3.0
+    d0, d1, d2 = p00 - m, p11 - m, p22 - m
+    k2 = (d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (p01 * p10 + p02 * p20 + p12 * p21)) / 6.0
+    w1 = w2 = w3 = m
+    if k2 > 0.0:
+        k3 = t3._det9(d0, p01, p02, p10, d1, p12, p20, p21, d2) / (2.0 * k2 * math.sqrt(k2))
+        angle, rad = math.acos(min(max(k3, -1.0), 1.0)) / 3.0, 2.0 * math.sqrt(k2)
+        w1, w2, w3 = (m + rad * math.cos(angle + k * math.pi / 3.0) for k in (2, 4, 0))
+    if not w3 <= _SPREAD_MAX * w1:
+        _, sq, isq, _, _ = _strain_parts(C)
+        Ci, _ = _ci_update(t3.unpack_sym(np.array(a)), sq, isq, [(beta, eps)], 0)
+        return t3.pack_sym(Ci).tolist()
+    # the divided differences of x, with no 0/0 at repeated w: f[w1,w2] =
+    # 2/(s1 + s2), f[w1,w2,w3] = -8 eps/((s1 + s2)(s2 + s3)(s1 + s3)), where
+    # s_i = sqrt(phi^2 + 4 eps (w_i + beta)) = phi + 2 eps x_i; Y is summed as
+    # k0 Cbar + k1 Ci + f123 P Ci
+    (x1, x2, x3), phi = _root([w1, w2, w3], beta, eps, 0, "quadratic input")
+    s12, s23, s13 = phi + eps * (x1 + x2), phi + eps * (x2 + x3), phi + eps * (x1 + x3)
+    f12, f123 = 1.0 / s12, -eps / (s12 * s23 * s13)
+    k0, k1 = x1 - f12 * w1 + f123 * w1 * w2, f12 - f123 * (w1 + w2)
+    y = [
+        k0 * q0 + k1 * a00 + f123 * (p00 * a00 + p01 * a01 + p02 * a02),
+        k0 * q1 + k1 * a11 + f123 * (p10 * a01 + p11 * a11 + p12 * a12),
+        k0 * q2 + k1 * a22 + f123 * (p20 * a02 + p21 * a12 + p22 * a22),
+        k0 * q3 + k1 * a01 + f123 * (p00 * a01 + p01 * a11 + p02 * a12),
+        k0 * q4 + k1 * a02 + f123 * (p00 * a02 + p01 * a12 + p02 * a22),
+        k0 * q5 + k1 * a12 + f123 * (p10 * a02 + p11 * a12 + p12 * a22),
+    ]
+    r = t3._cbrt_det9((y[0], y[3], y[4], y[3], y[1], y[5], y[4], y[5], y[2]))
+    return [u / r for u in y]
 
 
 def _march(C_of_t, Ci0, t_grid, p, n_substeps):
+    # states and stresses at t_grid, each interval n_substeps _march_substep
     state = LagrangianState(np.array(Ci0))
     states = [state.Ci]
     stresses = [stress_2pk(C_of_t(float(t_grid[0])), state.Ci, p)]
     for k in range(len(t_grid) - 1):
         t0, t1 = float(t_grid[k]), float(t_grid[k + 1])
         h = (t1 - t0) / n_substeps
-        coeffs = [_coefficients(h, p)]
-        Ci = state.Ci
-        for first in range(1, n_substeps + 1, _MARCH_BLOCK):
-            # the strain parts do not depend on Ci: those of a block of
-            # substeps come from one stacked eigendecomposition
-            C_block = np.array(
-                [
-                    C_of_t(t0 + s * h)
-                    for s in range(first, min(first + _MARCH_BLOCK, n_substeps + 1))
-                ]
-            )
-            _, sq, isq, _, _ = _strain_parts(C_block)
-            for sq_s, isq_s in zip(sq, isq):
-                Ci, _ = _ci_update(Ci, sq_s, isq_s, coeffs, 0)
-        state = LagrangianState(Ci)
+        beta, eps = _coefficients(h, p)
+        a = t3.pack_sym(state.Ci).tolist()
+        for s in range(1, n_substeps + 1):
+            a = _march_substep(C_of_t(t0 + s * h), a, beta, eps)
+        state = LagrangianState(t3.unpack_sym(np.array(a)))
         states.append(state.Ci)
         stresses.append(stress_2pk(C_of_t(t1), state.Ci, p))
     return states, stresses
@@ -868,15 +906,20 @@ def reference_solve(
 ) -> ReferenceSolution:
     """Fine-substep solution used as the accuracy yardstick.
 
-    Integrates with the closed-form stepper using ``n_substeps`` uniform
-    substeps per output interval.  When ``check_richardson`` is set the
-    run is repeated with doubled substeps and the largest stress change
-    at any output time is reported, so callers can judge whether the
-    reference is converged to their target.
+    Integrates with the closed-form (ifebm) update using ``n_substeps``
+    uniform substeps per output interval, one call of ``C_of_t`` each and
+    one per output time.  A substep writes the root as a polynomial in
+    ``Ci Cbar^-1`` on Python floats, with no eigenvectors, and agrees with
+    the steppers' eigen path to round-off.  When ``check_richardson`` is
+    set the run is repeated with doubled substeps and the largest stress
+    change at any output time is reported, so callers can judge whether
+    the reference is converged to their target.
     """
-    if n_substeps < 1:
-        raise DomainError("n_substeps must be >= 1")
+    if not isinstance(n_substeps, (int, np.integer)) or n_substeps < 1:
+        raise DomainError(f"n_substeps must be an integer >= 1, got {n_substeps!r}")
     t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or not t_grid.size:
+        raise DomainError(f"t_grid must be a non-empty list of times, got {t_grid!r}")
     states, stresses = _march(C_of_t, Ci0, t_grid, p, n_substeps)
     gap = math.nan
     if check_richardson:

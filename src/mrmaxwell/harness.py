@@ -122,10 +122,10 @@ class LoadingProgram:
                     "uniaxial program needs a finite frequency > 0 and cycles >= 1, "
                     f"got frequency = {self.frequency!r}, cycles = {self.cycles!r}"
                 )
-            if not -1.0 < self.amplitude < math.inf:
+            if not -1.0 < self.amplitude < 1.0:
                 raise DomainError(
                     "amplitude must be finite and leave 1 + strain positive, "
-                    f"got amplitude = {self.amplitude!r}"
+                    f"|amplitude| < 1, got amplitude = {self.amplitude!r}"
                 )
             object.__setattr__(self, "_times", [0.0, self.cycles / self.frequency])
             return
@@ -140,9 +140,10 @@ class LoadingProgram:
         times = [float(t) for t, _ in table]
         if not all(a < b for a, b in zip(times, times[1:])):
             raise DomainError("keyframe times must be strictly increasing")
-        # the keyframe times and arrays, read once; the times span the domain
+        # the keyframe times and nine entries, read once; the times span the domain
         object.__setattr__(self, "_times", times)
-        object.__setattr__(self, "_frames", [np.asarray(F) for _, F in table])
+        frames = [np.asarray(F, dtype=float).ravel().tolist() for _, F in table]
+        object.__setattr__(self, "_frames", frames)
 
     @property
     def t_end(self) -> float:
@@ -162,7 +163,8 @@ class LoadingProgram:
             tri = 4.0 * u - 4.0
         return self.amplitude * tri
 
-    def F(self, t: float) -> np.ndarray:
+    def _F9(self, t):
+        # the nine entries of F(t), row by row, on Python floats
         t0, t_end = self._times[0], self._times[-1]
         if not t0 - _TIME_TOL <= t <= t_end + _TIME_TOL:
             raise DomainError(f"t = {t} outside program domain [{t0}, {t_end}]")
@@ -170,16 +172,29 @@ class LoadingProgram:
         if self.kind == "uniaxial":
             lam = 1.0 + self.strain(t)
             lat = 1.0 / math.sqrt(lam)
-            return np.diag([lam, lat, lat])
-        # the segment [times[k], times[k + 1]] holding t (the last at t_end)
+            return [lam, 0.0, 0.0, 0.0, lat, 0.0, 0.0, 0.0, lat]
+        # the segment [times[k], times[k + 1]] holding t (the last at t_end),
+        # blended entry by entry and made unimodular
         times, frames = self._times, self._frames
         k = bisect_right(times, t, 1, len(times) - 1) - 1
         s = (t - times[k]) / (times[k + 1] - times[k])
-        return unimodular((1.0 - s) * frames[k] + s * frames[k + 1])
+        G = [(1.0 - s) * a + s * b for a, b in zip(frames[k], frames[k + 1])]
+        r = t3._cbrt_det9(G)
+        return [g / r for g in G]
+
+    def F(self, t: float) -> np.ndarray:
+        return np.array(self._F9(t)).reshape(3, 3)
 
     def C(self, t: float) -> np.ndarray:
-        F = self.F(t)
-        return sym(F.T @ F, check=False)
+        # F^T F, each entry summed over the rows of F in order: symmetric
+        f0, f1, f2, f3, f4, f5, f6, f7, f8 = self._F9(t)
+        c00 = f0 * f0 + f3 * f3 + f6 * f6
+        c11 = f1 * f1 + f4 * f4 + f7 * f7
+        c22 = f2 * f2 + f5 * f5 + f8 * f8
+        c01 = f0 * f1 + f3 * f4 + f6 * f7
+        c02 = f0 * f2 + f3 * f5 + f6 * f8
+        c12 = f1 * f2 + f4 * f5 + f7 * f8
+        return np.array([c00, c01, c02, c01, c11, c12, c02, c12, c22]).reshape(3, 3)
 
 
 def random_spd(rng: np.random.Generator, lo: float = 1e-3, hi: float = 1e3):
@@ -227,6 +242,8 @@ class RunConfig:
     tangent_etas: tuple = (100.0, 10.0, 1.0, 0.1, 0.01, 0.001)
 
     def __post_init__(self):
+        if not math.isfinite(self.dt):
+            raise DomainError(f"dt must be finite, got {self.dt!r}")
         if not self.dt > 0.0:
             raise DomainError("dt must be positive")
         if isinstance(self.methods, str):
@@ -250,6 +267,12 @@ class RunConfig:
                      "fine_steps_per_cycle"):
             if not getattr(self, name) >= 1:
                 raise DomainError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        # the uniaxial cells (amplitudes as the program takes them), tangent grid
+        for name, lo, hi in (("frequencies", 0.0, math.inf), ("amplitudes", -1.0, 1.0),
+                             ("tangent_dts", 0.0, math.inf), ("tangent_etas", 0.0, math.inf)):
+            values = getattr(self, name)
+            if not values or not all(lo < v < hi for v in values):
+                raise DomainError(f"{name} needs values in ({lo:g}, {hi:g}), got {values!r}")
         if self.fine_steps_per_cycle % self.coarse_steps_per_cycle:
             # run_uniaxial samples the fine grid at every coarse time
             raise DomainError(
@@ -263,6 +286,8 @@ class RunConfig:
 
 
 def _grid(t_end: float, dt: float) -> np.ndarray:
+    if not 0.0 < dt < math.inf:
+        raise DomainError(f"dt must be finite and positive, got {dt!r}")
     n = round(t_end / dt)
     if abs(n * dt - t_end) > 1e-9 * t_end:
         raise DomainError(f"dt = {dt} does not divide the domain [0, {t_end}]")
@@ -301,7 +326,7 @@ def nonprop_stress_history(
     diags = []
     for t in ts[1:]:
         F = program.F(float(t))
-        res = stepper(F if eulerian else sym(F.T @ F, check=False), state, dt, p)
+        res = stepper(F if eulerian else program.C(float(t)), state, dt, p)
         state = res.state
         stresses.append(res.stress if eulerian else F @ res.stress @ F.T)
         states.append(state)

@@ -112,7 +112,7 @@ def unpack_sym(x: np.ndarray) -> np.ndarray:
 # expressions member by member, so each member comes out bit-identical to
 # a one-tensor call.  This is the fast form for one tensor and for the
 # small stacks used here (a Newton iterate with its six forward-difference
-# points, a block of reference substeps).
+# points, a composite's branches).
 
 
 def _det9(a00, a01, a02, a10, a11, a12, a20, a21, a22):
@@ -188,6 +188,15 @@ def deviator(A: np.ndarray) -> np.ndarray:
     return A - t * IDENTITY
 
 
+def _cbrt_det9(a, name="unimodular part"):
+    # the cube root of the determinant of the nine entries a, as a float;
+    # dividing the entries by it makes them unimodular
+    d = _det9(*a)
+    if not d > 0.0:
+        raise DomainError(f"{name} requires det > 0, got det = {d}")
+    return float(np.cbrt(d))
+
+
 def unimodular(A: np.ndarray) -> np.ndarray:
     """Determinant-one rescaling (det A)^(-1/3) * A (of each member).
 
@@ -196,11 +205,9 @@ def unimodular(A: np.ndarray) -> np.ndarray:
     DomainError
         If det(A) <= 0 (for any member of a stack).
     """
-    d = det(A)
     if A.ndim == 2:
-        if not d > 0.0:
-            raise DomainError(f"unimodular part requires det > 0, got det = {d}")
-        return A / np.cbrt(d)
+        return A / _cbrt_det9(A.ravel().tolist())
+    d = det(A)
     for d_k in d.ravel().tolist():
         if not d_k > 0.0:
             raise DomainError(f"unimodular part requires det > 0, got det = {d_k}")

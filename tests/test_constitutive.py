@@ -29,14 +29,20 @@ from mrmaxwell import (
 )
 from mrmaxwell import tensor3 as t3
 from mrmaxwell.constitutive import (
+    _ci_update,
     _closed_form_root,
+    _coefficients,
     _det_residual,
     _em_residual,
+    _march_substep,
     _mebm_residual,
     _newton_solve,
     _root_eigvals,
     _strain_parts,
+    _SPREAD_MAX,
 )
+
+from mrmaxwell.harness import LoadingProgram
 
 from conftest import (
     rand_rotation,
@@ -798,25 +804,6 @@ class TestAsymmetricStrain:
         assert t3.require_spd(C, "C") is C
 
 
-class TestStackedStrainParts:
-    def test_stack_equals_members(self, rng):
-        C = np.array([rand_spd(rng) for _ in range(6)]).reshape(2, 3, 3, 3)
-        got = _strain_parts(C)
-        for i, Cm in enumerate(C.reshape(-1, 3, 3)):
-            for part, want in zip(got, _strain_parts(Cm)):
-                assert np.array_equal(part.reshape(-1, 3, 3)[i], want)
-
-    def test_bad_member_raises_like_one_strain(self):
-        indefinite = np.diag([1.0, -1.0, -1.0])
-        for bad in (np.diag([1.0, 1.0, -1.0]), indefinite):
-            with pytest.raises(DomainError) as one:
-                _strain_parts(bad)
-            with pytest.raises(DomainError) as stack:
-                _strain_parts(np.array([np.eye(3), bad, 2.0 * bad]))
-            assert str(stack.value) == str(one.value)
-            assert stack.value.min_eigenvalue == one.value.min_eigenvalue
-
-
 class TestManifoldPreservation:
     @pytest.mark.parametrize("method", ["ifebm", "2iebm", "mebm", "em"])
     def test_full_dt_range(self, method, rng):
@@ -996,6 +983,117 @@ class TestReferenceSolve:
         with pytest.raises(DomainError):
             reference_solve(lambda t: np.eye(3), np.eye(3), [0.0, 1.0], P111, 0)
 
+    @pytest.mark.parametrize("n", [2.5, 4.0, "4", None])
+    def test_non_integer_substeps_rejected(self, n):
+        with pytest.raises(DomainError, match="n_substeps must be an integer >= 1"):
+            reference_solve(lambda t: np.eye(3), np.eye(3), [0.0, 1.0], P111, n)
+
+    @pytest.mark.parametrize("t_grid", [[], np.zeros(0), np.zeros((2, 2))])
+    def test_empty_grid_rejected(self, t_grid):
+        with pytest.raises(DomainError, match="t_grid must be a non-empty list"):
+            reference_solve(lambda t: np.eye(3), np.eye(3), t_grid, P111, 4)
+
     def test_decreasing_grid_rejected(self):
         with pytest.raises(DomainError, match="dt must be finite and non-negative"):
             reference_solve(lambda t: np.eye(3), np.eye(3), [1.0, 0.0], P111, 4)
+
+
+def _eigen_march(C_of_t, t_grid, p, n_substeps):
+    # the reference march with every substep on the eigen path
+    Ci = np.eye(3)
+    states, stresses = [Ci], [stress_2pk(C_of_t(float(t_grid[0])), Ci, p)]
+    for t0, t1 in zip(t_grid[:-1], t_grid[1:]):
+        h = (t1 - t0) / n_substeps
+        for s in range(1, n_substeps + 1):
+            _, sq, isq, _, _ = _strain_parts(C_of_t(t0 + s * h))
+            Ci, _ = _ci_update(Ci, sq, isq, [_coefficients(h, p)], 0)
+        states.append(Ci)
+        stresses.append(stress_2pk(C_of_t(t1), Ci, p))
+    return states, stresses
+
+
+def _history_gap(got, want):
+    # relative Frobenius distance of two histories, each taken as one array
+    # (as the benchmark's golden gate does): a stress near a relaxed state
+    # carries the round-off of the larger state it cancels from
+    got, want = np.array(got), np.array(want)
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+def _check_states(states):
+    for Ci in states:
+        assert np.isfinite(Ci).all()
+        assert np.array_equal(Ci, Ci.T)
+        assert abs(t3.det(Ci) - 1.0) <= 1e-12
+
+
+class TestReferenceMarch:
+    # the march's substeps take the polynomial form of the root on Python
+    # floats; the eigen path (_ci_update) is the oracle
+    @pytest.mark.parametrize("kind", ["nonproportional", "custom-keyframes", "uniaxial"])
+    def test_matches_eigen_path(self, kind, rng):
+        frames = [np.eye(3)] + [rand_unimodular_spd(rng, 0.5, 2.0) for _ in range(3)]
+        keyframes = tuple((float(k), F) for k, F in enumerate(frames))
+        program = LoadingProgram(kind=kind, keyframes=keyframes, amplitude=0.4)
+        ts = np.linspace(0.0, program.t_end, 7)
+        ref = reference_solve(program.C, np.eye(3), ts, P111, 150, False)
+        states, stresses = _eigen_march(program.C, ts, P111, 150)
+        assert _history_gap(ref.states, states) <= 1e-13
+        assert _history_gap(ref.stresses, stresses) <= 1e-13
+        # the uniaxial program's states keep a repeated eigenvalue pair
+        _check_states(ref.states)
+
+    def test_repeated_pair_takes_polynomial_form(self):
+        # diagonal strains and state with a repeated pair: P's deviator has
+        # a double eigenvalue, where the trigonometric formula sits at an
+        # end of its range
+        C, Ci = np.diag([1.44, 1.0 / 1.2, 1.0 / 1.2]), np.diag([0.81, 1 / 0.9, 1 / 0.9])
+        for dt in (1e-3, 0.1, 10.0):
+            beta, eps = _coefficients(dt, P111)
+            got = np.array(_march_substep(C, t3.pack_sym(Ci).tolist(), beta, eps))
+            _, sq, isq, _, _ = _strain_parts(C)
+            want = t3.pack_sym(_ci_update(Ci, sq, isq, [(beta, eps)], 0)[0])
+            assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+            _check_states([t3.unpack_sym(got)])
+
+    @pytest.mark.parametrize("spread", [1.01, 0.99])
+    def test_wide_spread_takes_eigen_path(self, spread, rng):
+        # W = isq Ci isq with eigenvalues (r, 1, 1/r), r^2 = spread * _SPREAD_MAX
+        r = math.sqrt(spread * _SPREAD_MAX)
+        C = rand_spd(rng)
+        Cbar, sq, isq, _, _ = _strain_parts(C)
+        Q = rand_rotation(rng)
+        Ci = sym(sq @ ((Q * [1.0 / r, 1.0, r]) @ Q.T) @ sq)
+        Ci = sym(t3.unimodular(Ci))
+        beta, eps = _coefficients(0.3, P111)
+        got = np.array(_march_substep(C, t3.pack_sym(Ci).tolist(), beta, eps))
+        want = t3.pack_sym(_ci_update(Ci, sq, isq, [(beta, eps)], 0)[0])
+        if spread > 1.0:
+            assert np.array_equal(got, want)
+        else:
+            assert not np.array_equal(got, want)
+            assert np.linalg.norm(got - want) <= 2e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("moduli", [(1.0, 1.0), (1.0, 0.0), (0.0, 1.0)])
+    @pytest.mark.parametrize("h", [1e103, 1e300])
+    def test_huge_substeps_stay_finite(self, h, moduli, rng):
+        # the dt -> inf limit, the unimodular strain, through the scaled
+        # quadratic
+        C, p = rand_spd(rng), MaterialParams(*moduli, 1.0)
+        ref = reference_solve(lambda t: C, rand_unimodular_spd(rng), [0.0, h, 2 * h], p, 1)
+        _check_states(ref.states)
+        assert np.abs(ref.states[-1] - t3.unimodular(C)).max() < 1e-12
+        assert all(np.isfinite(T).all() for T in ref.stresses)
+        assert math.isfinite(ref.richardson_gap)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(np.diag([1.0, -1.0, -1.0]), "strain input is not positive definite"),
+         (np.diag([np.inf, 1.0, 1.0]), "strain input is not positive definite"),
+         (np.diag([1.0, 1.0, -1.0]), "strain input requires det > 0")],
+    )
+    def test_non_spd_strain_named(self, bad, message):
+        # the strain at t = 0 is the identity, the substeps' strains are not
+        with pytest.raises(DomainError, match=message):
+            reference_solve(lambda t: bad if t > 0.0 else np.eye(3), np.eye(3),
+                            [0.0, 1.0], P111, 4)

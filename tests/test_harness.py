@@ -109,6 +109,23 @@ class TestUniaxialProgram:
         with pytest.raises(DomainError, match=f"{field} = {value}"):
             hn.LoadingProgram(kind="uniaxial", **{field: value})
 
+    @pytest.mark.parametrize("amplitude", [1.0, 1.5, -1.0])
+    def test_amplitude_must_keep_stretch_positive(self, amplitude):
+        # the compression half of the cycle reaches 1 - |amplitude|
+        with pytest.raises(DomainError, match=r"\|amplitude\| < 1"):
+            hn.LoadingProgram(kind="uniaxial", amplitude=amplitude)
+        prg = hn.LoadingProgram(kind="uniaxial", amplitude=math.copysign(0.99, amplitude))
+        assert min(prg.F(t)[0, 0] for t in np.linspace(0.0, 2.0, 9)) > 0.0
+
+    def test_strain_is_exactly_symmetric_F_transpose_F(self):
+        # C is summed on floats, so it may differ from numpy's F.T @ F (which
+        # fuses multiply and add) by round-off in the entries' last bits
+        prg = hn.LoadingProgram(kind="uniaxial", amplitude=0.3, frequency=2.0)
+        for t in np.linspace(0.0, prg.t_end, 11):
+            F, C = prg.F(float(t)), prg.C(float(t))
+            assert np.array_equal(C, C.T)
+            assert np.abs(C - F.T @ F).max() <= np.spacing(np.linalg.norm(C))
+
 
 class TestCustomProgram:
     def test_interpolates_keyframes(self):
@@ -127,6 +144,15 @@ class TestCustomProgram:
         kf = ((0.0, np.eye(3)), (0.0, np.eye(3)))
         with pytest.raises(DomainError, match="strictly increasing"):
             hn.LoadingProgram(kind="custom-keyframes", keyframes=kf)
+
+    def test_strain_is_exactly_symmetric_F_transpose_F(self):
+        rng = np.random.default_rng(5)
+        kf = tuple((float(k), np.eye(3) + 0.2 * rng.standard_normal((3, 3))) for k in range(3))
+        prg = hn.LoadingProgram(kind="custom-keyframes", keyframes=kf)
+        for t in np.linspace(0.0, prg.t_end, 31):
+            F, C = prg.F(float(t)), prg.C(float(t))
+            assert np.array_equal(C, C.T)
+            assert np.abs(C - F.T @ F).max() <= np.spacing(np.linalg.norm(C))
 
     def test_domain_is_span_of_keyframe_times(self):
         # no backward extrapolation of the first segment below t0 = 1
@@ -175,6 +201,30 @@ class TestRunConfig:
         # convergence study would pass having checked nothing
         with pytest.raises(DomainError, match="methods must name at least one"):
             getattr(hn, study)(hn.RunConfig(methods=methods))
+
+    @pytest.mark.parametrize("dt", [math.inf, -math.inf, math.nan])
+    def test_non_finite_dt_rejected_by_name(self, dt):
+        # 3/inf rounds to 0 steps, and the error study failed at ts[1]
+        with pytest.raises(DomainError, match=f"dt must be finite, got {dt}"):
+            hn.RunConfig(dt=dt)
+        with pytest.raises(DomainError, match="dt must be finite and positive"):
+            hn.nonprop_stress_history("ifebm", dt, MaterialParams(1.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "field, good",
+        [("frequencies", 1.0), ("amplitudes", 0.2), ("tangent_dts", 0.1),
+         ("tangent_etas", 1.0)],
+    )
+    @pytest.mark.parametrize("bad", [None, math.inf, math.nan, -0.5])
+    def test_study_grids_rejected_by_name(self, field, good, bad):
+        # an empty grid let its study pass having checked nothing; a bad
+        # entry failed deep inside the study, or with another cause
+        values = () if bad is None else (good, bad)
+        if field == "amplitudes" and bad == -0.5:
+            values = (good, 1.0)  # a negative amplitude is a valid program
+        with pytest.raises(DomainError, match=f"{field} needs values in"):
+            hn.RunConfig(**{field: values})
+        hn.RunConfig(**{field: (good,)})
 
     def test_eulerian_needs_ifebm(self):
         # the error study reports the Eulerian history of ifebm only
@@ -545,11 +595,12 @@ class TestCli:
              "fine_steps_per_cycle = 10 is not a multiple of "
              "coarse_steps_per_cycle = 3"),
             ("nonprop --dt 0", "dt must be positive"),
+            ("nonprop --dt inf", "dt must be finite, got inf"),
             ("nonprop --dt 0.7", "dt = 0.7 does not divide the domain [0, 3.0]"),
             ("tangent-sweep --method mebm",
              "the tangent sweep needs ifebm or 2iebm in methods, got ('mebm',)"),
         ],
-        ids=["fine-steps", "dt-zero", "dt-not-dividing", "tangent-mebm"],
+        ids=["fine-steps", "dt-zero", "dt-inf", "dt-not-dividing", "tangent-mebm"],
     )
     def test_domain_error_is_usage_error(self, argv, message, capsys):
         with pytest.raises(SystemExit) as stop:

@@ -51,12 +51,9 @@ def test_demo_runs(demo, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("fault, code", [(None, 0), ("stress", 1)])
-def test_newton_golden_gate(fault, code, tmp_path):
-    # one second of the newton-baselines workload: its gate holds every
-    # mebm/em step to the golden states and stresses (1e-10 relative), and
-    # a corrupted stress must fail it
-    args = ["--workload", "newton-baselines", "--seed", "1", "--seconds", "1"]
+def _perfbench(workload, seed, fault, tmp_path):
+    # a one-second benchmark run in tmp_path: its exit code and JSON result
+    args = ["--workload", workload, "--seed", str(seed), "--seconds", "1"]
     args += ["--trace", "0"] + (["--fault", fault] if fault else [])
     proc = subprocess.run(
         [sys.executable, PERFBENCH_RUN, *args],
@@ -66,6 +63,27 @@ def test_newton_golden_gate(fault, code, tmp_path):
         text=True,
         timeout=600,
     )
-    assert proc.returncode == code, proc.stdout[-2000:] + proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return proc.returncode, proc.stdout[-2000:] + proc.stderr, proc.stdout
+
+
+@pytest.mark.parametrize("fault, code", [(None, 0), ("stress", 1)])
+def test_newton_golden_gate(fault, code, tmp_path):
+    # one second of the newton-baselines workload: its gate holds every
+    # mebm/em step to the golden states and stresses (1e-10 relative), and
+    # a corrupted stress must fail it
+    returncode, log, out = _perfbench("newton-baselines", 1, fault, tmp_path)
+    assert returncode == code, log
+    result = json.loads(out.strip().splitlines()[-1])
+    assert result["correct"] is (fault is None)
+
+
+@pytest.mark.parametrize("seed, fault, code", [(1, None, 0), (3, None, 0), (1, "state", 1)])
+def test_histories_golden_gate(seed, fault, code, tmp_path):
+    # one second of the histories workload: its gate holds the reference
+    # march and the closed-form histories to the golden states and stresses
+    # (1e-13 relative).  Seeds 1 and 3 replay the pool's cases {0, 2} and
+    # {1, 3}, so together the whole pool; a corrupted state must fail it
+    returncode, log, out = _perfbench("histories", seed, fault, tmp_path)
+    assert returncode == code, log
+    result = json.loads(out.strip().splitlines()[-1])
     assert result["correct"] is (fault is None)
