@@ -237,13 +237,11 @@ def solve_phi(A: np.ndarray, eps: float) -> tuple[float, float]:
     return phi0, phi
 
 
-def _root_eigvals(w, phi: float, eps: float, sqrt=np.sqrt):
-    # Positive root of eps x^2 + phi x - w = 0 per eigenvalue, evaluated
-    # in whichever of the two algebraically equivalent forms avoids
-    # subtractive cancellation for the sign of phi at hand.  Also takes
-    # one eigenvalue as a float, with sqrt=math.sqrt (both sqrt are
-    # correctly rounded, so the two forms agree bit for bit).
-    disc = sqrt(phi * phi + 4.0 * eps * w)
+def _root_eigvals(w: float, phi: float, eps: float) -> float:
+    # Positive root of eps x^2 + phi x - w = 0 for one eigenvalue w,
+    # evaluated in whichever of the two algebraically equivalent forms
+    # avoids subtractive cancellation for the sign of phi at hand.
+    disc = math.sqrt(phi * phi + 4.0 * eps * w)
     if phi >= 0.0:
         return 2.0 * w / (disc + phi)
     return (disc - phi) / (2.0 * eps)
@@ -267,7 +265,8 @@ def quad_root_X(A: np.ndarray, phi: float, eps: float) -> np.ndarray:
         raise DomainError(
             "quad_root_X requires SPD A", min_eigenvalue=float(w[0])
         )
-    return sym((V * _root_eigvals(w, phi, eps)) @ V.T, check=False)
+    x = [_root_eigvals(v, phi, eps) for v in w.tolist()]
+    return sym((V * x) @ V.T, check=False)
 
 
 def quad_root_X_subtractive(A: np.ndarray, phi: float, eps: float) -> np.ndarray:
@@ -297,18 +296,9 @@ def residual_R(phi: float, A: np.ndarray, eps: float) -> float:
 # closed-form steppers
 
 
-def _tr_dot(A, B):
-    # trace(A @ B) for symmetric A, B (of each member of a stack); each
-    # member's nine products are summed from contiguous memory, in the
-    # order of a one-tensor sum, whatever the layout of the inputs
-    AB = np.ascontiguousarray(A * B)
-    return AB.reshape(AB.shape[:-2] + (9,)).sum(axis=-1)
-
-
-def _strain_parts(C_next, dC=None):
+def _strain_parts(C_next):
     # unimodular strain, its square-root factors and the inverses, from one
-    # determinant and one decomposition.  With dC, a stack (n, 3, 3) of
-    # directions, also the derivatives along each of the parts but isq
+    # determinant and one decomposition
     d = det(C_next)
     if not d > 0.0:
         raise DomainError(f"strain input must have det > 0, got {d}")
@@ -320,27 +310,15 @@ def _strain_parts(C_next, dC=None):
             "strain input is not positive definite", min_eigenvalue=float(w[0])
         )
     r = np.sqrt(w)
-    sq = (V * r) @ V.T
-    isq = (V / r) @ V.T
     Cbar_inv = sym((V / w) @ V.T, check=False)
-    parts = Cbar, sq, isq, Cbar_inv, Cbar_inv / scale
-    if dC is None:
-        return parts
-    C_inv = parts[4]
-    dCbar = dC / scale - (_tr_dot(C_inv, dC) / 3.0)[:, None, None] * Cbar
-    # sq dsq + dsq sq = dCbar, solved in Cbar's eigenbasis
-    dsq = V @ ((V.T @ dCbar @ V) / (r[:, None] + r)) @ V.T
-    # the derivative of an inverse A^-1 is -A^-1 dA A^-1
-    return parts, (dCbar, dsq, -Cbar_inv @ dCbar @ Cbar_inv, -C_inv @ dC @ C_inv)
+    return Cbar, (V * r) @ V.T, (V / r) @ V.T, Cbar_inv, Cbar_inv / scale
 
 
-def _stress_from_parts(C_inv, Cbar, Cbar_inv, Ci, params, d=None):
+def _stress_from_parts(C_inv, Cbar, Cbar_inv, Ci, params):
     # of one lane or each of a stack: the raw product c10 Cbar Ci^-1 - c01
     # Ci Cbar^-1 cancels badly near relaxed states (Ci ~ Cbar); rewriting it
     # through D = Ci - Cbar is algebraically identical and keeps the
-    # round-off at the size of D.  With d, the stacks (n, 3, 3) of the
-    # derivatives of C_inv, Cbar, Cbar_inv and Ci along n directions (one
-    # lane), the stress's derivatives along them instead
+    # round-off at the size of D
     if len(params) == 1:
         c10, c01 = params[0].c10, params[0].c01
         floor = (c10 + c01) * 1e-12
@@ -348,15 +326,7 @@ def _stress_from_parts(C_inv, Cbar, Cbar_inv, Ci, params, d=None):
         c10, c01 = np.array([(p.c10, p.c01) for p in params]).T[..., None, None]
         floor = ((c10 + c01) * 1e-12)[:, 0, 0]
     D = Ci - Cbar
-    Ci_inv = inverse(Ci)
-    term = c10 * (D @ Ci_inv) + c01 * (D @ Cbar_inv)
-    if d is not None:
-        dC_inv, dCbar, dCbar_inv, dCi = d
-        dD = dCi - dCbar
-        dterm = c10 * ((dD - D @ Ci_inv @ dCi) @ Ci_inv) + c01 * (
-            dD @ Cbar_inv + D @ dCbar_inv
-        )
-        return -sym(dC_inv @ deviator(term) + C_inv @ deviator(dterm), check=False)
+    term = c10 * (D @ inverse(Ci)) + c01 * (D @ Cbar_inv)
     scale = t3.norm(C_inv) * (t3.norm(term) + floor)
     return -sym(C_inv @ deviator(term), scale=scale)
 
@@ -403,7 +373,7 @@ def _det_residual(w, phi, eps):
     # R(phi) = det X(phi) - 1 over the spectrum w of the quadratic's input,
     # and its exact slope R' = -det X * sum_i 1/sqrt(phi^2 + 4 eps w_i),
     # which is always negative
-    det_x = math.prod(_root_eigvals(v, phi, eps, math.sqrt) for v in w)
+    det_x = math.prod(_root_eigvals(v, phi, eps) for v in w)
     slope = -det_x * sum(1.0 / math.sqrt(phi * phi + 4.0 * eps * v) for v in w)
     return det_x - 1.0, slope
 
@@ -414,7 +384,7 @@ def _correction_slope(w, phi, eps, r, slope, dw, dphi):
     # (n, 3)): r = det X - 1, slope = -det X sum_i 1/s_i, and each x_i moves
     # by (dw_i - x_i dphi)/s_i, where s_i = sqrt(phi^2 + 4 eps w_i)
     s = [math.sqrt(phi * phi + 4.0 * eps * v) for v in w]
-    x = [_root_eigvals(v, phi, eps, math.sqrt) for v in w]
+    x = [_root_eigvals(v, phi, eps) for v in w]
     det_x = r + 1.0
     dr = det_x * (dw @ [1.0 / (a * b) for a, b in zip(x, s)]) + slope * dphi
     # each 1/s_i moves by -(phi dphi + 2 eps dw_i)/s_i^3
@@ -466,7 +436,7 @@ def _root(w, beta, eps, corrections, name, dW=None):
         if dW is not None:
             dphi = _correction_slope(w, phi, eps, r, slope, dw, dphi)
         phi -= r / slope
-    x = [_root_eigvals(v, phi, eps, math.sqrt) for v in w]
+    x = [_root_eigvals(v, phi, eps) for v in w]
     if dW is None:
         return x, phi / scale
     return x, phi / scale, _root_slope(w, x, phi, eps, dW, dphi)
@@ -518,31 +488,42 @@ def _lagrangian_lanes(C_next, Ci, dt, params, corrections):
 
 def _lagrangian_tangent(C_next, Ci, dt, p, corrections, dC):
     # the exact derivatives of the closed-form step's stress along the
-    # directions dC (n, 3, 3) of C_next, Ci held fixed: the step's stages
-    # run once on C_next, each also carrying the derivatives as one stack
+    # directions dC (n, 3, 3) of C_next, Ci held fixed.  With s = cbrt(det
+    # C_next) and W = isq Ci isq = V diag(w) V^T, the basis N = isq V /
+    # sqrt(s) has N N^T = C_next^-1, N^T C_next N = I and N^T Ci N =
+    # diag(w)/s.  There the whole step is diagonal: the new state is
+    # diag(x~)/s, x~ = x/cbrt(x1 x2 x3), and the stress N diag(sigma) N^T,
+    # so each stage's derivative is elementwise
     beta, eps = _coefficients(dt, p)
     C_next = t3.require_spd(C_next, "C_next")
-    (Cbar, sq, isq, Cbar_inv, C_inv), (dCbar, dsq, dCbar_inv, dC_inv) = (
-        _strain_parts(C_next, dC)
-    )
-    # the congruence W = isq Ci isq (isq moves by -isq dsq isq) and its
-    # root X, the root's derivatives in W's eigenbasis V
-    W = sym(isq @ Ci @ isq, check=False)
-    G = -(isq @ dsq) @ W
-    w, V = np.linalg.eigh(W)
-    dW = V.T @ (G + G.swapaxes(1, 2)) @ V
-    x, _, dX = _root(w.tolist(), beta, eps, corrections, "quadratic input", dW)
-    X = (V * x) @ V.T
-    # the map back Ci_new = unimodular(Y), Y = sq X sq
-    Y = sym(sq @ X @ sq, check=False)
-    Ci_new = LagrangianState(unimodular(Y)).Ci
-    H = dsq @ (X @ sq)
-    sqV = sq @ V
-    dY = (H + H.swapaxes(1, 2) + sqV @ dX @ sqV.T) / np.cbrt(det(Y))
-    dCi = dY - (_tr_dot(inverse(Ci_new), dY) / 3.0)[:, None, None] * Ci_new
-    return _stress_from_parts(
-        C_inv, Cbar, Cbar_inv, Ci_new, [p], (dC_inv, dCbar, dCbar_inv, dCi)
-    )
+    _, sq, isq, _, _ = _strain_parts(C_next)
+    w, V = np.linalg.eigh(sym(isq @ Ci @ isq, check=False))
+    N = (isq @ V) / math.sqrt(np.cbrt(det(C_next)))
+    # the direction in the basis, Eh = N^T dC N: its trace 3e and deviator
+    # E, which moves W by -E_ij (w_i + w_j)/2
+    Eh = N.T @ dC @ N
+    e = np.trace(Eh, axis1=1, axis2=2)[:, None, None] / 3.0
+    E = Eh - e * np.eye(3)
+    w = w.tolist()
+    dW = -0.5 * np.add.outer(w, w) * E
+    x, _, dX = _root(w, beta, eps, corrections, "quadratic input", dW)
+    # the state as the step builds and checks it
+    LagrangianState(unimodular(sym(sq @ ((V * x) @ V.T) @ sq, check=False)))
+    # its projection x~ = x/c, c = cbrt(x1 x2 x3), moves by (dX - diag(x)
+    # sum_k dX_kk/x_k / 3)/c
+    x = np.array(x)
+    c = np.cbrt(x.prod())
+    dlog = dX.diagonal(axis1=1, axis2=2) @ (1.0 / x) / 3.0
+    dXt = (dX - dlog[:, None, None] * np.diag(x)) / c
+    x /= c
+    # the stress N diag(sigma) N^T, sigma = a - mean(a), a_i = c10/x~_i -
+    # c01 x~_i; a moves by dA (made traceless), and the basis with E and e
+    a = p.c10 / x - p.c01 * x
+    sigma = a - a.sum() / 3.0
+    dA = -(p.c10 / np.outer(x, x) + p.c01) * dXt
+    dA -= np.trace(dA, axis1=1, axis2=2)[:, None, None] / 3.0 * np.eye(3)
+    dS = dA - 0.5 * np.add.outer(sigma, sigma) * E - e * np.diag(sigma)
+    return N @ dS @ N.T
 
 
 def ifebm_step_lagrangian(

@@ -137,12 +137,20 @@ class LoadingProgram:
             table = self.keyframes
         else:
             raise DomainError(f"unknown loading program {self.kind!r}")
-        times = [float(t) for t, _ in table]
+        # the keyframe times and nine entries, read and checked once; the
+        # times span the domain
+        times, frames = [], []
+        for k, (t, F) in enumerate(table):
+            F = np.asarray(F, dtype=float)
+            if not (math.isfinite(t) and F.shape == (3, 3) and np.isfinite(F).all()):
+                raise DomainError(f"keyframe {k} needs a finite time and a finite 3x3 F")
+            if not t3.det(F) > 0.0:
+                raise DomainError(f"keyframe {k} needs det F > 0, got {t3.det(F)!r}")
+            times.append(float(t))
+            frames.append(F.ravel().tolist())
         if not all(a < b for a, b in zip(times, times[1:])):
             raise DomainError("keyframe times must be strictly increasing")
-        # the keyframe times and nine entries, read once; the times span the domain
         object.__setattr__(self, "_times", times)
-        frames = [np.asarray(F, dtype=float).ravel().tolist() for _, F in table]
         object.__setattr__(self, "_frames", frames)
 
     @property

@@ -48,6 +48,18 @@ def rand_unimodular(rng, lo=0.5, hi=2.0):
     return rand_rotation(rng) @ rand_unimodular_spd(rng, lo, hi)
 
 
+def rotated_strain(lam):
+    """``Q diag(lam) Q^T``, exactly symmetric, for the fixed rotation
+    ``Q = Rz(0.3) Ry(0.7) Rx(1.1)``."""
+    (cz, sz), (cy, sy), (cx, sx) = ((math.cos(a), math.sin(a)) for a in (0.3, 0.7, 1.1))
+    Rz = np.array([[cz, -sz, 0.0], [sz, cz, 0.0], [0.0, 0.0, 1.0]])
+    Ry = np.array([[cy, 0.0, sy], [0.0, 1.0, 0.0], [-sy, 0.0, cy]])
+    Rx = np.array([[1.0, 0.0, 0.0], [0.0, cx, -sx], [0.0, sx, cx]])
+    Q = Rz @ Ry @ Rx
+    C = (Q * np.array(lam)) @ Q.T
+    return (C + C.T) / 2.0
+
+
 def skewed_strain():
     """A strain ``(Q * lam) @ Q.T`` whose product leaves a skew part of
     3.5e-18, and its relaxed state ``sym(unimodular(sym(C)))``."""

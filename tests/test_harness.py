@@ -154,6 +154,23 @@ class TestCustomProgram:
             assert np.array_equal(C, C.T)
             assert np.abs(C - F.T @ F).max() <= np.spacing(np.linalg.norm(C))
 
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            ((1.0, np.eye(2)), r"keyframe 1 needs a finite time and a finite 3x3 F"),
+            ((1.0, np.full((3, 3), np.nan)), r"keyframe 1 needs a finite time"),
+            ((math.inf, np.eye(3)), r"keyframe 1 needs a finite time"),
+            ((1.0, -np.eye(3)), r"keyframe 1 needs det F > 0, got -1\.0"),
+        ],
+        ids=["shape", "nan", "time", "det"],
+    )
+    def test_keyframes_checked_at_construction(self, bad, match):
+        # each keyframe is checked when the program is built, and the error
+        # names it, not the interpolation at some later time
+        kf = ((0.0, np.eye(3)), bad, (2.0, np.eye(3)))
+        with pytest.raises(DomainError, match=match):
+            hn.LoadingProgram(kind="custom-keyframes", keyframes=kf)
+
     def test_domain_is_span_of_keyframe_times(self):
         # no backward extrapolation of the first segment below t0 = 1
         first = np.diag([2.0, 0.5, 1.0])

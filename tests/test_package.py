@@ -87,3 +87,19 @@ def test_histories_golden_gate(seed, fault, code, tmp_path):
     assert returncode == code, log
     result = json.loads(out.strip().splitlines()[-1])
     assert result["correct"] is (fault is None)
+
+
+@pytest.mark.parametrize(
+    "seed, fault, code",
+    [(1, None, 0), (4, None, 0), (15, None, 0), (16, None, 0), (20, None, 0),
+     (1, "stress", 1)],
+)
+def test_gauss_points_golden_gate(seed, fault, code, tmp_path):
+    # one second of the gauss-points workload: its gate holds the closed-form
+    # steps and their tangents to the golden pool.  Each seed replays six of
+    # the pool's 24 cases, and seeds 1, 4, 15, 16 and 20 together the whole
+    # pool; a corrupted stress must fail it
+    returncode, log, out = _perfbench("gauss-points", seed, fault, tmp_path)
+    assert returncode == code, log
+    result = json.loads(out.strip().splitlines()[-1])
+    assert result["correct"] is (fault is None)

@@ -1,5 +1,7 @@
 """Consistent tangent: vector conventions, differentiation, symmetry metric."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from conftest import (
     per_call,
     rand_spd,
     rand_unimodular_spd,
+    rotated_strain,
 )
 
 CLOSED_FORM = [ifebm_step_lagrangian, twoiter_step]
@@ -242,6 +245,22 @@ class TestLanePath:
                     MaterialParams(1.0, 1.0, 1e-10),
                 )
 
+    @pytest.mark.parametrize("stepper", CLOSED_FORM)
+    def test_raises_where_the_step_raises(self, stepper):
+        # the tangent builds and checks the step's state, so it raises the
+        # step's error where the step rejects its result (today on this
+        # strongly conditioned strain, a known gap), and succeeds where it
+        # succeeds
+        args = (rotated_strain([1000.0, 1.0, 0.001]), LagrangianState.identity(),
+                0.2, MaterialParams(0.7, 0.3, 0.1))
+        try:
+            stepper(*args)
+        except DomainError as err:
+            with pytest.raises(DomainError, match=re.escape(str(err))):
+                consistent_tangent(stepper, *args)
+        else:
+            assert np.isfinite(consistent_tangent(stepper, *args)).all()
+
     def test_two_eigh_calls(self, count_eigh):
         # one stacked decomposition of the twelve strains, one of their
         # congruences; the per-call loop makes two per strain
@@ -305,6 +324,54 @@ class TestExactTangent:
                 consistent_tangent(stepper, *args, h=1e-5),
                 consistent_tangent(per_call(stepper), *args, h=1e-5),
             )
+
+
+class TestAccuracy:
+    # fast flow on a strain with a spectrum spread of 1000: the tangent of a
+    # step with c10 = 0, eta = 1e-3 and dt = 1e5 (eps = 1e8) against one of
+    # the same algorithm (phi estimate, corrections) in 50-digit mpmath,
+    # central differences with h = 1e-20 along the six strain slots.  The
+    # finite-difference oracle cannot judge this: its own error estimate
+    # here is 0.3 (ifebm) and 0.04 (2iebm)
+    REFERENCE = {
+        ifebm_step_lagrangian: [
+            [1.416913509692e-08, 2.738921640442e-08, 5.756228072330e-09,
+             -1.963128656821e-08, 8.974862151071e-09, -1.245121832546e-08],
+            [2.738921640442e-08, 5.532023971413e-08, 1.122578418860e-08,
+             -3.878587598138e-08, 1.742261752119e-08, -2.471043358686e-08],
+            [5.756228072330e-09, 1.122578418860e-08, 2.516813078057e-09,
+             -8.010157997129e-09, 3.785722333359e-09, -5.277959684767e-09],
+            [-1.963128656821e-08, -3.878587598138e-08, -8.010157997130e-09,
+             2.749362796934e-08, -1.246034188141e-08, 1.747656903774e-08],
+            [8.974862151070e-09, 1.742261752119e-08, 3.785722333358e-09,
+             -1.246034188141e-08, 5.793451958672e-09, -8.056924423625e-09],
+            [-1.245121832546e-08, -2.471043358686e-08, -5.277959684767e-09,
+             1.747656903774e-08, -8.056924423625e-09, 1.132615355400e-08],
+        ],
+        twoiter_step: [
+            [7.181001021709e-08, 1.388156182885e-07, 2.917299669733e-08,
+             -9.949517923587e-08, 4.548578391712e-08, -6.310594071791e-08],
+            [1.388156182885e-07, 2.803716171613e-07, 5.689467271245e-08,
+             -1.965763125923e-07, 8.830311126871e-08, -1.252392416464e-07],
+            [2.917299669733e-08, 5.689467271244e-08, 1.275423066986e-08,
+             -4.059693183026e-08, 1.918564777239e-08, -2.674860285637e-08],
+            [-9.949517923587e-08, -1.965763125923e-07, -4.059693183026e-08,
+             1.393447938245e-07, -6.315218490546e-08, 8.857654044095e-08],
+            [4.548578391711e-08, 8.830311126870e-08, 1.918564777239e-08,
+             -6.315218490545e-08, 2.936165603801e-08, -4.083395253234e-08],
+            [-6.310594071792e-08, -1.252392416464e-07, -2.674860285638e-08,
+             8.857654044096e-08, -4.083395253235e-08, 5.740335838836e-08],
+        ],
+    }
+
+    @pytest.mark.parametrize("stepper", CLOSED_FORM)
+    def test_fast_flow_matches_extended_precision(self, stepper):
+        C = rotated_strain([40.0, 20.0, 0.04])
+        M = consistent_tangent(
+            stepper, C, LagrangianState.identity(), 1e5, MaterialParams(0.0, 1.0, 1e-3)
+        )
+        want = np.array(self.REFERENCE[stepper])
+        assert np.linalg.norm(M - want) <= 1e-5 * np.linalg.norm(want)
 
 
 class TestSymmetryDeviation:
