@@ -29,7 +29,8 @@ Five implicit time steppers are provided:
     iteration on the six symmetric components (baseline).
 ``em_step``
     Exponential-map integrator, also solved by Newton iteration
-    (baseline).
+    (baseline).  The flow is a scalar function of ``Cbar Ci^-1``, so its
+    exponential is interpolated on that tensor's three eigenvalues.
 
 The Newton-based baselines iterate from the previous state on the six
 packed components as Python floats, and bisect the step recursively where
@@ -583,10 +584,11 @@ def _newton_solve(residual, Ci_n, h):
     as the six packed components (11, 22, 33, 12, 13, 23) in floats.
 
     ``residual(x, Ci_n, h, delta)`` gives the floats ``x - pack(rhs(Ci))``
-    and a function for their forward-difference Jacobian of step delta (None
-    where those points leave the domain).  Returns the root, None when the
-    budget is spent or the admissible set left, and the iteration count.
-    Overflow, invalid values and float exceptions count as divergence.
+    and a function for their forward-difference Jacobian of step delta,
+    which raises where those points leave the domain.  Returns the root,
+    None when the budget is spent or the admissible set left, and the
+    iteration count.  Overflow, invalid values and float exceptions count as
+    divergence.
     """
     a = Ci_n.ravel().tolist()
     norm_n = math.hypot(*a)
@@ -610,8 +612,6 @@ def _newton_solve(residual, Ci_n, h):
                 Ci = t3.unpack_sym(np.array(x))
                 return (Ci if t3.is_spd(Ci) else None), iterations
             iterations += 1
-            if jacobian is None:
-                return None, iterations
             try:
                 step = np.linalg.solve(jacobian(), g)
             except (DomainError, ArithmeticError, np.linalg.LinAlgError):
@@ -642,20 +642,43 @@ def _substepping_solve(residual, Ci_n, dt, label, depth=0):
 
 
 def _newton_baseline(family, label, C_next, state, dt, p):
-    # the step of both Newton baselines; family(Cbar, p) gives the residual
+    # the step of both Newton baselines; family(Cbar, p) gives the value of
+    # the residual, value(x, n, h)
     _coefficients(dt, p)
     C_next = t3.require_spd(C_next, "C_next")
     Cbar = unimodular(C_next)
-    Ci_new, diag = _substepping_solve(family(Cbar, p), state.Ci, dt, label)
+    residual = _fd_residual(family(Cbar, p))
+    Ci_new, diag = _substepping_solve(residual, state.Ci, dt, label)
     state = LagrangianState(unimodular(Ci_new))
     T = _stress_from_parts(inverse(C_next), Cbar, inverse(Cbar), state.Ci, [p])
     return StepResult(state, T, diag)
 
 
+def _fd_residual(value):
+    # _newton_solve's residual from a Newton baseline's value(x, n, h), the
+    # six floats x - pack(rhs(Ci)) for Ci_n's nine entries n: the iterate is
+    # evaluated first, its six forward-difference points only when the
+    # Jacobian is asked for
+    def residual(x, Ci_n, h, delta):
+        n = Ci_n.ravel().tolist()
+        g = value(x, n, h)
+
+        def jacobian():
+            points = []
+            for j in range(6):
+                xj = list(x)
+                xj[j] += delta
+                points.append(value(xj, n, h))
+            return ((np.array(points) - g) / delta).T
+
+        return g, jacobian
+
+    return residual
+
+
 def _mebm_residual(Cbar, p):
-    # Ci - unimodular(Ci_n + h f(Ci) Ci), f(Ci) Ci = (c10 Cbar - c01 Ci Cbar^-1
-    # Ci - tr_part Ci) / eta, in straight-line float code; the six FD points
-    # are evaluated only when the Jacobian is asked for
+    # value(x, n, h) of Ci - unimodular(Ci_n + h f(Ci) Ci), f(Ci) Ci = (c10
+    # Cbar - c01 Ci Cbar^-1 Ci - tr_part Ci) / eta, in straight-line float code
     c = Cbar.ravel().tolist()
     b00, b01, b02, _, b11, b12, _, _, b22 = t3._inverse9(*c)
     q0, q1, q2, q3, q4, q5 = c[0], c[4], c[8], c[1], c[2], c[5]
@@ -698,48 +721,144 @@ def _mebm_residual(Cbar, p):
             a01 - m3 / r, a02 - m4 / r, a12 - m5 / r,
         ]
 
-    def residual(x, Ci_n, h, delta):
-        n = Ci_n.ravel().tolist()
-        g = value(x, n, h)
+    return value
 
-        def jacobian():
-            points = []
-            for j in range(6):
-                xj = list(x)
-                xj[j] += delta
-                points.append(value(xj, n, h))
-            return ((np.array(points) - g) / delta).T
 
-        return g, jacobian
+# a third of a turn
+_THIRD = 2.0 * math.pi / 3.0
 
-    return residual
+
+def _spectrum(p00, p01, p02, p10, p11, p12, p20, p21, p22):
+    # the eigenvalues w1 <= w2 <= w3 of a 3x3 P with a real spectrum (em's
+    # residual, the reference march), by the trigonometric formula on its
+    # deviator D: m = tr P/3, k2 = tr(D^2)/6, det(D)/2; all three are m where
+    # k2 is not positive
+    m = (p00 + p11 + p22) / 3.0
+    d0, d1, d2 = p00 - m, p11 - m, p22 - m
+    k2 = (d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (p01 * p10 + p02 * p20 + p12 * p21)) / 6.0
+    if not k2 > 0.0:
+        return m, m, m
+    r = math.sqrt(k2)
+    k3 = t3._det9(d0, p01, p02, p10, d1, p12, p20, p21, d2) / (2.0 * k2 * r)
+    angle, rad = math.acos(min(max(k3, -1.0), 1.0)) / 3.0, 2.0 * r
+    return (
+        m + rad * math.cos(angle + _THIRD),
+        m + rad * math.cos(angle + 2.0 * _THIRD),
+        m + rad * math.cos(angle),
+    )
+
+
+# the largest 1-norm of h f(Ci) that em exponentiates: exp overflows near 709
+_EXP_NORM_MAX = 700.0
+
+
+def _exp_slope(e1, e2, w1, w2, slope):
+    # the divided difference e[w1, w2] of e = exp(g), from e1 = e(w1), e2 =
+    # e(w2) and slope = (g(w2) - g(w1))/(w2 - w1): e1 expm1(D)/D slope with D
+    # = (w2 - w1) slope, which never cancels (limit 1 at D = 0); where expm1
+    # would overflow, (e2 - e1)/(w2 - w1), which then does not cancel either
+    d = (w2 - w1) * slope
+    if d == 0.0:
+        return e1 * slope
+    if abs(d) > _EXP_NORM_MAX:
+        return (e2 - e1) / (w2 - w1)
+    return e1 * math.expm1(d) / d * slope
 
 
 def _em_residual(Cbar, p):
-    # Ci - exp(h f(Ci)) Ci_n, the iterate and its six FD points as one
-    # (7, 3, 3) stack; exp would overflow beyond a 1-norm of 700, so mat_exp
-    # refuses such arguments, reported as divergence
-    Cbar_inv = inverse(Cbar)
+    # value(x, n, h) of Ci - sym(exp(h f(Ci)) Ci_n), in straight-line float
+    # code.  h f = g(P) is a scalar function of P = Cbar Ci^-1 alone (Ci
+    # Cbar^-1 = P^-1), g(s) = hs (c10 s - c01/s - tb), so exp(h f) = e(P), e
+    # = exp(g): Newton's interpolation e(w1) I + e[w1,w2] A + e[w1,w2,w3] A B,
+    # A = P - w1 I and B = P - w2 I, on the spectrum w1 <= w2 <= w3 of P,
+    # which is real since P is similar to Cbar^1/2 Ci^-1 Cbar^1/2 (the
+    # exponential map in principal axes of Simo & Miehe, CMAME 98, 1992).
+    # The Newton form keeps A and A B the size of the spread, where the
+    # monomials of P cancel near a relaxed state.  Beyond a 1-norm of h f of
+    # 700 the iterate is refused, reported as divergence
+    c = Cbar.ravel().tolist()
+    b00, b01, b02, _, b11, b12, _, _, b22 = t3._inverse9(*c)
+    q0, q1, q2, q3, q4, q5 = c[0], c[4], c[8], c[1], c[2], c[5]
+    c10, c01, eta = p.c10, p.c01, p.eta
 
-    def rhs(Ci, Ci_n, h):
-        flow = deviator(
-            (p.c10 * (Cbar @ inverse(Ci)) - p.c01 * (Ci @ Cbar_inv)) / p.eta
+    def value(x, n, h):
+        a00, a11, a22, a01, a02, a12 = x
+        i00, i01, i02, _, i11, i12, _, _, i22 = t3._inverse9(
+            a00, a01, a02, a01, a11, a12, a02, a12, a22
         )
-        return sym(t3.mat_exp(h * flow, max_norm=700.0) @ Ci_n, check=False)
+        # the rows of P = Cbar Ci^-1 and of R = Ci Cbar^-1
+        p00 = q0 * i00 + q3 * i01 + q4 * i02
+        p01 = q0 * i01 + q3 * i11 + q4 * i12
+        p02 = q0 * i02 + q3 * i12 + q4 * i22
+        p10 = q3 * i00 + q1 * i01 + q5 * i02
+        p11 = q3 * i01 + q1 * i11 + q5 * i12
+        p12 = q3 * i02 + q1 * i12 + q5 * i22
+        p20 = q4 * i00 + q5 * i01 + q2 * i02
+        p21 = q4 * i01 + q5 * i11 + q2 * i12
+        p22 = q4 * i02 + q5 * i12 + q2 * i22
+        r00 = a00 * b00 + a01 * b01 + a02 * b02
+        r01 = a00 * b01 + a01 * b11 + a02 * b12
+        r02 = a00 * b02 + a01 * b12 + a02 * b22
+        r10 = a01 * b00 + a11 * b01 + a12 * b02
+        r11 = a01 * b01 + a11 * b11 + a12 * b12
+        r12 = a01 * b02 + a11 * b12 + a12 * b22
+        r20 = a02 * b00 + a12 * b01 + a22 * b02
+        r21 = a02 * b01 + a12 * b11 + a22 * b12
+        r22 = a02 * b02 + a12 * b12 + a22 * b22
+        # the 1-norm of h f = hs dev(c10 P - c01 R), column by column
+        hs = h / eta
+        tb = (c10 * (p00 + p11 + p22) - c01 * (r00 + r11 + r22)) / 3.0
+        norm1 = hs * max(
+            abs(c10 * p00 - c01 * r00 - tb) + abs(c10 * p10 - c01 * r10)
+            + abs(c10 * p20 - c01 * r20),
+            abs(c10 * p01 - c01 * r01) + abs(c10 * p11 - c01 * r11 - tb)
+            + abs(c10 * p21 - c01 * r21),
+            abs(c10 * p02 - c01 * r02) + abs(c10 * p12 - c01 * r12)
+            + abs(c10 * p22 - c01 * r22 - tb),
+        )
+        if not norm1 <= _EXP_NORM_MAX:
+            raise DomainError(f"exponent 1-norm {norm1:.3e} exceeds {_EXP_NORM_MAX:g}")
+        w1, w2, w3 = _spectrum(p00, p01, p02, p10, p11, p12, p20, p21, p22)
+        # e1 = e(w1), e[w1,w2] and e[w2,w3] with g's exact slopes, e[w1,w2,w3]
+        e1 = math.exp(hs * (c10 * w1 - c01 / w1 - tb))
+        e2 = math.exp(hs * (c10 * w2 - c01 / w2 - tb))
+        e3 = math.exp(hs * (c10 * w3 - c01 / w3 - tb))
+        s12 = _exp_slope(e1, e2, w1, w2, hs * (c10 + c01 / (w1 * w2)))
+        s23 = _exp_slope(e2, e3, w2, w3, hs * (c10 + c01 / (w2 * w3)))
+        s123 = (s23 - s12) / (w3 - w1) if w3 != w1 else 0.0
+        # A N and A (B N) for N = Ci_n, B N = A N - (w2 - w1) N
+        n00, n01, n02, _, n11, n12, _, _, n22 = n
+        d0, d1, d2, dw = p00 - w1, p11 - w1, p22 - w1, w2 - w1
+        u00 = d0 * n00 + p01 * n01 + p02 * n02
+        u01 = d0 * n01 + p01 * n11 + p02 * n12
+        u02 = d0 * n02 + p01 * n12 + p02 * n22
+        u10 = p10 * n00 + d1 * n01 + p12 * n02
+        u11 = p10 * n01 + d1 * n11 + p12 * n12
+        u12 = p10 * n02 + d1 * n12 + p12 * n22
+        u20 = p20 * n00 + p21 * n01 + d2 * n02
+        u21 = p20 * n01 + p21 * n11 + d2 * n12
+        u22 = p20 * n02 + p21 * n12 + d2 * n22
+        v00, v01, v02 = u00 - dw * n00, u01 - dw * n01, u02 - dw * n02
+        v10, v11, v12 = u10 - dw * n01, u11 - dw * n11, u12 - dw * n12
+        v20, v21, v22 = u20 - dw * n02, u21 - dw * n12, u22 - dw * n22
+        # sym(E N) = e1 N + s12 sym(A N) + s123 sym(A B N), upper triangle
+        k1, k2 = s12 / 2.0, s123 / 2.0
+        return [
+            a00 - (e1 * n00 + s12 * u00 + s123 * (d0 * v00 + p01 * v10 + p02 * v20)),
+            a11 - (e1 * n11 + s12 * u11 + s123 * (p10 * v01 + d1 * v11 + p12 * v21)),
+            a22 - (e1 * n22 + s12 * u22 + s123 * (p20 * v02 + p21 * v12 + d2 * v22)),
+            a01 - (e1 * n01 + k1 * (u01 + u10) + k2 * (
+                (d0 * v01 + p01 * v11 + p02 * v21) + (p10 * v00 + d1 * v10 + p12 * v20)
+            )),
+            a02 - (e1 * n02 + k1 * (u02 + u20) + k2 * (
+                (d0 * v02 + p01 * v12 + p02 * v22) + (p20 * v00 + p21 * v10 + d2 * v20)
+            )),
+            a12 - (e1 * n12 + k1 * (u12 + u21) + k2 * (
+                (p10 * v02 + d1 * v12 + p12 * v22) + (p20 * v01 + p21 * v11 + d2 * v21)
+            )),
+        ]
 
-    def residual(x, Ci_n, h, delta):
-        xs = np.array([x] * 7)
-        xs.flat[6::7] += delta
-        Cs = t3.unpack_sym(xs)
-        try:
-            G = t3.pack_sym(Cs - rhs(Cs, Ci_n, h))
-        except DomainError:
-            # a point left the domain: the iterate's own value decides
-            # whether the solve failed or converged before the Jacobian
-            return t3.pack_sym(Cs[0] - rhs(Cs[0], Ci_n, h)).tolist(), None
-        return G[0].tolist(), lambda: ((G[1:] - G[0]) / delta).T
-
-    return residual
+    return value
 
 
 def mebm_step(
@@ -759,10 +878,15 @@ def em_step(
 ) -> StepResult:
     """Exponential-map integrator (Newton baseline).
 
-    Solves ``Ci = exp(dt * f(Ci)) Ci_n``.  The flow ``f`` is traceless,
-    so the exponential is volume preserving up to round-off; the result
-    is projected with :func:`~mrmaxwell.tensor3.unimodular` for
-    exactness.  Same Newton and substepping policy as :func:`mebm_step`.
+    Solves ``Ci = exp(dt * f(Ci)) Ci_n``.  The flow ``f`` is a scalar
+    function of ``P = Cbar Ci^-1``, so the exponential is evaluated in the
+    principal axes of ``P``: Newton's interpolation of ``exp(dt g)`` on the
+    three eigenvalues of ``P``, with no eigenvectors and no matrix series.
+    A flow whose 1-norm times dt exceeds 700 counts as a divergence.  The
+    flow is traceless, so the exponential is volume preserving up to
+    round-off; the result is projected with
+    :func:`~mrmaxwell.tensor3.unimodular` for exactness.  Same Newton and
+    substepping policy as :func:`mebm_step`.
     """
     return _newton_baseline(_em_residual, "em", C_next, state, dt, p)
 
@@ -826,15 +950,7 @@ def _march_substep(C, a, beta, eps):
     p20 = a02 * b00 + a12 * b01 + a22 * b02
     p21 = a02 * b01 + a12 * b11 + a22 * b12
     p22 = a02 * b02 + a12 * b12 + a22 * b22
-    # the spectrum from P's deviator D: m = tr P/3, k2 = tr(D^2)/6, det(D)/2
-    m = (p00 + p11 + p22) / 3.0
-    d0, d1, d2 = p00 - m, p11 - m, p22 - m
-    k2 = (d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (p01 * p10 + p02 * p20 + p12 * p21)) / 6.0
-    w1 = w2 = w3 = m
-    if k2 > 0.0:
-        k3 = t3._det9(d0, p01, p02, p10, d1, p12, p20, p21, d2) / (2.0 * k2 * math.sqrt(k2))
-        angle, rad = math.acos(min(max(k3, -1.0), 1.0)) / 3.0, 2.0 * math.sqrt(k2)
-        w1, w2, w3 = (m + rad * math.cos(angle + k * math.pi / 3.0) for k in (2, 4, 0))
+    w1, w2, w3 = _spectrum(p00, p01, p02, p10, p11, p12, p20, p21, p22)
     if not w3 <= _SPREAD_MAX * w1:
         _, sq, isq, _, _ = _strain_parts(C)
         Ci, _ = _ci_update(t3.unpack_sym(np.array(a)), sq, isq, [(beta, eps)], 0)

@@ -34,6 +34,7 @@ from mrmaxwell.constitutive import (
     _coefficients,
     _det_residual,
     _em_residual,
+    _fd_residual,
     _march_substep,
     _mebm_residual,
     _newton_solve,
@@ -470,18 +471,42 @@ def _mebm_rhs(Cbar, p):
     return rhs
 
 
-def _em_rhs(Cbar, p):
-    # em's right-hand side exp(h f(Ci)) Ci_n of one Ci, as _em_residual
-    # evaluates it on each member of its stack
-    Cbar_inv = t3.inverse(Cbar)
+def _em_flow(Cbar, p, Ci):
+    # em's flow f(Ci) = dev(c10 Cbar Ci^-1 - c01 Ci Cbar^-1) / eta
+    return t3.deviator(
+        (p.c10 * (Cbar @ t3.inverse(Ci)) - p.c01 * (Ci @ t3.inverse(Cbar))) / p.eta
+    )
 
+
+def _em_rhs(Cbar, p):
+    # em's right-hand side sym(exp(h f(Ci)) Ci_n) through tensor3.mat_exp,
+    # the oracle of _em_residual's spectral interpolation
     def rhs(Ci, Ci_n, h):
-        flow = t3.deviator(
-            (p.c10 * (Cbar @ t3.inverse(Ci)) - p.c01 * (Ci @ Cbar_inv)) / p.eta
-        )
-        return sym(t3.mat_exp(h * flow, max_norm=700.0) @ Ci_n)
+        return sym(t3.mat_exp(h * _em_flow(Cbar, p, Ci), max_norm=700.0) @ Ci_n)
 
     return rhs
+
+
+def _em_error(Cbar, p, x, Ci_n, h, g):
+    # em's float residual g at x against the oracle, relative to the largest
+    # entry of the right-hand side, and the 1-norm of h f: the exponential's
+    # round-off grows with it, on either path.  None where the oracle refuses
+    Ci = t3.unpack_sym(np.array(x))
+    try:
+        value = _em_rhs(Cbar, p)(Ci, Ci_n, h)
+    except DomainError:
+        return None
+    error = np.abs(np.array(g) - t3.pack_sym(Ci - value)).max()
+    norm1 = float(np.abs(h * _em_flow(Cbar, p, Ci)).sum(axis=0).max())
+    return error / np.abs(value).max(), norm1
+
+
+def _check_em(errors, at_least):
+    # 1e-14 relative, times the 1-norm of h f beyond 1
+    checked = [e for e in errors if e is not None]
+    assert len(checked) >= at_least
+    for error, norm1 in checked:
+        assert error <= 1e-14 * max(1.0, norm1)
 
 
 def _columnwise_jacobian(residual, x, g, delta, Ci_n, h):
@@ -531,15 +556,16 @@ class TestStackedJacobian:
     ]
 
     def test_matches_columnwise_jacobian(self):
-        # bit equality of em's residual with its one-tensor oracle, and of
-        # each family's Jacobian with one residual per column, along Newton
-        # iterates, including the divergent ones of the bisecting points
-        checked = 0
+        # em's residual within round-off of its mat_exp oracle, and bit
+        # equality of each family's Jacobian with one residual per column,
+        # along Newton iterates, including the divergent ones of the
+        # bisecting points
+        checked, em_errors = 0, []
         for C, Ci_n in _baseline_points():
             Cbar = sym(t3.unimodular(C))
-            for family, oracle in ((_mebm_residual, None), (_em_residual, _em_rhs)):
+            for family in (_mebm_residual, _em_residual):
                 for dt in (0.5, 1.0):
-                    residual = family(Cbar, P111)
+                    residual = _fd_residual(family(Cbar, P111))
                     x = t3.pack_sym(Ci_n).tolist()
                     for _ in range(4):
                         Ci = t3.unpack_sym(np.array(x))
@@ -551,14 +577,14 @@ class TestStackedJacobian:
                             )
                         except DomainError:
                             break
-                        if oracle is not None:
-                            value = oracle(Cbar, P111)(Ci, Ci_n, dt)
-                            assert g == t3.pack_sym(Ci - value).tolist()
+                        if family is _em_residual:
+                            em_errors.append(_em_error(Cbar, P111, x, Ci_n, dt, g))
                         got = jacobian()
                         assert np.array_equal(got, want)
                         checked += 1
                         x = (np.array(x) - np.linalg.solve(got, g)).tolist()
         assert checked >= 60
+        _check_em(em_errors, 25)
 
     def test_effort_unchanged(self):
         for (C, Ci), row in zip(_baseline_points(), self.EFFORT):
@@ -577,7 +603,7 @@ class TestMebmFloatResidual:
         # forms lose digits alike where the terms cancel); None where both
         # leave the domain
         Cbar = sym(t3.unimodular(C))
-        residual = _mebm_residual(Cbar, p)
+        residual = _fd_residual(_mebm_residual(Cbar, p))
         x = t3.pack_sym(Ci).tolist()
         try:
             value = _mebm_rhs(Cbar, p)(Ci, Ci_n, dt)
@@ -627,6 +653,115 @@ class TestMebmFloatResidual:
             p = MaterialParams(float(c10), float(c01), float(eta))
             errors.append(self._error(C, Ci, Ci_n, dt, p))
         self._check(errors, 100)
+
+
+class TestEmFloatResidual:
+    @staticmethod
+    def _errors(Cbar, p, points, h):
+        # em's float residual at each (Ci, Ci_n) of points, against the oracle
+        value = _em_residual(Cbar, p)
+        errors = []
+        for Ci, Ci_n in points:
+            x = t3.pack_sym(Ci).tolist()
+            g = value(x, Ci_n.ravel().tolist(), h)
+            assert all(map(math.isfinite, g))
+            errors.append(_em_error(Cbar, p, x, Ci_n, h, g))
+        return errors
+
+    def test_seeded_points(self, rng):
+        errors = []
+        for _ in range(300):
+            C = rand_spd(rng, 0.2, 5.0)
+            Ci_n = rand_unimodular_spd(rng, 0.2, 5.0)
+            Ci = Ci_n + 0.1 * sym(rng.standard_normal((3, 3)))
+            dt = float(rng.uniform(0.0, 2.0))
+            c10, c01, eta = rng.uniform(0.0, 2.0, 3) + [0.1, 0.0, 0.05]
+            p = MaterialParams(float(c10), float(c01), float(eta))
+            Cbar = sym(t3.unimodular(C))
+            x = t3.pack_sym(Ci).tolist()
+            try:
+                g = _em_residual(Cbar, p)(x, Ci_n.ravel().tolist(), dt)
+            except DomainError:
+                # refused exactly where the oracle refuses
+                assert _em_error(Cbar, p, x, Ci_n, dt, [0.0] * 6) is None
+                continue
+            errors.append(_em_error(Cbar, p, x, Ci_n, dt, g))
+        _check_em(errors, 250)
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_near_relaxed_state(self, rotated):
+        # the hard step diag(8, 1, 1/8) at eta = 1e-3 solves h = 0.0625 (h/eta
+        # = 62.5) near its relaxed state, where P = Cbar Ci^-1 spreads by
+        # 2e-7: e[w1,w2,w3] is then about 2e3 and the monomials of P cancel
+        # to 1e-11, while A and A B stay the size of the spread
+        lam = np.array([8.0, 1.0, 0.125])
+        strain = rotated_strain if rotated else np.diag
+        Cbar = sym(t3.unimodular(strain(lam)))
+        Ci = sym(t3.unimodular(strain(lam * [1.0 + 1e-7, 1.0, 1.0 - 1e-7])))
+        w = np.linalg.eigvals(Cbar @ np.linalg.inv(Ci)).real
+        assert 1.5e-7 < w.max() - w.min() < 2.5e-7
+        p = MaterialParams(1.0, 1.0, 1e-3)
+        (error, _), = self._errors(Cbar, p, [(Ci, np.eye(3))], 0.0625)
+        assert error <= 1e-12
+
+    @pytest.mark.parametrize("a", [0.5, 2.0])
+    def test_repeated_eigenvalues(self, a, rng):
+        # P = I exactly (Ci = Cbar = I), P = I up to round-off (Ci = Cbar),
+        # and a double eigenvalue (Cbar = diag(a, a, a^-2), Ci = I)
+        Cbar = rand_unimodular_spd(rng)
+        Ci_n = rand_unimodular_spd(rng)
+        cases = [
+            (np.eye(3), np.eye(3)),
+            (Cbar, Cbar),
+            (np.diag([a, a, a**-2]), np.eye(3)),
+            (rotated_strain([a, a, a**-2]), np.eye(3)),
+        ]
+        errors = []
+        for Cb, Ci in cases:
+            for h in (0.0, 0.3, 3.0):
+                errors += self._errors(Cb, P111, [(Ci, Ci_n), (Ci, np.eye(3))], h)
+        _check_em(errors, 24)
+
+    @pytest.mark.parametrize("c01", [0.0, 0.3])
+    @pytest.mark.parametrize("q", [(1.0, 1.0, 1.0), (2.0, 1.0, 0.5)])
+    def test_exponents_beyond_expm1_range(self, c01, q):
+        # P = diag(0.6, 0.75, 1/0.45) and h such that the 1-norm of h f is
+        # 699: the exponents span about 1100, and those of e[w2,w3] more than
+        # 709 (expm1 would overflow), yet every value is finite.  At an
+        # exponent near 700 one unit in the last place of it moves exp by
+        # 1.1e-13 relative, so the oracle is met to 1e-15 times the 1-norm
+        lam = np.array([0.6, 0.75, 1.0 / 0.45])
+        p = MaterialParams(1.0, c01, 1.0)
+        Cbar = np.diag(q)
+        Ci = sym(t3.unimodular(np.diag(q / lam)))
+        g = lam - c01 / lam
+        g -= g.mean()
+        h = float(699.0 / np.abs(g).max())
+        assert h * np.diff(g).max() > 900.0 and h * np.ptp(g) > 1000.0
+        Ci_n = sym(t3.unimodular(rotated_strain([2.0, 1.0, 0.5])))
+        for error, norm1 in self._errors(Cbar, p, [(Ci, np.eye(3)), (Ci, Ci_n)], h):
+            assert 698.0 < norm1 <= 700.0
+            assert error <= 1e-15 * norm1
+
+    def test_criterion_2_plans_keep_their_effort(self):
+        # the histogram of (iterations, substeps, divergences) over the first
+        # 500 em inputs of criterion 2 (rand_spd and rand_unimodular_spd in
+        # [0.5, 2], dt log-uniform up to 0.5), as the mat_exp residual gave it
+        rng = np.random.default_rng(102)
+        counts = {}
+        for k in range(500):
+            C = rand_spd(rng, 0.5, 2.0)
+            Ci = rand_unimodular_spd(rng, 0.5, 2.0)
+            if k < 2:
+                dt = (0.0, 0.5)[k]
+            else:
+                dt = float(np.exp(rng.uniform(math.log(1e-3), math.log(0.5))))
+            d = em_step(C, LagrangianState(Ci), dt, P111).diagnostics
+            key = (d.iterations, d.substeps, d.divergences)
+            counts[key] = counts.get(key, 0) + 1
+        assert counts == {
+            (0, 0, 0): 1, (2, 0, 0): 247, (3, 0, 0): 181, (4, 0, 0): 65, (5, 0, 0): 6
+        }
 
 
 class TestNewtonDomainFailures:
@@ -701,26 +836,40 @@ class TestNewtonDomainFailures:
         assert _newton_solve(failing, 2.0 * self.I, 1.0) == (None, 0)
         assert _newton_solve(failing_jacobian, 2.0 * self.I, 1.0) == (None, 1)
 
-    def test_em_stack_refused_falls_back_to_the_iterate(self, monkeypatch):
-        # mat_exp refusing the (7, 3, 3) stack: the iterate's own value,
-        # without a Jacobian, decides whether the solve converged or failed
-        C, Ci_n = _baseline_points()[0]
-        Cbar = sym(t3.unimodular(C))
-        mat_exp = t3.mat_exp
+    # em refuses a 1-norm of h f beyond 700, where exp would overflow, as
+    # mat_exp does
+    def test_em_iterate_beyond_the_norm_bound(self):
+        # h f(I) = h dev(diag(4, 1, 1/4) - diag(1/4, 1, 4)) has 1-norm 3.75 h
+        residual = _fd_residual(_em_residual(np.diag([4.0, 1.0, 0.25]), P111))
+        with pytest.raises(DomainError, match="1-norm 7.500e"):
+            residual([1.0, 1.0, 1.0, 0.0, 0.0, 0.0], self.I, 200.0, 1e-7)
+        assert _newton_solve(residual, self.I, 200.0) == (None, 0)
 
-        def refusing_stacks(A, max_norm):
-            if A.ndim > 2:
-                raise DomainError("a point outside")
-            return mat_exp(A, max_norm)
+    def test_em_jacobian_point_beyond_the_norm_bound(self):
+        # the iterate's C12 + delta point is nearly singular (det about
+        # 1/1000 of the iterate's), so its 1-norm of h f is about 1000 times
+        # the iterate's: the iterate has a value, the point is refused
+        x = [1.0, 1.0, 1.0, 1.0, 0.0, 0.0]
+        delta = 1e-7 * math.hypot(*x, x[3], x[4], x[5])
+        x[1] += (2.0 * delta + delta * delta) * 1000.0 / 999.0
+        Ci_n = t3.unpack_sym(np.array(x))
+        residual = _fd_residual(_em_residual(self.I, P111))
+        g, jacobian = residual(x, Ci_n, 1e-6, delta)
+        assert 1e-3 < math.hypot(*g) < 1e3
+        with pytest.raises(DomainError, match="1-norm"):
+            jacobian()
+        assert _newton_solve(residual, Ci_n, 1e-6) == (None, 1)
 
-        monkeypatch.setattr(t3, "mat_exp", refusing_stacks)
-        residual = _em_residual(Cbar, P111)
-        g, jacobian = residual(t3.pack_sym(Ci_n).tolist(), Ci_n, 0.5, 1e-7)
-        value = _em_rhs(Cbar, P111)(Ci_n, Ci_n, 0.5)
-        assert jacobian is None and g == t3.pack_sym(Ci_n - value).tolist()
-        assert _newton_solve(residual, Ci_n, 0.5) == (None, 1)
-        Ci, iterations = _newton_solve(residual, Ci_n, 0.0)
-        assert iterations == 0 and np.array_equal(Ci, Ci_n)
+    def test_em_converged_iterate_needs_no_jacobian(self):
+        # at Ci = Cbar = I the flow is exactly zero, so the iterate solves
+        # the step at once; its points, at h = 1e12, are all refused
+        residual = _fd_residual(_em_residual(self.I, P111))
+        g, jacobian = residual([1.0, 1.0, 1.0, 0.0, 0.0, 0.0], self.I, 1e12, 1e-7)
+        assert g == [0.0] * 6
+        with pytest.raises(DomainError, match="1-norm"):
+            jacobian()
+        Ci, iterations = _newton_solve(residual, self.I, 1e12)
+        assert iterations == 0 and np.array_equal(Ci, self.I)
 
     def test_bisection_depth_exhausted(self):
         C = np.diag([8.0, 1.0, 1.0 / 8.0])

@@ -66,12 +66,16 @@ def _perfbench(workload, seed, fault, tmp_path):
     return proc.returncode, proc.stdout[-2000:] + proc.stderr, proc.stdout
 
 
-@pytest.mark.parametrize("fault, code", [(None, 0), ("stress", 1)])
-def test_newton_golden_gate(fault, code, tmp_path):
-    # one second of the newton-baselines workload: its gate holds every
-    # mebm/em step to the golden states and stresses (1e-10 relative), and
-    # a corrupted stress must fail it
-    returncode, log, out = _perfbench("newton-baselines", 1, fault, tmp_path)
+@pytest.mark.parametrize(
+    "seed, fault, code",
+    [(1, None, 0), (22, None, 0), (33, None, 0), (48, None, 0), (1, "stress", 1)],
+)
+def test_newton_golden_gate(seed, fault, code, tmp_path):
+    # one second of the newton-baselines workload: its gate holds the mebm/em
+    # steps to the golden states and stresses (1e-10 relative).  Each seed
+    # replays eight of the pool's 24 cases (the odd ones are em), and seeds
+    # 1, 22, 33 and 48 together the whole pool; a corrupted stress must fail it
+    returncode, log, out = _perfbench("newton-baselines", seed, fault, tmp_path)
     assert returncode == code, log
     result = json.loads(out.strip().splitlines()[-1])
     assert result["correct"] is (fault is None)
