@@ -40,6 +40,7 @@ Newton fails.  The closed-form steppers never iterate and never substep.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -112,7 +113,14 @@ def _check_manifold(A, name):
         raise DomainError(f"{name} is not positive definite")
     d = t3._det9(*a)
     if abs(d - 1.0) > _DET_ONE_TOL:
-        raise DomainError(f"{name} must be unimodular, det = {d!r}")
+        # the cofactor expansion rounds by a few eps times the sum kappa of
+        # its six products' magnitudes, which a strongly conditioned state
+        # makes far larger than 1
+        a00, a01, a02, a10, a11, a12, a20, a21, a22 = a
+        kappa = abs(a00 * a11 * a22) + abs(a00 * a12 * a21) + abs(a01 * a10 * a22)
+        kappa += abs(a01 * a12 * a20) + abs(a02 * a10 * a21) + abs(a02 * a11 * a20)
+        if abs(d - 1.0) > 16.0 * sys.float_info.epsilon * kappa:
+            raise DomainError(f"{name} must be unimodular, det = {d!r}")
 
 
 @dataclass(frozen=True)
@@ -167,12 +175,15 @@ class StepDiagnostics:
     ``divergences`` their abandoned Newton attempts; both stay 0 on the
     iteration-free paths.  ``phi`` is only set by the steppers that solve
     the tensor quadratic; at a dt so large that it overflows it is infinite.
+    ``det_residual`` is ``|det X(phi) - 1|`` of their root before the
+    unimodular projection removes it (``None`` for the Newton baselines).
     """
 
     phi: Optional[float] = None
     iterations: int = 0
     substeps: int = 0
     divergences: int = 0
+    det_residual: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -379,40 +390,29 @@ def _det_residual(w, phi, eps):
     return det_x - 1.0, slope
 
 
-def _correction_slope(w, phi, eps, r, slope, dw, dphi):
-    # the derivatives of one Newton correction phi - r/slope along n
-    # directions, from those of phi (dphi, (n,)) and of the spectrum w (dw,
-    # (n, 3)): r = det X - 1, slope = -det X sum_i 1/s_i, and each x_i moves
-    # by (dw_i - x_i dphi)/s_i, where s_i = sqrt(phi^2 + 4 eps w_i)
+def _correction_slope(w, phi, eps, r, slope, g):
+    # the gradient with respect to w of one Newton correction phi - r/slope,
+    # from that of phi (g): r = det X - 1, slope = -det X sum_i 1/s_i, and
+    # each x_i moves by (dw_i - x_i dphi)/s_i, where s_i = sqrt(phi^2 + 4 eps
+    # w_i); each 1/s_i moves by -(phi dphi + 2 eps dw_i)/s_i^3
     s = [math.sqrt(phi * phi + 4.0 * eps * v) for v in w]
     x = [_root_eigvals(v, phi, eps) for v in w]
-    det_x = r + 1.0
-    dr = det_x * (dw @ [1.0 / (a * b) for a, b in zip(x, s)]) + slope * dphi
-    # each 1/s_i moves by -(phi dphi + 2 eps dw_i)/s_i^3
-    cubes = [1.0 / (b * b * b) for b in s]
-    dslope = det_x * (phi * sum(cubes) * dphi + 2.0 * eps * (dw @ cubes)) - dr * sum(
-        1.0 / b for b in s
-    )
-    return dphi - (dr - r / slope * dslope) / slope
+    det_x, inv, cubes = r + 1.0, sum(1.0 / b for b in s), [1.0 / (b * b * b) for b in s]
+    out = []
+    for gi, xi, si, ci in zip(g, x, s, cubes):
+        dr = det_x / (xi * si) + slope * gi
+        dslope = det_x * (phi * sum(cubes) * gi + 2.0 * eps * ci) - dr * inv
+        out.append(gi - (dr - r / slope * dslope) / slope)
+    return out
 
 
-def _root_slope(w, x, phi, eps, dW, dphi):
-    # the derivatives of X along the directions dW (n, 3, 3), all in W's
-    # eigenbasis: the divided differences (x_i - x_j)/(w_i - w_j) of the
-    # root are 2/(s_i + s_j), with no 0/0 at repeated w, and x_i moves by
-    # -x_i/s_i per unit of phi
-    s = [math.sqrt(phi * phi + 4.0 * eps * v) for v in w]
-    dX = dW * [[2.0 / (a + b) for b in s] for a in s]
-    return dX - dphi[:, None, None] * np.diag([a / b for a, b in zip(x, s)])
-
-
-def _root(w, beta, eps, corrections, name, dW=None):
+def _root(w, beta, eps, corrections, name, slopes=False):
     # one lane's eigenvalues of X and phi (estimate, then `corrections`
     # Newton steps on det X(phi) = 1) from the spectrum w of W, the state's
     # congruence; that of the state plus beta times the strain is exactly
-    # W + beta I, so beta shifts w without entering the assembly.  With dW,
-    # a stack (n, 3, 3) of directions of W in its eigenbasis, also the
-    # derivatives of X along them in that basis
+    # W + beta I, so beta shifts w without entering the assembly.  With
+    # slopes, also s_i = sqrt(phi^2 + 4 eps (w_i + beta)) and the gradient of
+    # phi with respect to w, which the scaling below leaves unchanged
     if not w[0] > 0.0:
         raise DomainError(f"{name} lost positive definiteness", min_eigenvalue=w[0])
     w = [w[0] + beta, w[1] + beta, w[2] + beta]
@@ -426,43 +426,51 @@ def _root(w, beta, eps, corrections, name, dW=None):
     eps *= scale
     phi, phi0 = _phi_estimate(w, eps, scale)
     w = [w[0] * scale, w[1] * scale, w[2] * scale]
-    if dW is not None:
-        # derivatives in the scaled units too; the estimate phi0 - a, a =
-        # tr eps/(3 phi0), has the slope (phi0 + a)/(3 w_i) - eps/(3 phi0)
-        dW = dW * scale
-        dw = dW.diagonal(axis1=1, axis2=2)
-        dphi = dw @ [(2.0 * phi0 - phi) / (3.0 * v) - eps / (3.0 * phi0) for v in w]
+    if slopes:
+        # the estimate phi0 - a, a = tr eps/(3 phi0), has the slope (phi0 +
+        # a)/(3 w_i) - eps/(3 phi0)
+        g = [(2.0 * phi0 - phi) / (3.0 * v) - eps / (3.0 * phi0) for v in w]
     for _ in range(corrections):
         r, slope = _det_residual(w, phi, eps)
-        if dW is not None:
-            dphi = _correction_slope(w, phi, eps, r, slope, dw, dphi)
+        if slopes:
+            g = _correction_slope(w, phi, eps, r, slope, g)
         phi -= r / slope
     x = [_root_eigvals(v, phi, eps) for v in w]
-    if dW is None:
+    if not slopes:
         return x, phi / scale
-    return x, phi / scale, _root_slope(w, x, phi, eps, dW, dphi)
+    s = [math.sqrt(phi * phi + 4.0 * eps * v) / scale for v in w]
+    return x, phi / scale, s, g
 
 
 def _closed_form_root(W, coeffs, corrections, name):
     # the root X of phi X = (W + beta I) - eps X^2 of one W or of each of a
-    # stack (n, 3, 3), and the list of phi; coeffs holds one (beta, eps)
-    # per lane; W is isq Ci isq, or G^T Be^-1 G
+    # stack (n, 3, 3), and the list of the lanes' StepDiagnostics, with the
+    # residual |x1 x2 x3 - 1| that the projection removes; coeffs holds one
+    # (beta, eps) per lane; W is isq Ci isq, or G^T Be^-1 G
     w, V = np.linalg.eigh(W)
     if W.ndim == 2:
         x, phi = _root(w.tolist(), *coeffs[0], corrections, name)
-        return (V * x) @ V.T, [phi]
+        return (V * x) @ V.T, [_diagnostics(x, phi, corrections)]
     lanes = zip(w.tolist(), coeffs, strict=True)
-    x, phi = zip(*[_root(w_k, *c, corrections, name) for w_k, c in lanes])
-    return (V * np.array(x)[:, None, :]) @ V.swapaxes(1, 2), list(phi)
+    roots = [_root(w_k, *c, corrections, name) for w_k, c in lanes]
+    x = np.array([x_k for x_k, _ in roots])
+    diagnostics = [_diagnostics(x_k, phi, corrections) for x_k, phi in roots]
+    return (V * x[:, None, :]) @ V.swapaxes(1, 2), diagnostics
+
+
+def _diagnostics(x, phi, corrections):
+    # a closed-form lane's diagnostics from its root's eigenvalues x and phi
+    return StepDiagnostics(phi, corrections, det_residual=abs(x[0] * x[1] * x[2] - 1.0))
 
 
 def _ci_update(Ci, sq, isq, coeffs, corrections):
     # the closed-form update of Ci (of one lane or each of a stack) towards
     # a strain whose unimodular part has the square root sq (inverse isq):
-    # the root X on isq Ci isq, mapped back as unimodular(sq X sq); and phi
+    # the root X on isq Ci isq, mapped back as unimodular(sq X sq); and the
+    # lanes' diagnostics
     W = sym(isq @ Ci @ isq, check=False)
-    X, phi = _closed_form_root(W, coeffs, corrections, "quadratic input")
-    return unimodular(sym(sq @ X @ sq, check=False)), phi
+    X, diagnostics = _closed_form_root(W, coeffs, corrections, "quadratic input")
+    return unimodular(sym(sq @ X @ sq, check=False)), diagnostics
 
 
 def _lagrangian_lanes(C_next, Ci, dt, params, corrections):
@@ -473,58 +481,99 @@ def _lagrangian_lanes(C_next, Ci, dt, params, corrections):
     coeffs = [_coefficients(dt, p) for p in params]
     C_next = t3.require_spd(C_next, "C_next")
     Cbar, sq, isq, Cbar_inv, C_inv = _strain_parts(C_next)
-    Ci_new, phis = _ci_update(Ci, sq, isq, coeffs, corrections)
+    Ci_new, diagnostics = _ci_update(Ci, sq, isq, coeffs, corrections)
     if Ci_new.ndim == 2:
         state = LagrangianState(Ci_new)
         stress = _stress_from_parts(C_inv, Cbar, Cbar_inv, Ci_new, params)
-        diagnostics = StepDiagnostics(phi=phis[0], iterations=corrections)
-        return StepResult(state, stress, diagnostics)
+        return StepResult(state, stress, diagnostics[0])
     states = [LagrangianState(A) for A in Ci_new]
     stresses = _stress_from_parts(C_inv, Cbar, Cbar_inv, Ci_new, params)
     return [
-        StepResult(state, T, StepDiagnostics(phi=phi, iterations=corrections))
-        for state, T, phi in zip(states, stresses, phis)
+        StepResult(state, T, d) for state, T, d in zip(states, stresses, diagnostics)
     ]
 
 
-def _lagrangian_tangent(C_next, Ci, dt, p, corrections, dC):
-    # the exact derivatives of the closed-form step's stress along the
-    # directions dC (n, 3, 3) of C_next, Ci held fixed.  With s = cbrt(det
-    # C_next) and W = isq Ci isq = V diag(w) V^T, the basis N = isq V /
-    # sqrt(s) has N N^T = C_next^-1, N^T C_next N = I and N^T Ci N =
-    # diag(w)/s.  There the whole step is diagonal: the new state is
-    # diag(x~)/s, x~ = x/cbrt(x1 x2 x3), and the stress N diag(sigma) N^T,
-    # so each stage's derivative is elementwise
+def _inverse_cholesky(a):
+    # L^-1 of the Cholesky factor L L^T of the nine entries a, on floats; a
+    # pivot <= 0 is a strain that is not positive definite
+    l00 = math.sqrt(a[0])
+    l10, l20 = a[3] / l00, a[6] / l00
+    pivot = a[4] - l10 * l10
+    # a first pivot <= 0 makes the second nan
+    l11 = math.sqrt(pivot) if pivot > 0.0 else math.nan
+    l21 = (a[7] - l20 * l10) / l11
+    pivot = a[8] - l20 * l20 - l21 * l21
+    if not pivot > 0.0:
+        raise DomainError("strain input is not positive definite")
+    m00, m11, m22 = 1.0 / l00, 1.0 / l11, 1.0 / math.sqrt(pivot)
+    m10 = -l10 * m00 * m11
+    m20, m21 = -(l20 * m00 + l21 * m10) * m22, -l21 * m11 * m22
+    return np.array([m00, 0.0, 0.0, m10, m11, 0.0, m20, m21, m22]).reshape(3, 3)
+
+
+def _centered(v):
+    # the three floats v less their mean
+    m = (v[0] + v[1] + v[2]) / 3.0
+    return [v[0] - m, v[1] - m, v[2] - m]
+
+
+def _principal_block(w, x, s, g, p):
+    # the 6x6 derivative of the packed components (11, 22, 33, 12, 13, 23) of
+    # dS = N^T dT N, N the basis of _lagrangian_tangent, in those of Eh = N^T
+    # dC N, from the spectra w of W and x of X, s_i = sqrt(phi^2 + 4 eps (w_i
+    # + beta)) and the gradient g of phi in w.  The stress has the components
+    # sigma = P a, a_i = c10/x~_i - c01 x~_i, x~ = x/cbrt(x1 x2 x3), P the
+    # deviatoric projector.  The diagonal E = P Eh moves w by dw = -w E, phi by
+    # g . dw and log x by (dw/x - dphi)/s, so log x~ by -Z Eh, Z = P (diag(w/(x
+    # s)) - (1/s) (g w)^T) P, and a by m Z Eh, m_i = c10/x~_i + c01 x~_i; dS
+    # moves by P da less sigma_a Eh_aa as the basis moves with Eh.  A shear
+    # pair ab moves W by -Eh_ab (w_a + w_b)/2 and X by 2/(s_a + s_b) times
+    # that, so dS_ab = G_ab Eh_ab
+    c10, c01 = p.c10, p.c01
+    c = float(np.cbrt(x[0] * x[1] * x[2]))
+    xt = [v / c for v in x]
+    sigma = _centered([c10 / v - c01 * v for v in xt])
+    m = [c10 / v + c01 * v for v in xt]
+    y = [a / (v * b) for a, v, b in zip(w, x, s)]
+    r = _centered([1.0 / b for b in s])
+    gw = _centered([a * b for a, b in zip(g, w)])
+    # P diag(y) P = diag(y) - (y_a + y_b)/3 + sum(y)/9
+    y9 = (y[0] + y[1] + y[2]) / 9.0
+    Z = [[y9 - (y[i] + y[j]) / 3.0 - r[i] * gw[j] for j in range(3)] for i in range(3)]
+    for i in range(3):
+        Z[i][i] += y[i]
+    means = [(m[0] * Z[0][j] + m[1] * Z[1][j] + m[2] * Z[2][j]) / 3.0 for j in range(3)]
+    G = [
+        (c10 / (xt[i] * xt[j]) + c01) * (w[i] + w[j]) / (c * (s[i] + s[j]))
+        - (sigma[i] + sigma[j]) / 2.0
+        for i, j in ((0, 1), (0, 2), (1, 2))
+    ]
+    D = np.diag([-sigma[0], -sigma[1], -sigma[2], *G])
+    D[:3, :3] += [[m[i] * Z[i][j] - means[j] for j in range(3)] for i in range(3)]
+    return D
+
+
+def _lagrangian_tangent(C_next, Ci, dt, p, corrections):
+    # the exact derivative of the closed-form step's stress, Ci held fixed, as
+    # the principal basis N and the block of _principal_block.  With Cbar =
+    # C_next/cbrt(det C_next) = L L^T and L^-1 Ci L^-T = U diag(w) U^T, w is
+    # the spectrum of the step's congruence W, and N = L^-T U / sqrt(cbrt(det
+    # C_next)) has N^T C_next N = I and N^T Ci N = diag(w)/cbrt(det C_next):
+    # there the whole step is diagonal
     beta, eps = _coefficients(dt, p)
     C_next = t3.require_spd(C_next, "C_next")
-    _, sq, isq, _, _ = _strain_parts(C_next)
-    w, V = np.linalg.eigh(sym(isq @ Ci @ isq, check=False))
-    N = (isq @ V) / math.sqrt(np.cbrt(det(C_next)))
-    # the direction in the basis, Eh = N^T dC N: its trace 3e and deviator
-    # E, which moves W by -E_ij (w_i + w_j)/2
-    Eh = N.T @ dC @ N
-    e = np.trace(Eh, axis1=1, axis2=2)[:, None, None] / 3.0
-    E = Eh - e * np.eye(3)
+    cbrt_det = np.cbrt(det(C_next))
+    Cbar = C_next / cbrt_det
+    Linv = _inverse_cholesky(Cbar.ravel().tolist())
+    w, U = np.linalg.eigh(Linv @ Ci @ Linv.T)
     w = w.tolist()
-    dW = -0.5 * np.add.outer(w, w) * E
-    x, _, dX = _root(w, beta, eps, corrections, "quadratic input", dW)
-    # the state as the step builds and checks it
-    LagrangianState(unimodular(sym(sq @ ((V * x) @ V.T) @ sq, check=False)))
-    # its projection x~ = x/c, c = cbrt(x1 x2 x3), moves by (dX - diag(x)
-    # sum_k dX_kk/x_k / 3)/c
-    x = np.array(x)
-    c = np.cbrt(x.prod())
-    dlog = dX.diagonal(axis1=1, axis2=2) @ (1.0 / x) / 3.0
-    dXt = (dX - dlog[:, None, None] * np.diag(x)) / c
-    x /= c
-    # the stress N diag(sigma) N^T, sigma = a - mean(a), a_i = c10/x~_i -
-    # c01 x~_i; a moves by dA (made traceless), and the basis with E and e
-    a = p.c10 / x - p.c01 * x
-    sigma = a - a.sum() / 3.0
-    dA = -(p.c10 / np.outer(x, x) + p.c01) * dXt
-    dA -= np.trace(dA, axis1=1, axis2=2)[:, None, None] / 3.0 * np.eye(3)
-    dS = dA - 0.5 * np.add.outer(sigma, sigma) * E - e * np.diag(sigma)
-    return N @ dS @ N.T
+    x, _, s, g = _root(w, beta, eps, corrections, "quadratic input", slopes=True)
+    # the state as the step builds and checks it: sq X sq = B diag(x) B^T, B
+    # = L U = Cbar L^-T U
+    LU = Linv.T @ U
+    B = Cbar @ LU
+    LagrangianState(unimodular(sym((B * x) @ B.T, check=False)))
+    return LU / math.sqrt(cbrt_det), _principal_block(w, x, s, g, p)
 
 
 def ifebm_step_lagrangian(
@@ -564,14 +613,14 @@ def ifebm_step_eulerian(
     if not np.isfinite(F_next).all() or not det(F_next) > 0.0:
         raise DomainError("F_next must be finite with positive determinant")
     G = inverse(unimodular(F_next @ inverse(state.F_prev)))
-    X, (phi,) = _closed_form_root(
+    X, (diagnostics,) = _closed_form_root(
         sym(G.T @ state.Be_inv_bar @ G, check=False), [(beta, eps)], 0, "trial state"
     )
     Be_inv_new = unimodular(sym(X, check=False))
     return StepResult(
         EulerianState(Be_inv_new, F_next),
         kirchhoff_eulerian(Be_inv_new, p),
-        StepDiagnostics(phi=phi),
+        diagnostics,
     )
 
 

@@ -60,8 +60,12 @@ def voigt_to_strain(v: np.ndarray) -> np.ndarray:
     return t3.unpack_sym(np.asarray(v) / _STRAIN_WEIGHT)
 
 
-# the strain-vector slots as directions of C: slot j moved by one
-_SLOT_DIRECTIONS = voigt_to_strain(np.eye(6))
+# the flat indices into a 3x3 N of N_ia, N_jb, N_ib and N_ja over the packed
+# pairs ij (rows) and ab (columns), in the order (11, 22, 33, 12, 13, 23)
+_I, _J = np.divmod(t3._PACK, 3)
+_Q_INDEX = (
+    3 * np.array([_I, _J, _I, _J])[:, :, None] + np.array([_I, _J, _J, _I])[:, None]
+)
 
 
 def _perturbed_strains(C, h):
@@ -87,32 +91,40 @@ def consistent_tangent(
     -> StepResult``; the state entering the step is held fixed.  With
     ``h = None`` and a closed-form stepper (``ifebm_step_lagrangian``,
     ``twoiter_step``) the result is the exact derivative of the discrete
-    update: one step, with the derivatives along the six strain slots
-    carried through it.  Otherwise it is taken by central differences with
-    step ``h``, calling the stepper once per perturbed strain; the default
-    ``h = 1e-6 * max(||C||_F, 1)`` sits near the double-precision optimum.
-    If a perturbed strain loses positive definiteness the step is shrunk
-    once by a factor 10, after which DomainError is raised.
+    update, taken in the basis where the step is diagonal: one
+    eigendecomposition, a 3x3 block and three shear moduli, mapped to the
+    stress and strain vectors by one 6x6 congruence.  Otherwise it is taken
+    by central differences with step ``h``, calling the stepper once per
+    perturbed strain; the default ``h = 1e-6 * max(||C||_F, 1)`` sits near
+    the double-precision optimum.  A non-finite strain or ``h`` is refused
+    before any strain is perturbed.  If a perturbed strain loses positive
+    definiteness the step is shrunk once by a factor 10, after which
+    DomainError is raised.
     """
     corrections = _CORRECTIONS.get(stepper)
     if h is None and corrections is not None:
-        dT = stress_to_voigt(
-            _lagrangian_tangent(
-                C_next, state.Ci, dt, p, corrections, _SLOT_DIRECTIONS
-            )
-        )
-    else:
-        dT = _central_differences(stepper, C_next, state, dt, p, h)
+        N, D = _lagrangian_tangent(C_next, state.Ci, dt, p, corrections)
+        # with Q[ij, ab] = (N_ia N_jb + N_ib N_ja)/2, the packed components
+        # of N A N^T are Q (wt a) for those a of a symmetric A, and those of
+        # N^T dC N are Q^T v for the strain vector v of dC
+        ia, jb, ib, ja = N.take(_Q_INDEX)
+        Q = (ia * jb + ib * ja) / 2.0
+        return (Q * _STRAIN_WEIGHT) @ D @ Q.T
+    dT = _central_differences(stepper, C_next, state, dt, p, h)
     # row-major, as callers' norms sum in memory order
     return np.ascontiguousarray(dT.T)
 
 
 def _central_differences(stepper, C_next, state, dt, p, h):
     # row j: the stress vector's central difference along strain slot j
+    if not np.isfinite(C_next).all():
+        raise DomainError("C_next has non-finite entries")
     if h is None:
         h = 1e-6 * max(float(np.linalg.norm(C_next)), 1.0)
-    if not h > 0.0:
-        raise DomainError("finite-difference step h must be positive")
+    if not 0.0 < h < np.inf:
+        raise DomainError(
+            f"finite-difference step h must be finite and positive, got {h!r}"
+        )
 
     for attempt in (h, h / 10.0):
         Cs = _perturbed_strains(C_next, attempt)

@@ -193,6 +193,7 @@ class TestLanePath:
         ):
             assert np.array_equal(a, b)
         assert lanes.branch_diagnostics == loop.branch_diagnostics
+        assert all(d.det_residual >= 0.0 for d in lanes.branch_diagnostics)
         assert len(lanes.branch_stresses) == len(model.branches)
         return lanes
 
@@ -257,8 +258,8 @@ class TestLanePath:
         W = np.array([np.eye(3), 2.0 * np.eye(3)])
         with pytest.raises(ValueError):
             _closed_form_root(W, [(0.1, 0.1)], 0, "W")
-        X, phis = _closed_form_root(W, [(0.1, 0.1)] * 2, 0, "W")
-        assert len(phis) == 2 and X.shape == (2, 3, 3)
+        X, diagnostics = _closed_form_root(W, [(0.1, 0.1)] * 2, 0, "W")
+        assert len(diagnostics) == 2 and X.shape == (2, 3, 3)
 
     def test_strain_prepared_once(self, count_eigh):
         # one decomposition of the shared strain and one of the four

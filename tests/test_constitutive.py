@@ -326,6 +326,10 @@ class TestIfebmEulerian:
             # states related by the push-forward map
             Ci_from_eul = t3.unimodular(sym(F.T @ eul.Be_inv_bar @ F))
             assert np.linalg.norm(Ci_from_eul - lag.Ci) < 1e-11
+            # and roots of the same determinant
+            assert re.diagnostics.det_residual == pytest.approx(
+                rl.diagnostics.det_residual, rel=1e-6, abs=1e-13
+            )
 
     def test_state_from_lagrangian_pair(self, rng):
         F = rand_unimodular(rng)
@@ -397,6 +401,36 @@ class TestTwoiter:
         ) / (2.0 * h)
         assert slope < 0.0
         assert abs(slope - central) <= 1e-6 * abs(slope)
+
+
+class TestDetResidual:
+    # |det X(phi) - 1| of the closed-form root, which the unimodular
+    # projection removes from the state
+
+    def test_matches_the_root_at_phi(self, rng):
+        # criterion-2 inputs (eigenvalues in [0.5, 2]) with dt in [0.1, 1):
+        # two corrections still leave more than 1e-8 on some
+        worst = {ifebm_step_lagrangian: 0.0, twoiter_step: 0.0}
+        for _ in range(40):
+            C = rand_spd(rng, 0.5, 2.0)
+            Ci = rand_unimodular_spd(rng, 0.5, 2.0)
+            dt = float(rng.uniform(0.1, 1.0))
+            Cbar, _, isq, _, _ = _strain_parts(C)
+            A = sym(isq @ (Ci + dt * Cbar) @ isq)
+            for step in worst:
+                d = step(C, LagrangianState(Ci), dt, P111).diagnostics
+                assert d.det_residual == pytest.approx(
+                    abs(residual_R(d.phi, A, dt)), rel=1e-6, abs=1e-14
+                )
+                worst[step] = max(worst[step], d.det_residual)
+        assert worst[twoiter_step] > 1e-8
+        assert worst[ifebm_step_lagrangian] > 1e3 * worst[twoiter_step]
+
+    @pytest.mark.parametrize("method", ["mebm", "em"])
+    def test_newton_baselines_report_none(self, method, rng):
+        step = mm.LAGRANGIAN_STEPPERS[method]
+        d = step(rand_spd(rng), LagrangianState.identity(), 0.1, P111).diagnostics
+        assert d.det_residual is None
 
 
 class TestNewtonBaselines:
@@ -970,20 +1004,31 @@ class TestManifoldPreservation:
             assert abs(t3.det(res.state.Ci) - 1.0) < 1e-12
             assert np.linalg.eigvalsh(res.state.Ci)[0] > 0.0
 
-    @pytest.mark.xfail(
-        raises=DomainError,
-        strict=True,
-        reason="the projected state is unimodular to round-off, but at a "
-        "condition number near 1e6 its computed det misses 1 by more than "
-        "the state's absolute 1e-12 tolerance",
-    )
     def test_strongly_conditioned_strain(self):
-        # C with spectrum (1000, 1, 0.001): the step rejects its own result
-        # with "Ci must be unimodular, det = 0.9999999999897682"
+        # C with spectrum (1000, 1, 0.001): the projected state's computed det
+        # misses 1 by 1.0e-11, which the round-off of its cofactor expansion
+        # explains at a condition number near 1e6
         C = rotated_strain([1000.0, 1.0, 0.001])
         p = MaterialParams(0.7, 0.3, 0.1)
         res = ifebm_step_lagrangian(C, LagrangianState.identity(), 0.2, p)
+        assert abs(t3.det(res.state.Ci) - 1.0) > 1e-12
         assert np.linalg.eigvalsh(res.state.Ci)[0] > 0.0
+
+    def test_unimodular_tolerance_scales_with_conditioning(self):
+        # det within 16 eps times the magnitude of the cofactor expansion
+        # (2.4e-7 at this conditioning), or 1e-12 where that is larger
+        wide = rotated_strain([1000.0, 1.0, 0.001])
+        assert abs(t3.det(wide) - 1.0) > 1e-12
+        LagrangianState(wide)
+        EulerianState(wide, np.eye(3))
+        off = rotated_strain([2.0, 1.0, 0.5 + 5e-12])
+        assert 0.9e-11 < t3.det(off) - 1.0 < 1.1e-11
+        with pytest.raises(DomainError, match="Ci must be unimodular"):
+            LagrangianState(off)
+        with pytest.raises(DomainError, match="Be_inv_bar must be unimodular"):
+            EulerianState(off, np.eye(3))
+        with pytest.raises(DomainError, match="Ci must be unimodular"):
+            LagrangianState(1.00001 * wide)
 
 
 _FIVE_STEPPERS = {
@@ -1048,7 +1093,7 @@ class TestHugeSteps:
             beta = 0.0 if log_beta is None else math.exp(rng.uniform(*log_beta))
             eps = math.exp(rng.uniform(*log_eps))
             corrections = 2 * (k % 2)
-            X, (phi,) = _closed_form_root(W, [(beta, eps)], corrections, "W")
+            X, (d,) = _closed_form_root(W, [(beta, eps)], corrections, "W")
             w, V = np.linalg.eigh(W)
             w = (w + beta).tolist()
             phi0 = float(np.cbrt(w[0] * w[1] * w[2]))
@@ -1057,8 +1102,9 @@ class TestHugeSteps:
                 r, slope = _det_residual(w, expect, eps)
                 expect -= r / slope
             x = [_root_eigvals(v, expect, eps) for v in w]
-            assert phi == expect
+            assert d.phi == expect
             assert np.array_equal(X, (V * x) @ V.T)
+            assert d.det_residual == abs(x[0] * x[1] * x[2] - 1.0)
 
 
 class TestSmoothness:
@@ -1108,7 +1154,8 @@ class TestImplicitConsistency:
             beta = dt * P111.c10 / P111.eta
             eps = dt * P111.c01 / P111.eta
             Cbar, sq, isq, Cbar_inv, _ = _strain_parts(C)
-            X, (phi,) = _closed_form_root(sym(isq @ Ci_n @ isq), [(beta, eps)], 0, "W")
+            X, (d,) = _closed_form_root(sym(isq @ Ci_n @ isq), [(beta, eps)], 0, "W")
+            phi = d.phi
             Ci_star = sym(sq @ X @ sq)  # before projection
             # phi Ci* = Ci_n + beta Cbar - eps Ci* Cbar^-1 Ci*
             resid = (

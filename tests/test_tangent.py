@@ -1,5 +1,6 @@
 """Consistent tangent: vector conventions, differentiation, symmetry metric."""
 
+import math
 import re
 
 import numpy as np
@@ -20,6 +21,8 @@ from mrmaxwell import (
     voigt_to_stress,
 )
 from mrmaxwell import tensor3 as t3
+from mrmaxwell import constitutive
+from mrmaxwell.constitutive import _inverse_cholesky
 from mrmaxwell.tangent import _perturbed_strains
 
 from conftest import (
@@ -186,11 +189,36 @@ class TestConsistentTangent:
                 h=0.0,
             )
 
+    @pytest.mark.parametrize("h", [math.inf, math.nan])
+    def test_non_finite_h_rejected_by_name(self, h):
+        # before any strain is perturbed: an infinite h made every strain
+        # look indefinite
+        with pytest.raises(
+            DomainError, match="finite-difference step h must be finite and positive"
+        ):
+            consistent_tangent(
+                ifebm_step_lagrangian, np.eye(3), LagrangianState.identity(), 0.1,
+                MaterialParams(1.0, 1.0, 1.0), h=h,
+            )
+
+    @pytest.mark.parametrize(
+        "stepper,value",
+        [(per_call(ifebm_step_lagrangian), math.nan), (mebm_step, math.inf)],
+        ids=["nan", "inf"],
+    )
+    def test_non_finite_strain_rejected_by_name(self, stepper, value):
+        # before any strain is perturbed: no numpy warning, no message about h
+        C = np.diag([1.2, 1.0, 0.9])
+        C[1, 1] = value
+        with pytest.raises(DomainError, match="C_next has non-finite entries"):
+            consistent_tangent(
+                stepper, C, LagrangianState.identity(), 0.1, MaterialParams(1, 1, 1)
+            )
+
 
 class TestLanePath:
-    # ifebm and 2iebm carry the six strain slots through one step as a
-    # (6, 3, 3) stack of directions; the result must match the per-call
-    # finite-difference oracle
+    # ifebm and 2iebm take the exact tangent in the principal basis of the
+    # step; the result must match the per-call finite-difference oracle
 
     @pytest.mark.parametrize("stepper", CLOSED_FORM)
     def test_random_points(self, stepper, rng):
@@ -245,31 +273,83 @@ class TestLanePath:
                     MaterialParams(1.0, 1.0, 1e-10),
                 )
 
-    @pytest.mark.parametrize("stepper", CLOSED_FORM)
-    def test_raises_where_the_step_raises(self, stepper):
+    @staticmethod
+    def same_outcome(stepper, *args):
         # the tangent builds and checks the step's state, so it raises the
-        # step's error where the step rejects its result (today on this
-        # strongly conditioned strain, a known gap), and succeeds where it
-        # succeeds
-        args = (rotated_strain([1000.0, 1.0, 0.001]), LagrangianState.identity(),
-                0.2, MaterialParams(0.7, 0.3, 0.1))
+        # step's error where the step rejects its result, and succeeds where
+        # it succeeds; True on success
         try:
             stepper(*args)
         except DomainError as err:
             with pytest.raises(DomainError, match=re.escape(str(err))):
                 consistent_tangent(stepper, *args)
-        else:
-            assert np.isfinite(consistent_tangent(stepper, *args)).all()
+            return False
+        assert np.isfinite(consistent_tangent(stepper, *args)).all()
+        return True
 
-    def test_two_eigh_calls(self, count_eigh):
-        # one stacked decomposition of the twelve strains, one of their
-        # congruences; the per-call loop makes two per strain
+    @pytest.mark.parametrize("stepper", CLOSED_FORM)
+    def test_raises_where_the_step_raises(self, stepper):
+        # a strongly conditioned strain, whose state both accept
+        args = (rotated_strain([1000.0, 1.0, 0.001]), LagrangianState.identity(),
+                0.2, MaterialParams(0.7, 0.3, 0.1))
+        assert self.same_outcome(stepper, *args)
+        bad = invalid_state(np.diag([2.0, -1.0, -0.5]))
+        assert not self.same_outcome(stepper, args[0], bad, *args[2:])
+        assert not self.same_outcome(stepper, np.diag([1.0, -1.0, 1.0]), *args[1:])
+
+    def test_cholesky_pivots(self, rng):
+        # L^-1 of Cbar = L L^T from floats; a first or a last pivot <= 0 is
+        # refused with the step's message
+        for _ in range(20):
+            A = rand_spd(rng)
+            Linv = _inverse_cholesky(A.ravel().tolist())
+            assert np.array_equal(Linv, np.tril(Linv))
+            assert np.abs(Linv @ A @ Linv.T - np.eye(3)).max() < 1e-14
+        for A in ([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                  [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0]]):
+            with pytest.raises(DomainError, match="strain input is not positive definite"):
+                _inverse_cholesky(np.ravel(A).tolist())
+
+    @pytest.mark.parametrize("stepper", CLOSED_FORM)
+    def test_state_is_checked(self, stepper, monkeypatch):
+        # a root with two negative eigenvalues keeps det > 0, so only the
+        # state's own check refuses it, in the step and in the tangent
+        root = constitutive._root
+
+        def indefinite(*args, **kwargs):
+            x, *rest = root(*args, **kwargs)
+            return ([-x[0], -x[1], x[2]], *rest)
+
+        monkeypatch.setattr(constitutive, "_root", indefinite)
         args = (np.diag([1.2, 1.0, 0.9]), LagrangianState.identity(), 0.1,
                 MaterialParams(1.0, 1.0, 1.0))
-        consistent_tangent(ifebm_step_lagrangian, *args)
-        assert len(count_eigh) == 2
-        consistent_tangent(per_call(ifebm_step_lagrangian), *args)
-        assert len(count_eigh) == 2 + 24
+        with pytest.raises(DomainError, match="Ci is not positive definite"):
+            stepper(*args)
+        assert not self.same_outcome(stepper, *args)
+
+    @pytest.mark.parametrize("stepper", CLOSED_FORM)
+    def test_strongly_conditioned_sweep(self, stepper, rng):
+        # strains with eigenvalues in [1e-3, 1e3] and states in [1e-2, 1e2]:
+        # the step and the tangent agree on every input, and accept all
+        for _ in range(100):
+            C = rand_spd(rng, 1e-3, 1e3)
+            state = LagrangianState(rand_unimodular_spd(rng, 1e-2, 1e2))
+            c10, c01 = rng.uniform(0.0, 1.0, 2)
+            p = MaterialParams(float(c10), float(c01), float(np.exp(rng.uniform(-5, 5))))
+            dt = float(np.exp(rng.uniform(np.log(1e-4), np.log(1e4))))
+            assert self.same_outcome(stepper, C, state, dt, p)
+
+    def test_one_eigh_call(self, count_eigh):
+        # one decomposition of the state in the strain's Cholesky basis; the
+        # central differences make two per perturbed strain
+        args = (np.diag([1.2, 1.0, 0.9]), LagrangianState.identity(), 0.1,
+                MaterialParams(1.0, 1.0, 1.0))
+        for stepper in CLOSED_FORM:
+            count_eigh.clear()
+            consistent_tangent(stepper, *args)
+            assert len(count_eigh) == 1
+            consistent_tangent(per_call(stepper), *args)
+            assert len(count_eigh) == 1 + 24
 
 
 class TestExactTangent:
