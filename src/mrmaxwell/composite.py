@@ -45,7 +45,7 @@ from .constitutive import (
     ifebm_step_lagrangian,
     stress_2pk,
 )
-from .constitutive import _CORRECTIONS, _lagrangian_lanes
+from .constitutive import _CORRECTIONS, _lagrangian_lanes, _sym_stress
 
 __all__ = [
     "EquilibriumParams",
@@ -123,7 +123,8 @@ def equilibrium_stress(C: np.ndarray, p: EquilibriumParams) -> np.ndarray:
     C_inv = inverse(C)
     Cbar_inv = inverse(Cbar)
     scale = t3.norm(C_inv) * (p.c10 * t3.norm(Cbar) + p.c01 * t3.norm(Cbar_inv))
-    iso = sym(C_inv @ deviator(p.c10 * Cbar - p.c01 * Cbar_inv), scale=scale)
+    M = C_inv @ deviator(p.c10 * Cbar - p.c01 * Cbar_inv)
+    iso = _sym_stress(M, scale, Cbar, Cbar_inv)
     if p.incompressible:
         return iso
     d = det(C)

@@ -111,6 +111,12 @@ def _check_manifold(A, name):
         raise DomainError(f"{name} must be exactly symmetric (use tensor3.sym)")
     if not t3._is_spd9(*a):
         raise DomainError(f"{name} is not positive definite")
+    _check_det_one(a, name)
+
+
+def _check_det_one(a, name):
+    # the nine entries a of a state or a stress law's argument have det 1,
+    # within the round-off of the determinant itself
     d = t3._det9(*a)
     if abs(d - 1.0) > _DET_ONE_TOL:
         # the cofactor expansion rounds by a few eps times the sum kappa of
@@ -212,8 +218,7 @@ def stress_2pk(C: np.ndarray, Ci: np.ndarray, p: MaterialParams) -> np.ndarray:
     """
     C = t3.require_spd(C, "C")
     Ci = t3.require_spd(Ci, "Ci")
-    if abs(det(Ci) - 1.0) > 1e-10:
-        raise DomainError("Ci must be unimodular within 1e-10")
+    _check_det_one(Ci.ravel().tolist(), "Ci")
     Cbar = unimodular(C)
     return _stress_from_parts(inverse(C), Cbar, inverse(Cbar), Ci, [p])
 
@@ -222,8 +227,7 @@ def kirchhoff_eulerian(Be_inv_bar: np.ndarray, p: MaterialParams) -> np.ndarray:
     """Kirchhoff stress from the unimodular inverse elastic left
     Cauchy-Green tensor (purely deviatoric)."""
     t3.require_spd(Be_inv_bar, "Be_inv_bar")
-    if abs(det(Be_inv_bar) - 1.0) > 1e-10:
-        raise DomainError("Be_inv_bar must be unimodular within 1e-10")
+    _check_det_one(Be_inv_bar.ravel().tolist(), "Be_inv_bar")
     Be_bar = inverse(Be_inv_bar)
     return p.c10 * deviator(Be_bar) - p.c01 * deviator(Be_inv_bar)
 
@@ -340,7 +344,20 @@ def _stress_from_parts(C_inv, Cbar, Cbar_inv, Ci, params):
     D = Ci - Cbar
     term = c10 * (D @ inverse(Ci)) + c01 * (D @ Cbar_inv)
     scale = t3.norm(C_inv) * (t3.norm(term) + floor)
-    return -sym(C_inv @ deviator(term), scale=scale)
+    return -_sym_stress(C_inv @ deviator(term), scale, Cbar, Cbar_inv)
+
+
+def _sym_stress(M, scale, Cbar, Cbar_inv):
+    # sym(M) of a stress product M (or a stack) that is symmetric in exact
+    # arithmetic, formed from operands of size scale; a skew part beyond
+    # sym's round-off bound comes from a strain too ill-conditioned for it
+    S = sym(M, check=False)
+    if not t3._skew_norm_ok(M, S, scale):
+        raise DomainError(
+            "stress asymmetry exceeds round-off: the unimodular strain has "
+            f"condition number {t3.norm(Cbar) * t3.norm(Cbar_inv):.3e}"
+        )
+    return S
 
 
 # below this size of the quadratic's largest coefficient, the cube of its
@@ -628,28 +645,27 @@ def ifebm_step_eulerian(
 # Newton-based baselines
 
 
-def _newton_solve(residual, Ci_n, h):
+def _newton_solve(value, Ci_n, h):
     """Solve Ci = rhs(Ci, Ci_n, h) by Newton from Ci_n, the iterate x held
     as the six packed components (11, 22, 33, 12, 13, 23) in floats.
 
-    ``residual(x, Ci_n, h, delta)`` gives the floats ``x - pack(rhs(Ci))``
-    and a function for their forward-difference Jacobian of step delta,
-    which raises where those points leave the domain.  Returns the root,
-    None when the budget is spent or the admissible set left, and the
-    iteration count.  Overflow, invalid values and float exceptions count as
-    divergence.
+    ``value(x, n, h)`` gives the six floats ``x - pack(rhs(Ci))`` for the
+    nine entries n of Ci_n, and raises where x leaves the domain.  The
+    Jacobian is by forward differences, its six points evaluated only
+    where the iterate has not converged.  Returns the root, None when the
+    budget is spent or the admissible set left, and the iteration count.
+    Overflow, invalid values and float exceptions count as divergence.
     """
-    a = Ci_n.ravel().tolist()
-    norm_n = math.hypot(*a)
+    n = Ci_n.ravel().tolist()
+    norm_n = math.hypot(*n)
     tol = 1e-12 * norm_n
     big = 1e8 * max(1.0, norm_n)
-    x = [a[0], a[4], a[8], a[1], a[2], a[5]]
+    x = [n[0], n[4], n[8], n[1], n[2], n[5]]
     iterations = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(50):
-            norm = math.hypot(*x, x[3], x[4], x[5])
             try:
-                g, jacobian = residual(x, Ci_n, h, 1e-7 * max(norm, 1.0))
+                g = value(x, n, h)
             except (DomainError, ArithmeticError):
                 return None, iterations
             rnorm = math.hypot(*g, g[3], g[4], g[5])
@@ -661,8 +677,14 @@ def _newton_solve(residual, Ci_n, h):
                 Ci = t3.unpack_sym(np.array(x))
                 return (Ci if t3.is_spd(Ci) else None), iterations
             iterations += 1
+            delta = 1e-7 * max(math.hypot(*x, x[3], x[4], x[5]), 1.0)
             try:
-                step = np.linalg.solve(jacobian(), g)
+                points = []
+                for j in range(6):
+                    xj = list(x)
+                    xj[j] += delta
+                    points.append(value(xj, n, h))
+                step = np.linalg.solve(((np.array(points) - g) / delta).T, g)
             except (DomainError, ArithmeticError, np.linalg.LinAlgError):
                 return None, iterations
             if not np.isfinite(step).all():
@@ -671,9 +693,9 @@ def _newton_solve(residual, Ci_n, h):
     return None, iterations
 
 
-def _substepping_solve(residual, Ci_n, dt, label, depth=0):
+def _substepping_solve(value, Ci_n, dt, label, depth=0):
     """Newton solve with recursive step bisection as the recovery path."""
-    Ci_new, iters = _newton_solve(residual, Ci_n, dt)
+    Ci_new, iters = _newton_solve(value, Ci_n, dt)
     if Ci_new is not None:
         return Ci_new, StepDiagnostics(iterations=iters)
     if depth >= 20:
@@ -681,8 +703,8 @@ def _substepping_solve(residual, Ci_n, dt, label, depth=0):
             f"{label}: no convergence after bisecting to depth {depth}"
         )
     half = dt / 2.0
-    Ci_mid, d1 = _substepping_solve(residual, Ci_n, half, label, depth + 1)
-    Ci_new, d2 = _substepping_solve(residual, Ci_mid, half, label, depth + 1)
+    Ci_mid, d1 = _substepping_solve(value, Ci_n, half, label, depth + 1)
+    Ci_new, d2 = _substepping_solve(value, Ci_mid, half, label, depth + 1)
     return Ci_new, StepDiagnostics(
         iterations=iters + d1.iterations + d2.iterations,
         substeps=1 + d1.substeps + d2.substeps,
@@ -691,38 +713,15 @@ def _substepping_solve(residual, Ci_n, dt, label, depth=0):
 
 
 def _newton_baseline(family, label, C_next, state, dt, p):
-    # the step of both Newton baselines; family(Cbar, p) gives the value of
-    # the residual, value(x, n, h)
+    # the step of both Newton baselines; family(Cbar, p) gives the value
+    # function that _newton_solve takes
     _coefficients(dt, p)
     C_next = t3.require_spd(C_next, "C_next")
     Cbar = unimodular(C_next)
-    residual = _fd_residual(family(Cbar, p))
-    Ci_new, diag = _substepping_solve(residual, state.Ci, dt, label)
+    Ci_new, diag = _substepping_solve(family(Cbar, p), state.Ci, dt, label)
     state = LagrangianState(unimodular(Ci_new))
     T = _stress_from_parts(inverse(C_next), Cbar, inverse(Cbar), state.Ci, [p])
     return StepResult(state, T, diag)
-
-
-def _fd_residual(value):
-    # _newton_solve's residual from a Newton baseline's value(x, n, h), the
-    # six floats x - pack(rhs(Ci)) for Ci_n's nine entries n: the iterate is
-    # evaluated first, its six forward-difference points only when the
-    # Jacobian is asked for
-    def residual(x, Ci_n, h, delta):
-        n = Ci_n.ravel().tolist()
-        g = value(x, n, h)
-
-        def jacobian():
-            points = []
-            for j in range(6):
-                xj = list(x)
-                xj[j] += delta
-                points.append(value(xj, n, h))
-            return ((np.array(points) - g) / delta).T
-
-        return g, jacobian
-
-    return residual
 
 
 def _mebm_residual(Cbar, p):
@@ -930,7 +929,8 @@ def em_step(
     Solves ``Ci = exp(dt * f(Ci)) Ci_n``.  The flow ``f`` is a scalar
     function of ``P = Cbar Ci^-1``, so the exponential is evaluated in the
     principal axes of ``P``: Newton's interpolation of ``exp(dt g)`` on the
-    three eigenvalues of ``P``, with no eigenvectors and no matrix series.
+    three eigenvalues of ``P``, with no eigenvectors and no matrix series
+    (:func:`~mrmaxwell.tensor3.mat_exp` is only the tests' oracle for it).
     A flow whose 1-norm times dt exceeds 700 counts as a divergence.  The
     flow is traceless, so the exponential is volume preserving up to
     round-off; the result is projected with

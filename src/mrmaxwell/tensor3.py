@@ -1,9 +1,11 @@
 """Exact 3x3 tensor algebra for finite-strain constitutive updates.
 
 All routines operate on plain numpy arrays of shape (3, 3); ``det``,
-``trace``, ``inverse``, ``deviator``, ``unimodular``, ``sym``, ``norm``,
-``require_spd`` and ``mat_exp`` also take stacks of shape (..., 3, 3)
-and give each member the result of a one-tensor call, bit for bit.
+``trace``, ``inverse``, ``deviator``, ``unimodular``, ``sym`` and ``norm``
+also take stacks of shape (..., 3, 3) and give each member the result of
+a one-tensor call, bit for bit.  ``mat_exp`` takes one tensor: it is the
+tests' oracle for the exponential map, which the package evaluates on
+the spectrum instead.
 
 * ``Tensor3``     is any such array (deformation gradients, rotations, ...).
 * ``SymTensor3``  is one that is symmetric bit-for-bit.  Symmetry is a
@@ -228,18 +230,20 @@ def is_spd(A: np.ndarray) -> bool:
 
 
 def require_spd(A: np.ndarray, name: str = "tensor") -> np.ndarray:
-    """A (each member of a stack) checked finite, symmetric and positive
-    definite: A itself if exactly symmetric, ``sym(A)`` if its skew part is
-    round-off (as :func:`sym` bounds it); else ``DomainError`` names it."""
-    skewed = False
-    for a in _rows(A) if A.ndim > 2 else [A.ravel().tolist()]:
-        if not all(map(math.isfinite, a)):
-            raise DomainError(f"{name} has non-finite entries")
-        skewed = skewed or a[1] != a[3] or a[2] != a[6] or a[5] != a[7]
-        if not _is_spd9(*a):
-            raise DomainError(f"{name} is not symmetric positive definite")
-    S = sym(A, check=False) if skewed else A
-    if skewed and not _skew_norm_ok(A, S):
+    """A checked finite, symmetric and positive definite: A itself if
+    exactly symmetric, ``sym(A)`` if its skew part is round-off (as
+    :func:`sym` bounds it); else ``DomainError`` names it."""
+    if A.shape != (3, 3):
+        raise DomainError(f"{name} must be a 3x3 array, got shape {A.shape}")
+    a = A.ravel().tolist()
+    if not all(map(math.isfinite, a)):
+        raise DomainError(f"{name} has non-finite entries")
+    if not _is_spd9(*a):
+        raise DomainError(f"{name} is not symmetric positive definite")
+    if a[1] == a[3] and a[2] == a[6] and a[5] == a[7]:
+        return A
+    S = sym(A, check=False)
+    if not _skew_norm_ok(A, S):
         raise DomainError(f"{name} is not symmetric: skew part beyond round-off")
     return S
 
@@ -267,79 +271,39 @@ def spd_inv_sqrt(A: np.ndarray) -> np.ndarray:
     return sym((V / np.sqrt(w)) @ V.T, check=False)
 
 
-# mat_exp's degree-13 Taylor polynomial in four groups, group k holding
-# the terms of B^(4k) (I/(4k)!, B/(4k+1)!, B^2/(4k+2)!, B^3/(4k+3)!):
-# the identity terms, and the divisors of B, B^2 and B^3 (B/1! is exact;
-# the last group has no B^2, B^3 terms, its two unit divisors are unused)
-_EXP_I = np.array([IDENTITY / _F[k] for k in (0, 4, 8, 12)])
-_EXP_DIV = np.array(
-    [
-        [_F[1], _F[2], _F[3]],
-        [_F[5], _F[6], _F[7]],
-        [_F[9], _F[10], _F[11]],
-        [_F[13], 1.0, 1.0],
-    ]
-)
+def mat_exp(A: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a general 3x3 tensor.
 
-
-def _squarings(norm1):
-    return max(0, math.ceil(math.log2(norm1 / 0.5))) if norm1 > 0.5 else 0
-
-
-def mat_exp(A: np.ndarray, max_norm: float = math.inf) -> np.ndarray:
-    """Matrix exponential of a general 3x3 tensor (of each member of a
-    stack).
-
-    Scaling and squaring: A is halved until its 1-norm is at most 0.5,
-    the exponential of the scaled tensor is summed as a degree-13 Taylor
-    polynomial (remainder below 1e-16 at that norm), and the result is
-    squared back up.  Each member of a stack gets its own number of
-    squarings, so it comes out bit-identical to a one-tensor call.
+    The test oracle of the exponential map, one tensor at a time.
+    Scaling and squaring: A is halved until its 1-norm (the largest
+    absolute column sum) is at most 0.5, the exponential of the scaled
+    tensor is summed as a degree-13 Taylor polynomial (remainder below
+    1e-16 at that norm), and the result is squared back up.
 
     Raises
     ------
     DomainError
-        If an entry is not finite, or a 1-norm (the largest absolute
-        column sum) exceeds ``max_norm``.
+        If an entry is not finite.
     """
-    if A.ndim == 2:
-        # the largest absolute column sum, each summed top to bottom
-        a = [abs(v) for v in A.ravel().tolist()]
-        cols = [(a[j] + a[j + 3]) + a[j + 6] for j in range(3)]
-        norms = [max(cols) if all(map(math.isfinite, cols)) else math.nan]
-    else:
-        norms = np.abs(A).sum(axis=-2).max(axis=-1).ravel().tolist()
-    if not all(map(math.isfinite, norms)):
+    # the column sums of |A|, each summed top to bottom
+    a = [abs(v) for v in A.ravel().tolist()]
+    cols = [(a[j] + a[j + 3]) + a[j + 6] for j in range(3)]
+    if not all(map(math.isfinite, cols)):
         raise DomainError("mat_exp argument has non-finite entries")
-    if max(norms, default=0.0) > max_norm:
-        raise DomainError(
-            f"mat_exp argument 1-norm {max(norms):.3e} exceeds {max_norm:g}"
-        )
-    squarings = [_squarings(v) for v in norms]
-    if A.ndim == 2:
-        scale = 2.0 ** squarings[0]
-    else:
-        scale = np.array([2.0**k for k in squarings]).reshape(A.shape[:-2] + (1, 1))
-    # degree-13 Taylor polynomial, grouped in powers of B^4; the group
-    # sums H_k = I/(4k)! + B/(4k+1)! + ... are formed for all groups at
-    # once, term by term in that order
-    B = A / scale
+    norm1 = max(cols)
+    squarings = math.ceil(math.log2(norm1 / 0.5)) if norm1 > 0.5 else 0
+    # the polynomial grouped in powers of B^4: H_k = I/(4k)! + B/(4k+1)! +
+    # B^2/(4k+2)! + B^3/(4k+3)!, summed term by term in that order; the last
+    # group stops at B/13!
+    B = A / 2.0**squarings
     B2 = B @ B
     B3 = B @ B2
     B4 = B2 @ B2
-    stack = (1,) * (A.ndim - 2)
-    T = np.array((B, B2, B3)) / _EXP_DIV.reshape((4, 3) + stack + (1, 1))
-    H = _EXP_I.reshape((4,) + stack + (3, 3)) + T[:, 0]
-    H3 = H[3]
-    H = (H[:3] + T[:3, 1]) + T[:3, 2]
-    E = H[0] + B4 @ (H[1] + B4 @ (H[2] + B4 @ H3))
-    common = min(squarings, default=0)
-    for _ in range(common):
+    H0, H1, H2 = (
+        ((IDENTITY / _F[k] + B / _F[k + 1]) + B2 / _F[k + 2]) + B3 / _F[k + 3]
+        for k in (0, 4, 8)
+    )
+    E = H0 + B4 @ (H1 + B4 @ (H2 + B4 @ (IDENTITY / _F[12] + B / _F[13])))
+    for _ in range(squarings):
         E = E @ E
-    if max(squarings, default=0) > common:
-        # the members of a stack that need more squarings than others
-        k_of = np.array(squarings).reshape(A.shape[:-2])
-        for k in range(common, max(squarings)):
-            more = k_of > k
-            E[more] = E[more] @ E[more]
     return E

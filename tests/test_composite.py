@@ -28,6 +28,7 @@ from conftest import (
     per_call,
     rand_spd,
     rand_unimodular_spd,
+    rotated_strain,
     skewed_strain,
 )
 
@@ -299,6 +300,16 @@ class TestUniaxial:
         mags = np.abs(stress)
         assert all(np.diff(mags) <= 1e-12)  # monotone decay
         assert mags[-1] < 0.05 * mags[0]
+
+    def test_branch_in_a_wide_state(self):
+        # the first sample's stress law accepts every state LagrangianState
+        # accepts, here one whose det misses 1 by more than 1e-12
+        wide = rotated_strain([1000.0, 1.0, 0.001])
+        assert abs(t3.det(wide) - 1.0) > 1e-12
+        branch = MaterialParams(0.3, 0.3, 1.5)
+        model = CompositeModel(EQ_INC, (branch,), (LagrangianState(wide),))
+        stress, _ = uniaxial_axial_stress(model, [np.eye(3)], 0.1)
+        assert np.isfinite(stress).all()
 
     def test_rejects_non_uniaxial(self):
         model = load_model(table_model_path())

@@ -34,7 +34,7 @@ from mrmaxwell.constitutive import (
     _coefficients,
     _det_residual,
     _em_residual,
-    _fd_residual,
+    _EXP_NORM_MAX,
     _march_substep,
     _mebm_residual,
     _newton_solve,
@@ -512,26 +512,19 @@ def _em_flow(Cbar, p, Ci):
     )
 
 
-def _em_rhs(Cbar, p):
-    # em's right-hand side sym(exp(h f(Ci)) Ci_n) through tensor3.mat_exp,
-    # the oracle of _em_residual's spectral interpolation
-    def rhs(Ci, Ci_n, h):
-        return sym(t3.mat_exp(h * _em_flow(Cbar, p, Ci), max_norm=700.0) @ Ci_n)
-
-    return rhs
-
-
 def _em_error(Cbar, p, x, Ci_n, h, g):
-    # em's float residual g at x against the oracle, relative to the largest
-    # entry of the right-hand side, and the 1-norm of h f: the exponential's
-    # round-off grows with it, on either path.  None where the oracle refuses
+    # em's float residual g at x against its oracle sym(exp(h f(Ci)) Ci_n)
+    # through tensor3.mat_exp, relative to the largest entry of the
+    # right-hand side, and the 1-norm of h f: the exponential's round-off
+    # grows with it, on either path.  None where the oracle refuses, beyond
+    # em's bound on that 1-norm (the largest absolute column sum)
     Ci = t3.unpack_sym(np.array(x))
-    try:
-        value = _em_rhs(Cbar, p)(Ci, Ci_n, h)
-    except DomainError:
+    A = h * _em_flow(Cbar, p, Ci)
+    norm1 = float(np.abs(A).sum(axis=0).max())
+    if not norm1 <= _EXP_NORM_MAX:
         return None
+    value = sym(t3.mat_exp(A) @ Ci_n)
     error = np.abs(np.array(g) - t3.pack_sym(Ci - value)).max()
-    norm1 = float(np.abs(h * _em_flow(Cbar, p, Ci)).sum(axis=0).max())
     return error / np.abs(value).max(), norm1
 
 
@@ -543,28 +536,26 @@ def _check_em(errors, at_least):
         assert error <= 1e-14 * max(1.0, norm1)
 
 
-def _columnwise_jacobian(residual, x, g, delta, Ci_n, h):
-    # one residual per perturbed component, the loop that a family's own
-    # Jacobian stands in for
+def _columnwise_jacobian(value, x, g, n, h):
+    # the forward-difference Jacobian at x, one value per perturbed
+    # component, with _newton_solve's step delta
+    delta = 1e-7 * max(math.hypot(*x, x[3], x[4], x[5]), 1.0)
     J = np.empty((6, 6))
     for j in range(6):
         xp = list(x)
         xp[j] += delta
-        J[:, j] = (np.array(residual(xp, Ci_n, h, delta)[0]) - g) / delta
+        J[:, j] = (np.array(value(xp, n, h)) - g) / delta
     return J
 
 
-def _residual_of(rhs):
-    # the residual of Ci = rhs(Ci, Ci_n, h), for a toy rhs on numpy arrays:
-    # the iterate's value, and its Jacobian column by column when asked for
-    def residual(x, Ci_n, h, delta):
+def _value_of(rhs):
+    # the value function of Ci = rhs(Ci, Ci_n, h), for a toy rhs on numpy
+    # arrays: x - pack(rhs(Ci)) as floats
+    def value(x, n, h):
         Ci = t3.unpack_sym(np.array(x))
-        g = t3.pack_sym(Ci - rhs(Ci, Ci_n, h))
-        return g.tolist(), lambda: _columnwise_jacobian(
-            residual, x, g, delta, Ci_n, h
-        )
+        return t3.pack_sym(Ci - rhs(Ci, np.array(n).reshape(3, 3), h)).tolist()
 
-    return residual
+    return value
 
 
 def _baseline_points():
@@ -589,34 +580,39 @@ class TestStackedJacobian:
         [((3, 0, 0), (3, 0, 0)), ((8, 1, 1), (5, 0, 0)), ((12, 2, 2), (6, 0, 0))],
     ]
 
-    def test_matches_columnwise_jacobian(self):
-        # em's residual within round-off of its mat_exp oracle, and bit
-        # equality of each family's Jacobian with one residual per column,
-        # along Newton iterates, including the divergent ones of the
-        # bisecting points
-        checked, em_errors = 0, []
+    def test_matches_columnwise_jacobian(self, monkeypatch):
+        # the Jacobian that _newton_solve solves with is bit-equal to one
+        # value per perturbed column, and em's value is within round-off of
+        # its mat_exp oracle, at every iterate of one Newton solve, including
+        # the divergent ones of the bisecting points
+        solve, checked, em_errors = np.linalg.solve, 0, []
         for C, Ci_n in _baseline_points():
             Cbar = sym(t3.unimodular(C))
+            n = Ci_n.ravel().tolist()
             for family in (_mebm_residual, _em_residual):
+                value = family(Cbar, P111)
                 for dt in (0.5, 1.0):
-                    residual = _fd_residual(family(Cbar, P111))
-                    x = t3.pack_sym(Ci_n).tolist()
-                    for _ in range(4):
-                        Ci = t3.unpack_sym(np.array(x))
-                        delta = 1e-7 * max(np.linalg.norm(Ci), 1.0)
-                        try:
-                            g, jacobian = residual(x, Ci_n, dt, delta)
-                            want = _columnwise_jacobian(
-                                residual, x, g, delta, Ci_n, dt
-                            )
-                        except DomainError:
-                            break
+                    xs, solves = [], []
+
+                    def recording(x, n, h):
+                        xs.append(x)
+                        return value(x, n, h)
+
+                    def spy(J, g):
+                        # the iterate came before its six points
+                        solves.append((xs[-7], J, g))
+                        return solve(J, g)
+
+                    monkeypatch.setattr(np.linalg, "solve", spy)
+                    _newton_solve(recording, Ci_n, dt)
+                    monkeypatch.undo()
+                    for x, J, g in solves:
+                        assert g == value(x, n, dt)
+                        want = _columnwise_jacobian(value, x, g, n, dt)
+                        assert np.array_equal(J, want)
                         if family is _em_residual:
                             em_errors.append(_em_error(Cbar, P111, x, Ci_n, dt, g))
-                        got = jacobian()
-                        assert np.array_equal(got, want)
                         checked += 1
-                        x = (np.array(x) - np.linalg.solve(got, g)).tolist()
         assert checked >= 60
         _check_em(em_errors, 25)
 
@@ -626,6 +622,27 @@ class TestStackedJacobian:
                 for step, want in zip((mebm_step, em_step), expected):
                     d = step(C, LagrangianState(Ci), dt, P111).diagnostics
                     assert (d.iterations, d.substeps, d.divergences) == want
+
+    def test_steps_never_call_mat_exp(self, monkeypatch):
+        # tensor3.mat_exp is the oracle of the tests above, off the path
+        # they check: with it raising, both baselines give the same bits
+        def steps():
+            return [
+                step(C, LagrangianState(Ci), dt, P111)
+                for C, Ci in _baseline_points()
+                for dt in (0.05, 0.5, 1.0)
+                for step in (mebm_step, em_step)
+            ]
+
+        def refused(A):
+            raise AssertionError("mat_exp called")
+
+        want = steps()
+        monkeypatch.setattr(t3, "mat_exp", refused)
+        for g, w in zip(steps(), want, strict=True):
+            assert np.array_equal(g.state.Ci, w.state.Ci)
+            assert np.array_equal(g.stress, w.stress)
+            assert g.diagnostics == w.diagnostics
 
 
 class TestMebmFloatResidual:
@@ -637,15 +654,14 @@ class TestMebmFloatResidual:
         # forms lose digits alike where the terms cancel); None where both
         # leave the domain
         Cbar = sym(t3.unimodular(C))
-        residual = _fd_residual(_mebm_residual(Cbar, p))
-        x = t3.pack_sym(Ci).tolist()
+        x, n = t3.pack_sym(Ci).tolist(), Ci_n.ravel().tolist()
         try:
             value = _mebm_rhs(Cbar, p)(Ci, Ci_n, dt)
         except DomainError:
             with pytest.raises(DomainError, match="det > 0"):
-                residual(x, Ci_n, dt, 1e-7)
+                _mebm_residual(Cbar, p)(x, n, dt)
             return None
-        g, _ = residual(x, Ci_n, dt, 1e-7)
+        g = _mebm_residual(Cbar, p)(x, n, dt)
         error = np.abs(np.array(g) - t3.pack_sym(Ci - value)).max()
         Cbar_inv, Ci_inv = t3.inverse(Cbar), t3.inverse(Ci)
         t = (p.c10 * np.trace(Cbar @ Ci_inv) - p.c01 * np.trace(Ci @ Cbar_inv)) / 3.0
@@ -805,11 +821,11 @@ class TestNewtonDomainFailures:
     @staticmethod
     def _rhs(limit):
         def rhs(Ci, Ci_n, h):
-            if (Ci[..., 0, 0] > limit).any():
+            if Ci[0, 0] > limit:
                 raise DomainError("outside the toy domain")
             return (Ci + np.eye(3)) / 2.0
 
-        return _residual_of(rhs)
+        return _value_of(rhs)
 
     def test_failing_iterate_is_a_divergence_before_counting(self):
         assert _newton_solve(self._rhs(1.5), 2.0 * np.eye(3), 1.0) == (None, 0)
@@ -826,58 +842,68 @@ class TestNewtonDomainFailures:
     # toy right-hand sides that end the solve at each of its other exits
     def test_indefinite_root_is_a_divergence(self):
         D = np.diag([1.0, 1.0, -1.0])
-        rhs = _residual_of(lambda Ci, Ci_n, h: (Ci + D) / 2.0)
-        assert _newton_solve(rhs, self.I, 1.0) == (None, 2)
+        value = _value_of(lambda Ci, Ci_n, h: (Ci + D) / 2.0)
+        assert _newton_solve(value, self.I, 1.0) == (None, 2)
 
     def test_singular_jacobian(self):
         # Ci - rhs(Ci) is constant, so the FD Jacobian is exactly zero
-        rhs = _residual_of(lambda Ci, Ci_n, h: Ci + 0.5 * self.I)
-        assert _newton_solve(rhs, self.I, 1.0) == (None, 1)
+        value = _value_of(lambda Ci, Ci_n, h: Ci + 0.5 * self.I)
+        assert _newton_solve(value, self.I, 1.0) == (None, 1)
+
+    @pytest.mark.parametrize("factor, want", [(1.0 - 1e-9, 1), (1.0 + 1e-9, 0)])
+    def test_residual_bound(self, factor, want):
+        # from Ci_n = 2 I, a constant residual c (1, 1, 1, 0, 0, 0) of norm
+        # just inside 1e8 |Ci_n| goes on to its (zero) Jacobian; just beyond,
+        # the iterate is a divergence
+        c = factor * 2e8
+        value = _value_of(lambda Ci, Ci_n, h: Ci - c * self.I)
+        assert _newton_solve(value, 2.0 * self.I, 1.0) == (None, want)
 
     def test_non_finite_step(self):
         # sqrt(2 - C11) is NaN at the C11 + delta point of the iterate
         # C11 = 2; that point's NaN, and its warning, stay inside the solve,
         # and the NaN step it gives never becomes an iterate
         def rhs(Ci, Ci_n, h):
-            if not np.isfinite(Ci[..., 1:, 1:]).all():
+            if not np.isfinite(Ci[1:, 1:]).all():
                 raise ValueError("non-finite iterate")
-            root = np.sqrt(2.0 - Ci[..., 0, 0])[..., None, None]
-            return (Ci + self.I) / 2.0 + root * self.I
+            return (Ci + self.I) / 2.0 + np.sqrt(2.0 - Ci[0, 0]) * self.I
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _newton_solve(_residual_of(rhs), 2.0 * self.I, 1.0) == (None, 1)
+            assert _newton_solve(_value_of(rhs), 2.0 * self.I, 1.0) == (None, 1)
 
     def test_budget_spent(self):
         # Newton on x^3 - 2x + 2 cycles 0, 1, 0, ... (here x = Ci, from 0)
         def rhs(Ci, Ci_n, h):
             return Ci - (Ci @ Ci @ Ci - 2.0 * Ci + 2.0 * self.I)
 
-        assert _newton_solve(_residual_of(rhs), 0.0 * self.I, 1.0) == (None, 50)
+        assert _newton_solve(_value_of(rhs), 0.0 * self.I, 1.0) == (None, 50)
 
     @pytest.mark.parametrize("error", [ZeroDivisionError, OverflowError])
     def test_float_exceptions_are_divergences(self, error):
-        # a float residual that raises, at the iterate or at a Jacobian
-        # point, ends the solve as a divergence
+        # a float value that raises, at the iterate or at a Jacobian point,
+        # ends the solve as a divergence
         contraction = self._rhs(math.inf)
+        start = [2.0, 2.0, 2.0, 0.0, 0.0, 0.0]
 
-        def failing(*args):
+        def failing(x, n, h):
             raise error
 
-        def failing_jacobian(x, Ci_n, h, delta):
-            return contraction(x, Ci_n, h, delta)[0], failing
+        def failing_points(x, n, h):
+            if x != start:
+                raise error
+            return contraction(x, n, h)
 
         assert _newton_solve(failing, 2.0 * self.I, 1.0) == (None, 0)
-        assert _newton_solve(failing_jacobian, 2.0 * self.I, 1.0) == (None, 1)
+        assert _newton_solve(failing_points, 2.0 * self.I, 1.0) == (None, 1)
 
-    # em refuses a 1-norm of h f beyond 700, where exp would overflow, as
-    # mat_exp does
+    # em refuses a 1-norm of h f beyond 700, where exp would overflow
     def test_em_iterate_beyond_the_norm_bound(self):
         # h f(I) = h dev(diag(4, 1, 1/4) - diag(1/4, 1, 4)) has 1-norm 3.75 h
-        residual = _fd_residual(_em_residual(np.diag([4.0, 1.0, 0.25]), P111))
+        value = _em_residual(np.diag([4.0, 1.0, 0.25]), P111)
         with pytest.raises(DomainError, match="1-norm 7.500e"):
-            residual([1.0, 1.0, 1.0, 0.0, 0.0, 0.0], self.I, 200.0, 1e-7)
-        assert _newton_solve(residual, self.I, 200.0) == (None, 0)
+            value([1.0, 1.0, 1.0, 0.0, 0.0, 0.0], self.I.ravel().tolist(), 200.0)
+        assert _newton_solve(value, self.I, 200.0) == (None, 0)
 
     def test_em_jacobian_point_beyond_the_norm_bound(self):
         # the iterate's C12 + delta point is nearly singular (det about
@@ -887,22 +913,27 @@ class TestNewtonDomainFailures:
         delta = 1e-7 * math.hypot(*x, x[3], x[4], x[5])
         x[1] += (2.0 * delta + delta * delta) * 1000.0 / 999.0
         Ci_n = t3.unpack_sym(np.array(x))
-        residual = _fd_residual(_em_residual(self.I, P111))
-        g, jacobian = residual(x, Ci_n, 1e-6, delta)
-        assert 1e-3 < math.hypot(*g) < 1e3
+        n = Ci_n.ravel().tolist()
+        value = _em_residual(self.I, P111)
+        assert 1e-3 < math.hypot(*value(x, n, 1e-6)) < 1e3
+        point = list(x)
+        point[3] += 1e-7 * math.hypot(*x, x[3], x[4], x[5])
         with pytest.raises(DomainError, match="1-norm"):
-            jacobian()
-        assert _newton_solve(residual, Ci_n, 1e-6) == (None, 1)
+            value(point, n, 1e-6)
+        assert _newton_solve(value, Ci_n, 1e-6) == (None, 1)
 
     def test_em_converged_iterate_needs_no_jacobian(self):
         # at Ci = Cbar = I the flow is exactly zero, so the iterate solves
         # the step at once; its points, at h = 1e12, are all refused
-        residual = _fd_residual(_em_residual(self.I, P111))
-        g, jacobian = residual([1.0, 1.0, 1.0, 0.0, 0.0, 0.0], self.I, 1e12, 1e-7)
-        assert g == [0.0] * 6
-        with pytest.raises(DomainError, match="1-norm"):
-            jacobian()
-        Ci, iterations = _newton_solve(residual, self.I, 1e12)
+        value = _em_residual(self.I, P111)
+        x, n = [1.0, 1.0, 1.0, 0.0, 0.0, 0.0], self.I.ravel().tolist()
+        assert value(x, n, 1e12) == [0.0] * 6
+        for j in range(6):
+            point = list(x)
+            point[j] += 1e-7 * math.sqrt(3.0)
+            with pytest.raises(DomainError, match="1-norm"):
+                value(point, n, 1e12)
+        Ci, iterations = _newton_solve(value, self.I, 1e12)
         assert iterations == 0 and np.array_equal(Ci, self.I)
 
     def test_bisection_depth_exhausted(self):
@@ -1029,6 +1060,82 @@ class TestManifoldPreservation:
             EulerianState(off, np.eye(3))
         with pytest.raises(DomainError, match="Ci must be unimodular"):
             LagrangianState(1.00001 * wide)
+
+
+class TestStressLawDomain:
+    # the stress laws accept exactly the states the state types accept, and
+    # a strain too ill-conditioned for a symmetric stress is a DomainError
+    WIDE = rotated_strain([1000.0, 1.0, 0.001])
+
+    def test_wide_state_accepted(self):
+        wide = self.WIDE
+        LagrangianState(wide)
+        assert np.isfinite(stress_2pk(np.eye(3), wide, P111)).all()
+        assert np.isfinite(kirchhoff_eulerian(wide, P111)).all()
+        ref = reference_solve(LoadingProgram().C, wide, [0.0, 0.1], P111, 2)
+        assert len(ref.stresses) == 2 and np.isfinite(ref.stresses).all()
+
+    @pytest.mark.parametrize(
+        "spectrum, scale, accepted",
+        [
+            ((1000.0, 1.0, 0.001), 1.0, True),
+            ((1000.0, 1.0, 0.001), 1.0 + 1e-11, True),
+            ((1000.0, 1.0, 0.001), 1.00001, False),
+            ((2.0, 1.0, 0.5), 1.0 + 1e-13, True),
+            ((2.0, 1.0, 0.5), 1.0 + 1e-11, False),
+        ],
+    )
+    def test_same_determinant_test_as_the_states(self, spectrum, scale, accepted):
+        # each stress law accepts, or refuses with the same message, as its
+        # state type does
+        A = scale * rotated_strain(spectrum)
+        for make, law in (
+            (LagrangianState, lambda: stress_2pk(np.eye(3), A, P111)),
+            (lambda A: EulerianState(A, np.eye(3)), lambda: kirchhoff_eulerian(A, P111)),
+        ):
+            outcomes = []
+            for call in (lambda: make(A), law):
+                try:
+                    call()
+                    outcomes.append(None)
+                except DomainError as err:
+                    outcomes.append(str(err))
+            assert outcomes[0] == outcomes[1]
+            assert (outcomes[0] is None) == accepted
+
+    def test_off_state_rejected_by_name(self):
+        off = 1.00001 * self.WIDE
+        with pytest.raises(DomainError, match="Ci must be unimodular, det = "):
+            stress_2pk(np.eye(3), off, P111)
+        with pytest.raises(DomainError, match="Be_inv_bar must be unimodular, det = "):
+            kirchhoff_eulerian(off, P111)
+        with pytest.raises(DomainError, match="Ci must be unimodular, det = "):
+            reference_solve(LoadingProgram().C, off, [0.0, 0.1], P111, 2)
+
+    def test_ill_conditioned_strain_sweep(self):
+        # C = Q diag(10^e, 1, 10^-e) Q^T, e in [2, 16], from the identity at
+        # dt = e^U(-10, 10): every step and equilibrium stress returns or
+        # raises DomainError.  The stress's symmetry check refuses some of
+        # each (48 ifebm, 50 2iebm and 82 equilibrium stresses of these 300)
+        rng = np.random.default_rng(15)
+        eq, identity = mm.EquilibriumParams(0.2, 0.2, math.inf), LagrangianState.identity()
+        asymmetric = {"ifebm": 0, "2iebm": 0, "equilibrium": 0}
+        for _ in range(300):
+            e = rng.uniform(2.0, 16.0)
+            C = rotated_strain([10.0**e, 1.0, 10.0**-e])
+            dt = math.exp(rng.uniform(-10.0, 10.0))
+            for name, call in (
+                ("ifebm", lambda: ifebm_step_lagrangian(C, identity, dt, P111)),
+                ("2iebm", lambda: twoiter_step(C, identity, dt, P111)),
+                ("equilibrium", lambda: mm.equilibrium_stress(C, eq)),
+            ):
+                try:
+                    call()
+                except DomainError as err:
+                    if str(err).startswith("stress asymmetry exceeds round-off"):
+                        assert "condition number" in str(err)
+                        asymmetric[name] += 1
+        assert min(asymmetric.values()) > 0
 
 
 _FIVE_STEPPERS = {

@@ -191,6 +191,21 @@ class TestMatExp:
             expected = math.exp(t3.trace(A))
             assert abs(d - expected) <= 1e-11 * abs(expected)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DomainError, match="non-finite"):
+            t3.mat_exp(np.diag([1.0, bad, 1.0]))
+
+    @pytest.mark.parametrize("s", [0.01, 0.5, 0.51, 1.0, 40.0])
+    def test_squarings(self, s):
+        # 1-norms s that need no squaring, one and seven: each diagonal
+        # entry within 1e-13 of its exponential (the polynomial alone errs
+        # by 4e-12 at s = 1)
+        got = t3.mat_exp(np.diag([s, 0.3 * s, -s]))
+        want = np.exp([s, 0.3 * s, -s])
+        assert np.array_equal(got, np.diag(np.diag(got)))
+        assert (np.abs(np.diag(got) - want) <= 1e-13 * want).all()
+
     def test_traceless_is_unimodular(self, rng):
         # volume preservation for traceless arguments
         for _ in range(100):
@@ -218,7 +233,6 @@ class TestStacks:
             t3.norm: G,
             t3.unimodular: S,
             lambda A: t3.sym(A, check=False): G,
-            t3.mat_exp: G * np.exp(rng.uniform(-3.0, 3.0, (2, 4, 1, 1))),
         }
         for f, A in cases.items():
             got = f(A)
@@ -228,16 +242,9 @@ class TestStacks:
 
     def test_empty_stack(self):
         empty = np.zeros((0, 3, 3))
-        for f in (t3.inverse, t3.deviator, t3.unimodular, t3.mat_exp):
+        for f in (t3.inverse, t3.deviator, t3.unimodular):
             assert f(empty).shape == (0, 3, 3)
         assert t3.det(empty).shape == (0,)
-
-    def test_mat_exp_squarings_per_member(self, rng):
-        # members that need different numbers of squarings
-        A = rng.standard_normal((3, 3, 3)) * np.array([0.01, 1.0, 40.0])[:, None, None]
-        got = t3.mat_exp(A)
-        for g, a in zip(got, A):
-            assert np.array_equal(g, t3.mat_exp(a))
 
     def test_sym_check_on_stack(self):
         M = np.array([np.eye(3), np.eye(3)])
@@ -260,9 +267,6 @@ class TestStacks:
             (t3.inverse, np.diag([1.0, np.nan, 1.0]), SINGULAR),
             (t3.unimodular, np.diag([1.0, -1.0, 1.0]), np.diag([1.0, 0.0, 1.0])),
             (t3.unimodular, np.diag([1.0, 0.0, 1.0]), np.diag([1.0, -1.0, 1.0])),
-            (t3.mat_exp, np.diag([1.0, np.inf, 1.0]), np.diag([1.0, np.nan, 1.0])),
-            (t3.require_spd, np.diag([1.0, -1.0, 1.0]), np.diag([1.0, np.nan, 1.0])),
-            (t3.require_spd, np.diag([1.0, np.nan, 1.0]), np.diag([1.0, -1.0, 1.0])),
         ],
     )
     def test_first_bad_member_reported(self, f, bad, later):
@@ -274,20 +278,6 @@ class TestStacks:
         with pytest.raises(DomainError) as many:
             f(stack)
         assert str(many.value) == str(one.value)
-
-
-class TestMatExpMaxNorm:
-    def test_refuses_large_argument(self):
-        A = np.diag([800.0, 0.0, -800.0])
-        with pytest.raises(DomainError, match="1-norm"):
-            t3.mat_exp(A, max_norm=700.0)
-        with pytest.raises(DomainError, match="1-norm"):
-            t3.mat_exp(np.array([np.zeros((3, 3)), A]), max_norm=700.0)
-
-    def test_bound_inclusive_and_default_unbounded(self):
-        A = np.diag([0.5, 0.0, -0.5])
-        assert np.array_equal(t3.mat_exp(A, max_norm=0.5), t3.mat_exp(A))
-        assert np.isfinite(t3.mat_exp(np.diag([800.0, 0.0, -800.0]) / 2)).all()
 
 
 class TestNorm:
@@ -302,19 +292,27 @@ class TestRequireSpd:
     def test_symmetric_input_returned_as_is(self, rng):
         A = rand_spd(rng)
         assert t3.require_spd(A) is A
-        stack = np.array([rand_spd(rng) for _ in range(3)])
-        assert t3.require_spd(stack) is stack
 
-    def test_round_off_skew_removed(self, rng):
+    def test_round_off_skew_removed(self):
         C, _ = skewed_strain()
         assert np.array_equal(t3.require_spd(C), t3.sym(C, check=False))
-        stack = np.array([rand_spd(rng), C])
-        assert np.array_equal(t3.require_spd(stack), t3.sym(stack, check=False))
 
-    def test_large_skew_rejected_by_name(self, rng):
+    def test_large_skew_rejected_by_name(self):
         C, _ = skewed_strain()
         C[1, 2] -= 1e-6
         with pytest.raises(DomainError, match="B is not symmetric"):
             t3.require_spd(C, "B")
-        with pytest.raises(DomainError, match="B is not symmetric"):
-            t3.require_spd(np.array([rand_spd(rng), C]), "B")
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.diag([1.0, np.nan, 1.0]), "B has non-finite entries"),
+            (np.diag([1.0, np.inf, 1.0]), "B has non-finite entries"),
+            (np.diag([1.0, -1.0, 1.0]), "B is not symmetric positive definite"),
+            (np.eye(2), r"B must be a 3x3 array, got shape \(2, 2\)"),
+            (np.array([np.eye(3)] * 2), "B must be a 3x3 array"),
+        ],
+    )
+    def test_bad_tensor_rejected_by_name(self, bad, message):
+        with pytest.raises(DomainError, match=message):
+            t3.require_spd(bad, "B")
