@@ -116,19 +116,24 @@ def equilibrium_stress(C: np.ndarray, p: EquilibriumParams) -> np.ndarray:
     ``k/10 ((det C)^(5/2) - (det C)^(-5/2)) C^-1``.  In the
     incompressible limit the volumetric part is omitted; the pressure it
     stands in for must be supplied by the boundary conditions of the
-    driving protocol.
+    driving protocol.  A volume ratio ``det C`` that overflows, or whose
+    volumetric factor does, raises :class:`DomainError`.
     """
     C = t3.require_spd(C, "C")
+    d = det(C)
+    try:
+        vol = 0.0 if p.incompressible else p.k / 10.0 * (d**2.5 - d**-2.5)
+    except OverflowError:
+        vol = math.inf
+    if not (d < math.inf and vol < math.inf):
+        raise DomainError(f"volume ratio det C = {d:.3e} is out of float range")
     Cbar = unimodular(C)
     C_inv = inverse(C)
     Cbar_inv = inverse(Cbar)
     scale = t3.norm(C_inv) * (p.c10 * t3.norm(Cbar) + p.c01 * t3.norm(Cbar_inv))
     M = C_inv @ deviator(p.c10 * Cbar - p.c01 * Cbar_inv)
     iso = _sym_stress(M, scale, Cbar, Cbar_inv)
-    if p.incompressible:
-        return iso
-    d = det(C)
-    return iso + (p.k / 10.0) * (d**2.5 - d**-2.5) * C_inv
+    return iso if p.incompressible else iso + vol * C_inv
 
 
 @dataclass(frozen=True)

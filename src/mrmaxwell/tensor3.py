@@ -55,32 +55,30 @@ _F = [float(math.factorial(k)) for k in range(14)]
 # both index orders, so the result is symmetric bit-for-bit.
 
 
-def sym(A: np.ndarray, check: bool = True, scale: float = 0.0) -> np.ndarray:
+def sym(A: np.ndarray, check: bool = True) -> np.ndarray:
     """Symmetric part (A + A^T)/2 (of each member of a stack).
 
-    With ``check`` enabled the discarded skew part must be round-off
-    sized, or ``AssertionError`` is raised (under ``python -O`` too); the
-    callers in this package only symmetrize products that are symmetric
-    in exact arithmetic, so a large skew part indicates a bug upstream.  ``scale``
-    (one per member of a stack, or one for all) sets the magnitude of the
-    operands the product was formed from, for results small by cancellation
-    (e.g. stresses near a relaxed state); the bound is 1e-10 * max(||result||, scale).
+    With ``check`` enabled a skew part beyond 1e-10 * ||result|| raises
+    ``AssertionError`` (under ``python -O`` too): a product symmetric in
+    exact arithmetic has only a round-off skew part.
     """
     At = A.T if A.ndim == 2 else A.swapaxes(-1, -2)
     S = (A + At) / 2.0
-    if check and not _skew_norm_ok(A, S, scale):
+    if check and not _skew_norm_ok(A, S):
         raise AssertionError("asymmetry exceeds round-off bound")
     return S
 
 
-def _skew_norm_ok(A, S, scale=0.0, rel=1e-10):
+def _skew_norm_ok(A, S, scale=0.0):
+    # skew part <= 1e-10 max(||S||, scale), scale (one per member of a stack,
+    # or one for all) the size of the operands of a product small by cancellation
     if A.ndim == 2:
         a = A.ravel().tolist()
         skew = math.sqrt(2.0) * math.hypot(a[1] - a[3], a[2] - a[6], a[5] - a[7])
-        return skew <= rel * max(norm(S), scale, 1e-300)
+        return skew <= 1e-10 * max(norm(S), scale, 1e-300)
     skew = np.linalg.norm(A - A.swapaxes(-1, -2), axis=(-2, -1))
     bound = np.maximum(np.linalg.norm(S, axis=(-2, -1)), np.maximum(scale, 1e-300))
-    return bool((skew <= rel * bound).all())
+    return bool((skew <= 1e-10 * bound).all())
 
 
 def norm(A: np.ndarray):

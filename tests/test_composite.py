@@ -115,6 +115,20 @@ class TestEquilibriumStress:
         with pytest.raises(DomainError, match="C is not symmetric"):
             equilibrium_stress(C, p)
 
+    @pytest.mark.parametrize("s", [1e-70, 1e-50, 1e80, 1e100, 1e200])
+    def test_volume_ratio_out_of_range(self, s):
+        # (det C)^(+-5/2) overflows, and at 1e200 det C itself: refused by
+        # the volume ratio; the incompressible stress has no such power
+        # and stays finite wherever det C does
+        C = s * np.eye(3)
+        with pytest.raises(DomainError, match="volume ratio det C"):
+            equilibrium_stress(C, EquilibriumParams(1.0, 1.0, 1.0))
+        if s < 1e200:
+            assert np.isfinite(equilibrium_stress(C, EQ_INC)).all()
+        else:
+            with pytest.raises(DomainError, match="volume ratio det C = inf"):
+                equilibrium_stress(C, EQ_INC)
+
 
 class TestEquilibriumParams:
     # zero moduli stay allowed: the tests above use a zero equilibrium branch

@@ -516,8 +516,8 @@ def _em_error(Cbar, p, x, Ci_n, h, g):
     # em's float residual g at x against its oracle sym(exp(h f(Ci)) Ci_n)
     # through tensor3.mat_exp, relative to the largest entry of the
     # right-hand side, and the 1-norm of h f: the exponential's round-off
-    # grows with it, on either path.  None where the oracle refuses, beyond
-    # em's bound on that 1-norm (the largest absolute column sum)
+    # grows with it, on either path.  None where mat_exp could overflow, a
+    # 1-norm (the largest absolute column sum) beyond _EXP_NORM_MAX
     Ci = t3.unpack_sym(np.array(x))
     A = h * _em_flow(Cbar, p, Ci)
     norm1 = float(np.abs(A).sum(axis=0).max())
@@ -897,18 +897,21 @@ class TestNewtonDomainFailures:
         assert _newton_solve(failing, 2.0 * self.I, 1.0) == (None, 0)
         assert _newton_solve(failing_points, 2.0 * self.I, 1.0) == (None, 1)
 
-    # em refuses a 1-norm of h f beyond 700, where exp would overflow
+    # em's exponential overflows where an exponent h g(w) on the spectrum of
+    # P passes about 709: math.exp raises OverflowError, which the Newton
+    # solve counts as divergence
     def test_em_iterate_beyond_the_norm_bound(self):
-        # h f(I) = h dev(diag(4, 1, 1/4) - diag(1/4, 1, 4)) has 1-norm 3.75 h
+        # h f(I) = h dev(diag(4, 1, 1/4) - diag(1/4, 1, 4)) has the
+        # exponents 0 and +-3.75 h
         value = _em_residual(np.diag([4.0, 1.0, 0.25]), P111)
-        with pytest.raises(DomainError, match="1-norm 7.500e"):
+        with pytest.raises(OverflowError):
             value([1.0, 1.0, 1.0, 0.0, 0.0, 0.0], self.I.ravel().tolist(), 200.0)
         assert _newton_solve(value, self.I, 200.0) == (None, 0)
 
     def test_em_jacobian_point_beyond_the_norm_bound(self):
         # the iterate's C12 + delta point is nearly singular (det about
-        # 1/1000 of the iterate's), so its 1-norm of h f is about 1000 times
-        # the iterate's: the iterate has a value, the point is refused
+        # 1/1000 of the iterate's), so its exponents are about 1000 times
+        # the iterate's: the iterate has a value, the point overflows
         x = [1.0, 1.0, 1.0, 1.0, 0.0, 0.0]
         delta = 1e-7 * math.hypot(*x, x[3], x[4], x[5])
         x[1] += (2.0 * delta + delta * delta) * 1000.0 / 999.0
@@ -918,23 +921,36 @@ class TestNewtonDomainFailures:
         assert 1e-3 < math.hypot(*value(x, n, 1e-6)) < 1e3
         point = list(x)
         point[3] += 1e-7 * math.hypot(*x, x[3], x[4], x[5])
-        with pytest.raises(DomainError, match="1-norm"):
+        with pytest.raises(OverflowError):
             value(point, n, 1e-6)
         assert _newton_solve(value, Ci_n, 1e-6) == (None, 1)
 
     def test_em_converged_iterate_needs_no_jacobian(self):
         # at Ci = Cbar = I the flow is exactly zero, so the iterate solves
-        # the step at once; its points, at h = 1e12, are all refused
+        # the step at once; its points, at h = 1e12, all overflow
         value = _em_residual(self.I, P111)
         x, n = [1.0, 1.0, 1.0, 0.0, 0.0, 0.0], self.I.ravel().tolist()
         assert value(x, n, 1e12) == [0.0] * 6
         for j in range(6):
             point = list(x)
             point[j] += 1e-7 * math.sqrt(3.0)
-            with pytest.raises(DomainError, match="1-norm"):
+            with pytest.raises(OverflowError):
                 value(point, n, 1e12)
         Ci, iterations = _newton_solve(value, self.I, 1e12)
         assert iterations == 0 and np.array_equal(Ci, self.I)
+
+    def test_em_large_exponent_within_range(self):
+        # a 1-norm of h f of 745 whose exponents stay below 709: the value
+        # is finite, and the Newton solve stops at its 1e8 residual bound
+        Cbar = t3.unimodular(rotated_strain([100.0, 1.0, 0.01]))
+        Ci = sym(t3.unimodular(np.diag([1.0, 100.0, 0.01])))
+        h = 0.07
+        norm1 = float(np.abs(h * _em_flow(Cbar, P111, Ci)).sum(axis=0).max())
+        assert 740.0 < norm1 < 750.0
+        value = _em_residual(Cbar, P111)
+        g = value(t3.pack_sym(Ci).tolist(), Ci.ravel().tolist(), h)
+        assert all(map(math.isfinite, g)) and math.hypot(*g) > 1e140
+        assert _newton_solve(value, Ci, h) == (None, 0)
 
     def test_bisection_depth_exhausted(self):
         C = np.diag([8.0, 1.0, 1.0 / 8.0])
@@ -1313,8 +1329,13 @@ class TestReferenceSolve:
             reference_solve(lambda t: np.eye(3), np.eye(3), t_grid, P111, 4)
 
     def test_decreasing_grid_rejected(self):
-        with pytest.raises(DomainError, match="dt must be finite and non-negative"):
-            reference_solve(lambda t: np.eye(3), np.eye(3), [1.0, 0.0], P111, 4)
+        # a non-finite, decreasing or repeated time is refused by name; a
+        # single time is a valid grid
+        for t_grid in ([0.0, math.nan], [0.0, math.inf], [1.0, 0.5], [0.0, 0.5, 0.5]):
+            with pytest.raises(DomainError, match="t_grid must be finite and strictly"):
+                reference_solve(lambda t: np.eye(3), np.eye(3), t_grid, P111, 4)
+            ref = reference_solve(lambda t: np.eye(3), np.eye(3), t_grid[:1], P111, 4)
+            assert len(ref.states) == 1
 
 
 def _eigen_march(C_of_t, t_grid, p, n_substeps):
