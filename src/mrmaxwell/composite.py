@@ -45,7 +45,7 @@ from .constitutive import (
     ifebm_step_lagrangian,
     stress_2pk,
 )
-from .constitutive import _CORRECTIONS, _lagrangian_lanes, _sym_stress
+from .constitutive import _CORRECTIONS, _branch_steps, _sym_stress
 
 __all__ = [
     "EquilibriumParams",
@@ -125,7 +125,7 @@ def equilibrium_stress(C: np.ndarray, p: EquilibriumParams) -> np.ndarray:
         vol = 0.0 if p.incompressible else p.k / 10.0 * (d**2.5 - d**-2.5)
     except OverflowError:
         vol = math.inf
-    if not (d < math.inf and vol < math.inf):
+    if not vol < math.inf:
         raise DomainError(f"volume ratio det C = {d:.3e} is out of float range")
     Cbar = unimodular(C)
     C_inv = inverse(C)
@@ -153,6 +153,10 @@ def composite_step(
 ) -> CompositeStepResult:
     """Advance every Maxwell branch independently and sum the stresses.
 
+    The branches of ``ifebm_step_lagrangian`` and ``twoiter_step`` take the
+    reference march's float update, on strain parts formed once; they
+    agree with one stepper call per branch to round-off and raise its
+    errors in branch order.  Any other stepper is called once per branch.
     For the incompressible model the returned stress excludes the
     indeterminate pressure term ``-p C^-1``.
     """
@@ -164,8 +168,7 @@ def composite_step(
             for params, state in zip(model.branches, model.states)
         ]
     else:
-        Ci = np.array([state.Ci for state in model.states])
-        results = _lagrangian_lanes(C_next, Ci, dt, model.branches, corrections)
+        results = _branch_steps(C_next, model.states, dt, model.branches, corrections)
     total = eq.copy()
     for r in results:
         total += r.stress

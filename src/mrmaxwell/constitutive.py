@@ -220,7 +220,7 @@ def stress_2pk(C: np.ndarray, Ci: np.ndarray, p: MaterialParams) -> np.ndarray:
     Ci = t3.require_spd(Ci, "Ci")
     _check_det_one(Ci.ravel().tolist(), "Ci")
     Cbar = unimodular(C)
-    return _stress_from_parts(inverse(C), Cbar, inverse(Cbar), Ci, [p])
+    return _stress_from_parts(inverse(C), Cbar, inverse(Cbar), Ci, p)
 
 
 def kirchhoff_eulerian(Be_inv_bar: np.ndarray, p: MaterialParams) -> np.ndarray:
@@ -330,27 +330,20 @@ def _strain_parts(C_next):
     return Cbar, (V * r) @ V.T, (V / r) @ V.T, Cbar_inv, Cbar_inv / scale
 
 
-def _stress_from_parts(C_inv, Cbar, Cbar_inv, Ci, params):
-    # of one lane or each of a stack: the raw product c10 Cbar Ci^-1 - c01
-    # Ci Cbar^-1 cancels badly near relaxed states (Ci ~ Cbar); rewriting it
-    # through D = Ci - Cbar is algebraically identical and keeps the
-    # round-off at the size of D
-    if len(params) == 1:
-        c10, c01 = params[0].c10, params[0].c01
-        floor = (c10 + c01) * 1e-12
-    else:
-        c10, c01 = np.array([(p.c10, p.c01) for p in params]).T[..., None, None]
-        floor = ((c10 + c01) * 1e-12)[:, 0, 0]
+def _stress_from_parts(C_inv, Cbar, Cbar_inv, Ci, p):
+    # the raw product c10 Cbar Ci^-1 - c01 Ci Cbar^-1 cancels badly near
+    # relaxed states (Ci ~ Cbar); rewriting it through D = Ci - Cbar is
+    # algebraically identical and keeps the round-off at the size of D
     D = Ci - Cbar
-    term = c10 * (D @ inverse(Ci)) + c01 * (D @ Cbar_inv)
-    scale = t3.norm(C_inv) * (t3.norm(term) + floor)
+    term = p.c10 * (D @ inverse(Ci)) + p.c01 * (D @ Cbar_inv)
+    scale = t3.norm(C_inv) * (t3.norm(term) + (p.c10 + p.c01) * 1e-12)
     return -_sym_stress(C_inv @ deviator(term), scale, Cbar, Cbar_inv)
 
 
 def _sym_stress(M, scale, Cbar, Cbar_inv):
-    # sym(M) of a stress product M (or a stack) that is symmetric in exact
-    # arithmetic, formed from operands of size scale; a skew part beyond
-    # sym's round-off bound comes from a strain too ill-conditioned for it
+    # sym(M) of a stress product M that is symmetric in exact arithmetic,
+    # formed from operands of size scale; a skew part beyond sym's round-off
+    # bound comes from a strain too ill-conditioned for it
     S = sym(M, check=False)
     if not t3._skew_norm_ok(M, S, scale):
         raise DomainError(
@@ -424,8 +417,8 @@ def _correction_slope(w, phi, eps, r, slope, g):
 
 
 def _root(w, beta, eps, corrections, name, slopes=False):
-    # one lane's eigenvalues of X and phi (estimate, then `corrections`
-    # Newton steps on det X(phi) = 1) from the spectrum w of W, the state's
+    # the eigenvalues of X and phi (estimate, then `corrections` Newton
+    # steps on det X(phi) = 1) from the spectrum w of W, the state's
     # congruence; that of the state plus beta times the strain is exactly
     # W + beta I, so beta shifts w without entering the assembly.  With
     # slopes, also s_i = sqrt(phi^2 + 4 eps (w_i + beta)) and the gradient of
@@ -460,54 +453,37 @@ def _root(w, beta, eps, corrections, name, slopes=False):
 
 
 def _closed_form_root(W, coeffs, corrections, name):
-    # the root X of phi X = (W + beta I) - eps X^2 of one W or of each of a
-    # stack (n, 3, 3), and the list of the lanes' StepDiagnostics, with the
-    # residual |x1 x2 x3 - 1| that the projection removes; coeffs holds one
-    # (beta, eps) per lane; W is isq Ci isq, or G^T Be^-1 G
+    # the root X of phi X = (W + beta I) - eps X^2, coeffs = (beta, eps), and
+    # its StepDiagnostics, with the residual |x1 x2 x3 - 1| that the
+    # projection removes; W is isq Ci isq, or G^T Be^-1 G
     w, V = np.linalg.eigh(W)
-    if W.ndim == 2:
-        x, phi = _root(w.tolist(), *coeffs[0], corrections, name)
-        return (V * x) @ V.T, [_diagnostics(x, phi, corrections)]
-    lanes = zip(w.tolist(), coeffs, strict=True)
-    roots = [_root(w_k, *c, corrections, name) for w_k, c in lanes]
-    x = np.array([x_k for x_k, _ in roots])
-    diagnostics = [_diagnostics(x_k, phi, corrections) for x_k, phi in roots]
-    return (V * x[:, None, :]) @ V.swapaxes(1, 2), diagnostics
+    x, phi = _root(w.tolist(), *coeffs, corrections, name)
+    return (V * x) @ V.T, _diagnostics(x, phi, corrections)
 
 
 def _diagnostics(x, phi, corrections):
-    # a closed-form lane's diagnostics from its root's eigenvalues x and phi
+    # a closed-form step's diagnostics from its root's eigenvalues x and phi
     return StepDiagnostics(phi, corrections, det_residual=abs(x[0] * x[1] * x[2] - 1.0))
 
 
 def _ci_update(Ci, sq, isq, coeffs, corrections):
-    # the closed-form update of Ci (of one lane or each of a stack) towards
-    # a strain whose unimodular part has the square root sq (inverse isq):
-    # the root X on isq Ci isq, mapped back as unimodular(sq X sq); and the
-    # lanes' diagnostics
+    # the closed-form update of Ci towards a strain whose unimodular part has
+    # the square root sq (inverse isq): the root X on isq Ci isq, mapped back
+    # as unimodular(sq X sq); and the root's diagnostics
     W = sym(isq @ Ci @ isq, check=False)
     X, diagnostics = _closed_form_root(W, coeffs, corrections, "quadratic input")
     return unimodular(sym(sq @ X @ sq, check=False)), diagnostics
 
 
-def _lagrangian_lanes(C_next, Ci, dt, params, corrections):
-    # the closed-form step's StepResult for C_next and Ci (3, 3), or the
-    # list of those of the lanes of a stack Ci (n, 3, 3), which share
-    # C_next and take one params per lane.  Each stage runs over all lanes
-    # first
-    coeffs = [_coefficients(dt, p) for p in params]
+def _closed_form_step(C_next, Ci, dt, p, corrections):
+    # the StepResult of the closed-form step from Ci towards C_next
+    coeffs = _coefficients(dt, p)
     C_next = t3.require_spd(C_next, "C_next")
     Cbar, sq, isq, Cbar_inv, C_inv = _strain_parts(C_next)
     Ci_new, diagnostics = _ci_update(Ci, sq, isq, coeffs, corrections)
-    if Ci_new.ndim == 2:
-        state = LagrangianState(Ci_new)
-        stress = _stress_from_parts(C_inv, Cbar, Cbar_inv, Ci_new, params)
-        return StepResult(state, stress, diagnostics[0])
-    states = [LagrangianState(A) for A in Ci_new]
-    stresses = _stress_from_parts(C_inv, Cbar, Cbar_inv, Ci_new, params)
-    return [
-        StepResult(state, T, d) for state, T, d in zip(states, stresses, diagnostics)
-    ]
+    state = LagrangianState(Ci_new)
+    stress = _stress_from_parts(C_inv, Cbar, Cbar_inv, Ci_new, p)
+    return StepResult(state, stress, diagnostics)
 
 
 def _inverse_cholesky(a):
@@ -601,7 +577,7 @@ def ifebm_step_lagrangian(
     Closed form; preserves symmetry, positive definiteness and the unit
     determinant of the internal variable for any dt >= 0.
     """
-    return _lagrangian_lanes(C_next, state.Ci, dt, [p], 0)
+    return _closed_form_step(C_next, state.Ci, dt, p, 0)
 
 
 def twoiter_step(
@@ -615,7 +591,7 @@ def twoiter_step(
     eigenvalues ``w_i`` of the quadratic's input; the derivative is
     always negative, so every correction is defined.
     """
-    return _lagrangian_lanes(C_next, state.Ci, dt, [p], 2)
+    return _closed_form_step(C_next, state.Ci, dt, p, 2)
 
 
 def ifebm_step_eulerian(
@@ -630,8 +606,8 @@ def ifebm_step_eulerian(
     if not np.isfinite(F_next).all() or not det(F_next) > 0.0:
         raise DomainError("F_next must be finite with positive determinant")
     G = inverse(unimodular(F_next @ inverse(state.F_prev)))
-    X, (diagnostics,) = _closed_form_root(
-        sym(G.T @ state.Be_inv_bar @ G, check=False), [(beta, eps)], 0, "trial state"
+    X, diagnostics = _closed_form_root(
+        sym(G.T @ state.Be_inv_bar @ G, check=False), (beta, eps), 0, "trial state"
     )
     Be_inv_new = unimodular(sym(X, check=False))
     return StepResult(
@@ -720,7 +696,7 @@ def _newton_baseline(family, label, C_next, state, dt, p):
     Cbar = unimodular(C_next)
     Ci_new, diag = _substepping_solve(family(Cbar, p), state.Ci, dt, label)
     state = LagrangianState(unimodular(Ci_new))
-    T = _stress_from_parts(inverse(C_next), Cbar, inverse(Cbar), state.Ci, [p])
+    T = _stress_from_parts(inverse(C_next), Cbar, inverse(Cbar), state.Ci, p)
     return StepResult(state, T, diag)
 
 
@@ -923,7 +899,7 @@ def em_step(
 
 
 # phi corrections of the closed-form steppers: the tangent differentiates
-# them exactly, the composite runs their branches as lanes
+# them exactly, the composite steps their branches on floats
 _CORRECTIONS = {ifebm_step_lagrangian: 0, twoiter_step: 2}
 
 LAGRANGIAN_STEPPERS: dict[str, Callable] = {
@@ -958,19 +934,29 @@ class ReferenceSolution:
 _SPREAD_MAX = 100.0
 
 
-def _march_substep(C, a, beta, eps):
-    # one closed-form substep towards the strain C on Python floats, Ci and the
-    # result as upper triangles (11, 22, 33, 12, 13, 23).  X = f(W), f(w) = x(w
-    # + beta), is Newton's interpolation on the spectrum w1 <= w2 <= w3 of W,
-    # that of P = Ci Cbar^-1; as sq W sq = Ci and sq W^2 sq = P Ci, Y = sq X sq
-    # = f(w1) Cbar + f[w1,w2] (Ci - w1 Cbar) + f[w1,w2,w3] (P - w1) (Ci - w2 Cbar)
+def _strain_floats(C):
+    # cbrt(det C), and the nine entries of Cbar = C/cbrt(det C), read from
+    # its upper triangle, and of Cbar^-1, on Python floats
     c = C.ravel().tolist()
     r = t3._cbrt_det9(c, "strain input")
     q0, q1, q2, q3, q4, q5 = c[0] / r, c[4] / r, c[8] / r, c[1] / r, c[2] / r, c[5] / r
     q = (q0, q3, q4, q3, q1, q5, q4, q5, q2)
     if not t3._is_spd9(*q):
         raise DomainError("strain input is not positive definite")
-    b00, b01, b02, _, b11, b12, _, _, b22 = t3._inverse9(*q)
+    return r, q, t3._inverse9(*q)
+
+
+def _float_update(q, b, a, beta, eps, corrections):
+    # the closed-form update of Ci towards the strain with the parts q, b of
+    # _strain_floats, on Python floats, Ci and the result as upper triangles
+    # (11, 22, 33, 12, 13, 23), and the root's eigenvalues and phi (for its
+    # StepDiagnostics, which the march does without); None where W spreads
+    # beyond _SPREAD_MAX.  X = f(W), f(w) = x(w + beta), is Newton's
+    # interpolation on the spectrum w1 <= w2 <= w3 of W, that of P = Ci
+    # Cbar^-1; as sq W sq = Ci and sq W^2 sq = P Ci, Y = sq X sq = f(w1) Cbar
+    # + f[w1,w2] (Ci - w1 Cbar) + f[w1,w2,w3] (P - w1) (Ci - w2 Cbar)
+    q0, q1, q2, q3, q4, q5 = q[0], q[4], q[8], q[1], q[2], q[5]
+    b00, b01, b02, _, b11, b12, _, _, b22 = b
     a00, a11, a22, a01, a02, a12 = a
     p00 = a00 * b00 + a01 * b01 + a02 * b02
     p01 = a00 * b01 + a01 * b11 + a02 * b12
@@ -983,14 +969,12 @@ def _march_substep(C, a, beta, eps):
     p22 = a02 * b02 + a12 * b12 + a22 * b22
     w1, w2, w3 = _spectrum(p00, p01, p02, p10, p11, p12, p20, p21, p22)
     if not w3 <= _SPREAD_MAX * w1:
-        _, sq, isq, _, _ = _strain_parts(C)
-        Ci, _ = _ci_update(t3.unpack_sym(np.array(a)), sq, isq, [(beta, eps)], 0)
-        return t3.pack_sym(Ci).tolist()
+        return None
     # the divided differences of x, with no 0/0 at repeated w: f[w1,w2] =
     # 2/(s1 + s2), f[w1,w2,w3] = -8 eps/((s1 + s2)(s2 + s3)(s1 + s3)), where
     # s_i = sqrt(phi^2 + 4 eps (w_i + beta)) = phi + 2 eps x_i; Y is summed as
     # k0 Cbar + k1 Ci + f123 P Ci
-    (x1, x2, x3), phi = _root([w1, w2, w3], beta, eps, 0, "quadratic input")
+    (x1, x2, x3), phi = _root([w1, w2, w3], beta, eps, corrections, "quadratic input")
     s12, s23, s13 = phi + eps * (x1 + x2), phi + eps * (x2 + x3), phi + eps * (x1 + x3)
     f12, f123 = 1.0 / s12, -eps / (s12 * s23 * s13)
     k0, k1 = x1 - f12 * w1 + f123 * w1 * w2, f12 - f123 * (w1 + w2)
@@ -1003,7 +987,40 @@ def _march_substep(C, a, beta, eps):
         k0 * q5 + k1 * a12 + f123 * (p10 * a02 + p11 * a12 + p12 * a22),
     ]
     r = t3._cbrt_det9((y[0], y[3], y[4], y[3], y[1], y[5], y[4], y[5], y[2]))
-    return [u / r for u in y]
+    return [u / r for u in y], (x1, x2, x3), phi
+
+
+def _march_substep(C, a, beta, eps):
+    # one ifebm substep of the march towards the strain C, a and the result
+    # as upper triangles: the float update, or the eigen path where W is wide
+    _, q, b = _strain_floats(C)
+    step = _float_update(q, b, a, beta, eps, 0)
+    if step is not None:
+        return step[0]
+    _, sq, isq, _, _ = _strain_parts(C)
+    Ci, _ = _ci_update(t3.unpack_sym(np.array(a)), sq, isq, (beta, eps), 0)
+    return t3.pack_sym(Ci).tolist()
+
+
+def _branch_steps(C_next, states, dt, params, corrections):
+    # the StepResults of closed-form steps of several states towards one
+    # C_next, in order: the strain's parts formed once, each update on floats
+    # and its stress by _stress_from_parts, or where W is wide the eigen step
+    C_next = t3.require_spd(C_next, "C_next")
+    r, q, b = _strain_floats(C_next)
+    Cbar, Cbar_inv = np.array(q).reshape(3, 3), np.array(b).reshape(3, 3)
+    C_inv = Cbar_inv / r
+    results = []
+    for state, p in zip(states, params):
+        beta, eps = _coefficients(dt, p)
+        step = _float_update(q, b, t3.pack_sym(state.Ci).tolist(), beta, eps, corrections)
+        if step is None:
+            results.append(_closed_form_step(C_next, state.Ci, dt, p, corrections))
+            continue
+        state = LagrangianState(t3.unpack_sym(np.array(step[0])))
+        stress = _stress_from_parts(C_inv, Cbar, Cbar_inv, state.Ci, p)
+        results.append(StepResult(state, stress, _diagnostics(*step[1:], corrections)))
+    return results
 
 
 def _march(C_of_t, Ci0, t_grid, p, n_substeps):
@@ -1036,13 +1053,14 @@ def reference_solve(
 
     Integrates with the closed-form (ifebm) update using ``n_substeps``
     uniform substeps per interval of the finite, strictly increasing
-    ``t_grid``, one call of ``C_of_t`` each and
-    one per output time.  A substep writes the root as a polynomial in
-    ``Ci Cbar^-1`` on Python floats, with no eigenvectors, and agrees with
-    the steppers' eigen path to round-off.  When ``check_richardson`` is
-    set the run is repeated with doubled substeps and the largest stress
-    change at any output time is reported, so callers can judge whether
-    the reference is converged to their target.
+    ``t_grid``, one call of ``C_of_t`` each and one per output time.  A
+    substep writes the root as a polynomial in ``Ci Cbar^-1`` on Python
+    floats, with no eigenvectors (the update the composite's closed-form
+    branches take), and agrees with the steppers' eigen path to round-off;
+    a substep spread beyond 100 takes that path.  When ``check_richardson``
+    is set the run is repeated with doubled substeps and the largest stress
+    change at any output time is reported, so callers can judge whether the
+    reference is converged to their target.
     """
     if not isinstance(n_substeps, (int, np.integer)) or n_substeps < 1:
         raise DomainError(f"n_substeps must be an integer >= 1, got {n_substeps!r}")

@@ -1,11 +1,10 @@
 """Exact 3x3 tensor algebra for finite-strain constitutive updates.
 
-All routines operate on plain numpy arrays of shape (3, 3); ``det``,
-``trace``, ``inverse``, ``deviator``, ``unimodular``, ``sym`` and ``norm``
-also take stacks of shape (..., 3, 3) and give each member the result of
-a one-tensor call, bit for bit.  ``mat_exp`` takes one tensor: it is the
-tests' oracle for the exponential map, which the package evaluates on
-the spectrum instead.
+All routines operate on one plain numpy array of shape (3, 3), except
+``pack_sym`` and ``unpack_sym``, which also map stacks (..., 3, 3) to and
+from their six components (the Voigt maps use them that way).  A stack
+passed to any other routine raises.  ``mat_exp`` is the tests' oracle for
+the exponential map, which the package evaluates on the spectrum instead.
 
 * ``Tensor3``     is any such array (deformation gradients, rotations, ...).
 * ``SymTensor3``  is one that is symmetric bit-for-bit.  Symmetry is a
@@ -56,36 +55,31 @@ _F = [float(math.factorial(k)) for k in range(14)]
 
 
 def sym(A: np.ndarray, check: bool = True) -> np.ndarray:
-    """Symmetric part (A + A^T)/2 (of each member of a stack).
+    """Symmetric part (A + A^T)/2.
 
     With ``check`` enabled a skew part beyond 1e-10 * ||result|| raises
     ``AssertionError`` (under ``python -O`` too): a product symmetric in
     exact arithmetic has only a round-off skew part.
     """
-    At = A.T if A.ndim == 2 else A.swapaxes(-1, -2)
-    S = (A + At) / 2.0
+    if A.shape != (3, 3):
+        raise DomainError(f"sym takes one 3x3 tensor, got shape {A.shape}")
+    S = (A + A.T) / 2.0
     if check and not _skew_norm_ok(A, S):
         raise AssertionError("asymmetry exceeds round-off bound")
     return S
 
 
 def _skew_norm_ok(A, S, scale=0.0):
-    # skew part <= 1e-10 max(||S||, scale), scale (one per member of a stack,
-    # or one for all) the size of the operands of a product small by cancellation
-    if A.ndim == 2:
-        a = A.ravel().tolist()
-        skew = math.sqrt(2.0) * math.hypot(a[1] - a[3], a[2] - a[6], a[5] - a[7])
-        return skew <= 1e-10 * max(norm(S), scale, 1e-300)
-    skew = np.linalg.norm(A - A.swapaxes(-1, -2), axis=(-2, -1))
-    bound = np.maximum(np.linalg.norm(S, axis=(-2, -1)), np.maximum(scale, 1e-300))
-    return bool((skew <= 1e-10 * bound).all())
+    # skew part <= 1e-10 max(||S||, scale), scale the size of the operands
+    # of a product small by cancellation
+    a = A.ravel().tolist()
+    skew = math.sqrt(2.0) * math.hypot(a[1] - a[3], a[2] - a[6], a[5] - a[7])
+    return skew <= 1e-10 * max(norm(S), scale, 1e-300)
 
 
-def norm(A: np.ndarray):
-    """Frobenius norm: a float for one tensor, an array over a stack."""
-    if A.ndim == 2:
-        return math.hypot(*A.ravel().tolist())
-    return np.array([math.hypot(*a) for a in _rows(A)]).reshape(A.shape[:-2])
+def norm(A: np.ndarray) -> float:
+    """Frobenius norm."""
+    return math.hypot(*_entries(A, "norm"))
 
 
 # the six symmetric components (11, 22, 33, 12, 13, 23) within the nine
@@ -107,12 +101,12 @@ def unpack_sym(x: np.ndarray) -> np.ndarray:
     return x.take(_UNPACK, axis=-1).reshape(x.shape[:-1] + (3, 3))
 
 
-# The 3x3 closed forms run on Python floats: one tensor's nine entries
-# are read with a single ``tolist``, and a stack (..., 3, 3) runs the same
-# expressions member by member, so each member comes out bit-identical to
-# a one-tensor call.  This is the fast form for one tensor and for the
-# small stacks used here (a Newton iterate with its six forward-difference
-# points, a composite's branches).
+def _entries(A, name):
+    # the nine entries of one tensor, which the 3x3 closed forms run on as
+    # Python floats; a stack, which they would misread, is refused
+    if A.shape != (3, 3):
+        raise DomainError(f"{name} takes one 3x3 tensor, got shape {A.shape}")
+    return A.ravel().tolist()
 
 
 def _det9(a00, a01, a02, a10, a11, a12, a20, a21, a22):
@@ -123,27 +117,15 @@ def _det9(a00, a01, a02, a10, a11, a12, a20, a21, a22):
     )
 
 
-def _rows(A):
-    # the nine-entry rows of a stack's members, as Python floats
-    return A.reshape(-1, 9).tolist()
+def det(A: np.ndarray) -> float:
+    """Determinant by cofactor expansion."""
+    return float(_det9(*_entries(A, "det")))
 
 
-def det(A: np.ndarray):
-    """Determinant by cofactor expansion.
-
-    A float for one tensor; for a stack ``(..., 3, 3)`` an array of the
-    members' determinants.
-    """
-    if A.ndim == 2:
-        return float(_det9(*A.ravel().tolist()))
-    return np.array([_det9(*a) for a in _rows(A)]).reshape(A.shape[:-2])
-
-
-def trace(A: np.ndarray):
-    """Trace: a float for one tensor, an array over a stack."""
-    if A.ndim == 2:
-        return float(A[0, 0] + A[1, 1] + A[2, 2])
-    return A[..., 0, 0] + A[..., 1, 1] + A[..., 2, 2]
+def trace(A: np.ndarray) -> float:
+    """Trace."""
+    a = _entries(A, "trace")
+    return float(a[0] + a[4] + a[8])
 
 
 def _inverse9(a00, a01, a02, a10, a11, a12, a20, a21, a22):
@@ -165,27 +147,21 @@ def _inverse9(a00, a01, a02, a10, a11, a12, a20, a21, a22):
 
 
 def inverse(A: np.ndarray) -> np.ndarray:
-    """Closed-form cofactor inverse (of each member of a stack).
+    """Closed-form cofactor inverse.
 
     Raises
     ------
     DomainError
-        If the determinant is zero or not finite (for any member of a
-        stack).  Near-singular inputs are not rejected; accuracy then
-        degrades with the condition number (``A @ inverse(A) = I`` holds
-        to ~1e-13 * cond(A)).
+        If the determinant is zero or not finite.  Near-singular inputs
+        are not rejected; accuracy then degrades with the condition number
+        (``A @ inverse(A) = I`` holds to ~1e-13 * cond(A)).
     """
-    if A.ndim == 2:
-        return np.array(_inverse9(*A.ravel().tolist())).reshape(3, 3)
-    return np.array([_inverse9(*a) for a in _rows(A)]).reshape(A.shape)
+    return np.array(_inverse9(*_entries(A, "inverse"))).reshape(3, 3)
 
 
 def deviator(A: np.ndarray) -> np.ndarray:
-    """Traceless part A - tr(A)/3 * I (of each member of a stack)."""
-    t = trace(A) / 3.0
-    if A.ndim > 2:
-        t = t[..., None, None]
-    return A - t * IDENTITY
+    """Traceless part A - tr(A)/3 * I."""
+    return A - trace(A) / 3.0 * IDENTITY
 
 
 def _cbrt_det9(a, name="unimodular part"):
@@ -198,45 +174,46 @@ def _cbrt_det9(a, name="unimodular part"):
 
 
 def unimodular(A: np.ndarray) -> np.ndarray:
-    """Determinant-one rescaling (det A)^(-1/3) * A (of each member).
-
-    Raises
-    ------
-    DomainError
-        If det(A) <= 0 (for any member of a stack).
-    """
-    if A.ndim == 2:
-        return A / _cbrt_det9(A.ravel().tolist())
-    d = det(A)
-    for d_k in d.ravel().tolist():
-        if not d_k > 0.0:
-            raise DomainError(f"unimodular part requires det > 0, got det = {d_k}")
-    return A / np.cbrt(d)[..., None, None]
+    """Determinant-one rescaling (det A)^(-1/3) * A; ``DomainError`` if
+    det(A) <= 0."""
+    return A / _cbrt_det9(_entries(A, "unimodular"))
 
 
 def _is_spd9(a00, a01, a02, a10, a11, a12, a20, a21, a22):
     return (
         a00 > 0.0
         and a00 * a11 - a01 * a10 > 0.0
-        and _det9(a00, a01, a02, a10, a11, a12, a20, a21, a22) > 0.0
+        and 0.0 < _det9(a00, a01, a02, a10, a11, a12, a20, a21, a22) < math.inf
     )
 
 
 def is_spd(A: np.ndarray) -> bool:
-    """Positive definiteness of a symmetric tensor via leading minors."""
-    return _is_spd9(*A.ravel().tolist())
+    """Positive definiteness of a symmetric tensor via leading minors, each
+    within the float range."""
+    return _is_spd9(*_entries(A, "is_spd"))
 
 
 def require_spd(A: np.ndarray, name: str = "tensor") -> np.ndarray:
-    """A checked finite, symmetric and positive definite: A itself if
-    exactly symmetric, ``sym(A)`` if its skew part is round-off (as
-    :func:`sym` bounds it); else ``DomainError`` names it."""
+    """A checked finite, symmetric and positive definite, with a finite
+    non-zero determinant: A itself if exactly symmetric, ``sym(A)`` if its
+    skew part is round-off (as :func:`sym` bounds it); else ``DomainError``
+    names it, and names a determinant that under- or overflows."""
     if A.shape != (3, 3):
         raise DomainError(f"{name} must be a 3x3 array, got shape {A.shape}")
     a = A.ravel().tolist()
     if not all(map(math.isfinite, a)):
         raise DomainError(f"{name} has non-finite entries")
     if not _is_spd9(*a):
+        # scaled by a power of two near its largest entry (exact), a tensor
+        # whose minors only left the float range is definite again
+        e = math.frexp(max(map(abs, a)))[1]
+        s = [math.ldexp(v, -e) for v in a]
+        if _is_spd9(*s):
+            log10 = round(math.log10(_det9(*s)) + 3 * e * math.log10(2.0), 6)
+            k = math.floor(log10)
+            raise DomainError(
+                f"det {name} = {10.0 ** (log10 - k):.3f}e{k:+d} is out of float range"
+            )
         raise DomainError(f"{name} is not symmetric positive definite")
     if a[1] == a[3] and a[2] == a[6] and a[5] == a[7]:
         return A
@@ -284,7 +261,7 @@ def mat_exp(A: np.ndarray) -> np.ndarray:
         If an entry is not finite.
     """
     # the column sums of |A|, each summed top to bottom
-    a = [abs(v) for v in A.ravel().tolist()]
+    a = [abs(v) for v in _entries(A, "mat_exp")]
     cols = [(a[j] + a[j + 3]) + a[j + 6] for j in range(3)]
     if not all(map(math.isfinite, cols)):
         raise DomainError("mat_exp argument has non-finite entries")

@@ -79,7 +79,8 @@ def rng():
 
 def per_call(stepper):
     """An opaque wrapper of ``stepper``: the tangent and the composite do
-    not know it as a closed-form stepper, so they call it once per lane."""
+    not know it as a closed-form stepper, so they call it once per branch
+    or perturbed strain."""
     return lambda *args: stepper(*args)
 
 
@@ -101,6 +102,15 @@ def fd_oracle(stepper, C, state, dt, p):
     )
     R = (16.0 * T4 - T16) / 15.0
     return T, float(np.linalg.norm(T - R) / np.linalg.norm(R))
+
+
+def history_gap(got, want):
+    """Relative Frobenius distance of two histories, each taken as one
+    array, as the benchmark's golden gate measures it: a stress near a
+    relaxed state carries the round-off of the larger state it cancels
+    from."""
+    got, want = np.array(got), np.array(want)
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
 
 
 def invalid_state(Ci):

@@ -46,6 +46,7 @@ from mrmaxwell.constitutive import (
 from mrmaxwell.harness import LoadingProgram
 
 from conftest import (
+    history_gap,
     rand_rotation,
     rand_spd,
     rand_unimodular,
@@ -1216,7 +1217,7 @@ class TestHugeSteps:
             beta = 0.0 if log_beta is None else math.exp(rng.uniform(*log_beta))
             eps = math.exp(rng.uniform(*log_eps))
             corrections = 2 * (k % 2)
-            X, (d,) = _closed_form_root(W, [(beta, eps)], corrections, "W")
+            X, d = _closed_form_root(W, (beta, eps), corrections, "W")
             w, V = np.linalg.eigh(W)
             w = (w + beta).tolist()
             phi0 = float(np.cbrt(w[0] * w[1] * w[2]))
@@ -1277,7 +1278,7 @@ class TestImplicitConsistency:
             beta = dt * P111.c10 / P111.eta
             eps = dt * P111.c01 / P111.eta
             Cbar, sq, isq, Cbar_inv, _ = _strain_parts(C)
-            X, (d,) = _closed_form_root(sym(isq @ Ci_n @ isq), [(beta, eps)], 0, "W")
+            X, d = _closed_form_root(sym(isq @ Ci_n @ isq), (beta, eps), 0, "W")
             phi = d.phi
             Ci_star = sym(sq @ X @ sq)  # before projection
             # phi Ci* = Ci_n + beta Cbar - eps Ci* Cbar^-1 Ci*
@@ -1346,18 +1347,10 @@ def _eigen_march(C_of_t, t_grid, p, n_substeps):
         h = (t1 - t0) / n_substeps
         for s in range(1, n_substeps + 1):
             _, sq, isq, _, _ = _strain_parts(C_of_t(t0 + s * h))
-            Ci, _ = _ci_update(Ci, sq, isq, [_coefficients(h, p)], 0)
+            Ci, _ = _ci_update(Ci, sq, isq, _coefficients(h, p), 0)
         states.append(Ci)
         stresses.append(stress_2pk(C_of_t(t1), Ci, p))
     return states, stresses
-
-
-def _history_gap(got, want):
-    # relative Frobenius distance of two histories, each taken as one array
-    # (as the benchmark's golden gate does): a stress near a relaxed state
-    # carries the round-off of the larger state it cancels from
-    got, want = np.array(got), np.array(want)
-    return np.linalg.norm(got - want) / np.linalg.norm(want)
 
 
 def _check_states(states):
@@ -1378,8 +1371,8 @@ class TestReferenceMarch:
         ts = np.linspace(0.0, program.t_end, 7)
         ref = reference_solve(program.C, np.eye(3), ts, P111, 150, False)
         states, stresses = _eigen_march(program.C, ts, P111, 150)
-        assert _history_gap(ref.states, states) <= 1e-13
-        assert _history_gap(ref.stresses, stresses) <= 1e-13
+        assert history_gap(ref.states, states) <= 1e-13
+        assert history_gap(ref.stresses, stresses) <= 1e-13
         # the uniaxial program's states keep a repeated eigenvalue pair
         _check_states(ref.states)
 
@@ -1392,7 +1385,7 @@ class TestReferenceMarch:
             beta, eps = _coefficients(dt, P111)
             got = np.array(_march_substep(C, t3.pack_sym(Ci).tolist(), beta, eps))
             _, sq, isq, _, _ = _strain_parts(C)
-            want = t3.pack_sym(_ci_update(Ci, sq, isq, [(beta, eps)], 0)[0])
+            want = t3.pack_sym(_ci_update(Ci, sq, isq, (beta, eps), 0)[0])
             assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
             _check_states([t3.unpack_sym(got)])
 
@@ -1407,7 +1400,7 @@ class TestReferenceMarch:
         Ci = sym(t3.unimodular(Ci))
         beta, eps = _coefficients(0.3, P111)
         got = np.array(_march_substep(C, t3.pack_sym(Ci).tolist(), beta, eps))
-        want = t3.pack_sym(_ci_update(Ci, sq, isq, [(beta, eps)], 0)[0])
+        want = t3.pack_sym(_ci_update(Ci, sq, isq, (beta, eps), 0)[0])
         if spread > 1.0:
             assert np.array_equal(got, want)
         else:

@@ -214,70 +214,40 @@ class TestMatExp:
             assert abs(t3.det(t3.mat_exp(A)) - 1.0) < 1e-11
 
 
-SINGULAR = np.array([[1.0, 1, 0], [1, 1, 0], [0, 0, 1]])
-
-
 class TestStacks:
-    """Primitives on (..., 3, 3) stacks give each member's one-tensor
-    result, bit for bit, and refuse a bad member as the one-tensor call
-    refuses it."""
+    """``pack_sym`` and ``unpack_sym`` map stacks (..., 3, 3) member by
+    member, bit for bit; every other primitive takes one tensor and refuses
+    a stack rather than misread it."""
 
     def test_members_bit_identical(self, rng):
         G = rng.standard_normal((2, 4, 3, 3))
-        S = t3.sym(G @ G.swapaxes(-1, -2) + 0.1 * np.eye(3), check=False)
-        cases = {
-            t3.det: G,
-            t3.trace: G,
-            t3.inverse: G,
-            t3.deviator: G,
-            t3.norm: G,
-            t3.unimodular: S,
-            lambda A: t3.sym(A, check=False): G,
-        }
-        for f, A in cases.items():
-            got = f(A)
-            want = np.array([f(m) for m in A.reshape(-1, 3, 3)])
-            assert got.shape == A.shape[: got.ndim]
-            assert np.array_equal(got.reshape(want.shape), want)
+        S = G + G.swapaxes(-1, -2)
+        packed = t3.pack_sym(S)
+        assert packed.shape == (2, 4, 6)
+        for A, v in zip(S.reshape(-1, 3, 3), packed.reshape(-1, 6)):
+            assert np.array_equal(v, t3.pack_sym(A))
+            assert np.array_equal(t3.unpack_sym(v), A)
+        assert np.array_equal(t3.unpack_sym(packed), S)
 
     def test_empty_stack(self):
-        empty = np.zeros((0, 3, 3))
-        for f in (t3.inverse, t3.deviator, t3.unimodular):
-            assert f(empty).shape == (0, 3, 3)
-        assert t3.det(empty).shape == (0,)
-
-    def test_sym_check_on_stack(self):
-        M = np.array([np.eye(3), np.eye(3)])
-        M[1, 0, 1] = 1.0
-        assert np.array_equal(t3.sym(M[:1]), M[:1])
-        with pytest.raises(AssertionError):
-            t3.sym(M)
-        # the stress laws' bound takes one scale per member: a skew part of
-        # 1e-9 is round-off only for a member formed from operands of size 100
-        Z = np.zeros((2, 3, 3))
-        Z[1, 0, 1] = 1e-9
-        S = t3.sym(Z, check=False)
-        assert t3._skew_norm_ok(Z, S, np.array([0.0, 100.0]))
-        assert not t3._skew_norm_ok(Z, S, np.array([100.0, 0.0]))
+        empty = t3.pack_sym(np.zeros((0, 3, 3)))
+        assert empty.shape == (0, 6)
+        assert t3.unpack_sym(empty).shape == (0, 3, 3)
 
     @pytest.mark.parametrize(
-        "f, bad, later",
-        [
-            (t3.inverse, SINGULAR, np.diag([1.0, np.nan, 1.0])),
-            (t3.inverse, np.diag([1.0, np.nan, 1.0]), SINGULAR),
-            (t3.unimodular, np.diag([1.0, -1.0, 1.0]), np.diag([1.0, 0.0, 1.0])),
-            (t3.unimodular, np.diag([1.0, 0.0, 1.0]), np.diag([1.0, -1.0, 1.0])),
-        ],
+        "f",
+        [pytest.param(f, id=f.__name__) for f in (
+            t3.det, t3.trace, t3.inverse, t3.deviator, t3.unimodular, t3.norm,
+            t3.is_spd, t3.require_spd, t3.spd_sqrt, t3.spd_inv_sqrt, t3.mat_exp,
+        )] + [pytest.param(lambda A: t3.sym(A, check=False), id="sym")],
     )
-    def test_first_bad_member_reported(self, f, bad, later):
-        # the stack reports its first bad member, as the one-tensor call
-        # on that member does
-        with pytest.raises(DomainError) as one:
-            f(bad)
-        stack = np.array([np.eye(3), bad, later, np.eye(3)])
-        with pytest.raises(DomainError) as many:
-            f(stack)
-        assert str(many.value) == str(one.value)
+    def test_one_tensor_primitives_refuse_a_stack(self, f):
+        # one, two and three members: a stack of three would broadcast
+        # against its own transpose, and one of one has nine entries; sym
+        # unchecked, as its check would refuse the stack in norm
+        for n in (1, 2, 3):
+            with pytest.raises(ValueError):
+                f(np.array([2.0 * np.eye(3)] * n))
 
 
 class TestNorm:
