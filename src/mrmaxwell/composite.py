@@ -37,15 +37,14 @@ import numpy as np
 
 from .errors import DomainError
 from . import tensor3 as t3
-from .tensor3 import det, deviator, inverse, sym, unimodular
+from .tensor3 import det, sym
 from .constitutive import (
     LagrangianState,
     MaterialParams,
     StepDiagnostics,
     ifebm_step_lagrangian,
-    stress_2pk,
 )
-from .constitutive import _CORRECTIONS, _branch_steps, _sym_stress
+from .constitutive import _CORRECTIONS, _branch_steps, _strain, _stress_from_parts
 
 __all__ = [
     "EquilibriumParams",
@@ -119,7 +118,12 @@ def equilibrium_stress(C: np.ndarray, p: EquilibriumParams) -> np.ndarray:
     driving protocol.  A volume ratio ``det C`` that overflows, or whose
     volumetric factor does, raises :class:`DomainError`.
     """
-    C = t3.require_spd(C, "C")
+    return _equilibrium_stress(C, _strain(C, "C").arrays, p)
+
+
+def _equilibrium_stress(C, arrays, p):
+    # equilibrium_stress of C, given the arrays of _strain(C); the isochoric
+    # part is the Maxwell branches' stress law at Ci = I
     d = det(C)
     try:
         vol = 0.0 if p.incompressible else p.k / 10.0 * (d**2.5 - d**-2.5)
@@ -127,13 +131,8 @@ def equilibrium_stress(C: np.ndarray, p: EquilibriumParams) -> np.ndarray:
         vol = math.inf
     if not vol < math.inf:
         raise DomainError(f"volume ratio det C = {d:.3e} is out of float range")
-    Cbar = unimodular(C)
-    C_inv = inverse(C)
-    Cbar_inv = inverse(Cbar)
-    scale = t3.norm(C_inv) * (p.c10 * t3.norm(Cbar) + p.c01 * t3.norm(Cbar_inv))
-    M = C_inv @ deviator(p.c10 * Cbar - p.c01 * Cbar_inv)
-    iso = _sym_stress(M, scale, Cbar, Cbar_inv)
-    return iso if p.incompressible else iso + vol * C_inv
+    iso = _stress_from_parts(arrays, t3.IDENTITY, p)
+    return iso if p.incompressible else iso + vol * arrays[2]
 
 
 @dataclass(frozen=True)
@@ -153,14 +152,19 @@ def composite_step(
 ) -> CompositeStepResult:
     """Advance every Maxwell branch independently and sum the stresses.
 
-    The branches of ``ifebm_step_lagrangian`` and ``twoiter_step`` take the
-    reference march's float update, on strain parts formed once; they
-    agree with one stepper call per branch to round-off and raise its
-    errors in branch order.  Any other stepper is called once per branch.
+    The strain is checked and its parts formed once, for the equilibrium
+    branch and every Maxwell branch.  The branches of
+    ``ifebm_step_lagrangian`` and ``twoiter_step`` take the reference
+    march's float update on those parts; they agree with one stepper call
+    per branch to round-off and raise its errors in branch order.  Any other stepper is called once per branch.
     For the incompressible model the returned stress excludes the
-    indeterminate pressure term ``-p C^-1``.
+    indeterminate pressure term ``-p C^-1``.  A ``dt`` that is not finite
+    and non-negative is refused, with or without branches.
     """
-    eq = equilibrium_stress(C_next, model.equilibrium)
+    if not 0.0 <= dt < math.inf:
+        raise DomainError(f"dt must be finite and non-negative, got {dt!r}")
+    strain = _strain(C_next, "C")
+    eq = _equilibrium_stress(C_next, strain.arrays, model.equilibrium)
     corrections = _CORRECTIONS.get(stepper)
     if corrections is None or not model.branches:
         results = [
@@ -168,7 +172,7 @@ def composite_step(
             for params, state in zip(model.branches, model.states)
         ]
     else:
-        results = _branch_steps(C_next, model.states, dt, model.branches, corrections)
+        results = _branch_steps(strain, model.states, dt, model.branches, corrections)
     total = eq.copy()
     for r in results:
         total += r.stress
@@ -217,8 +221,8 @@ def uniaxial_axial_stress(
         raise DomainError(
             "traction-free uniaxial evaluation requires the incompressible model"
         )
-    if dt <= 0.0:
-        raise DomainError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise DomainError(f"dt must be finite and positive, got {dt!r}")
 
     stresses = np.empty(len(F_history))
     current = model
@@ -226,9 +230,10 @@ def uniaxial_axial_stress(
         lam = _check_uniaxial_isochoric(F)
         C = sym(F.T @ F, check=False)
         if k == 0:
-            T_iso = equilibrium_stress(C, model.equilibrium)
+            arrays = _strain(C, "C").arrays
+            T_iso = _equilibrium_stress(C, arrays, model.equilibrium)
             for params, state in zip(model.branches, model.states):
-                T_iso = T_iso + stress_2pk(C, state.Ci, params)
+                T_iso = T_iso + _stress_from_parts(arrays, state.Ci, params)
         else:
             res = composite_step(C, current, dt, stepper)
             current = res.model
@@ -240,13 +245,18 @@ def uniaxial_axial_stress(
 
 
 def load_model(source) -> CompositeModel:
-    """Build a relaxed CompositeModel from a JSON file path or dict."""
-    if isinstance(source, dict):
-        doc = source
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+    """Build a relaxed CompositeModel from a JSON file path or dict.
+
+    A file that cannot be read or is not JSON, and a document that is not a
+    model, raise :class:`DomainError` naming the file and the cause.
+    """
+    where = "model document" if isinstance(source, dict) else f"model file {source}"
     try:
+        if isinstance(source, dict):
+            doc = source
+        else:
+            with open(source, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
         eq = doc["equilibrium"]
         k = eq["k"]
         if k == "incompressible":
@@ -256,8 +266,12 @@ def load_model(source) -> CompositeModel:
             MaterialParams(float(b["c10"]), float(b["c01"]), float(b["eta"]))
             for b in doc["branches"]
         ]
-    except (KeyError, TypeError) as exc:
-        raise DomainError(f"malformed model document: {exc}") from exc
+    except DomainError:
+        raise
+    except OSError as exc:
+        raise DomainError(f"cannot read {where}: {exc.strerror or exc}") from exc
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DomainError(f"malformed {where}: {exc}") from exc
     return CompositeModel.relaxed(equilibrium, branches)
 
 

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -216,11 +217,10 @@ def stress_2pk(C: np.ndarray, Ci: np.ndarray, p: MaterialParams) -> np.ndarray:
     The product is symmetric in exact arithmetic and symmetrized after
     evaluation.
     """
-    C = t3.require_spd(C, "C")
+    arrays = _strain(C, "C").arrays
     Ci = t3.require_spd(Ci, "Ci")
     _check_det_one(Ci.ravel().tolist(), "Ci")
-    Cbar = unimodular(C)
-    return _stress_from_parts(inverse(C), Cbar, inverse(Cbar), Ci, p)
+    return _stress_from_parts(arrays, Ci, p)
 
 
 def kirchhoff_eulerian(Be_inv_bar: np.ndarray, p: MaterialParams) -> np.ndarray:
@@ -312,45 +312,52 @@ def residual_R(phi: float, A: np.ndarray, eps: float) -> float:
 # closed-form steppers
 
 
-def _strain_parts(C_next):
-    # unimodular strain, its square-root factors and the inverses, from one
-    # determinant and one decomposition
-    d = det(C_next)
-    if not d > 0.0:
-        raise DomainError(f"strain input must have det > 0, got {d}")
-    scale = np.cbrt(d)
-    Cbar = C_next / scale
-    w, V = np.linalg.eigh(Cbar)
-    if not w[0] > 0.0:
-        raise DomainError(
-            "strain input is not positive definite", min_eigenvalue=float(w[0])
-        )
-    r = np.sqrt(w)
-    Cbar_inv = sym((V / w) @ V.T, check=False)
-    return Cbar, (V * r) @ V.T, (V / r) @ V.T, Cbar_inv, Cbar_inv / scale
+_Strain = namedtuple("_Strain", "q b arrays")
 
 
-def _stress_from_parts(C_inv, Cbar, Cbar_inv, Ci, p):
-    # the raw product c10 Cbar Ci^-1 - c01 Ci Cbar^-1 cancels badly near
-    # relaxed states (Ci ~ Cbar); rewriting it through D = Ci - Cbar is
-    # algebraically identical and keeps the round-off at the size of D
+def _strain(C, name):
+    # C checked by require_spd as name and prepared once, for every stress law,
+    # step, Newton baseline and composite step: the floats q of Cbar = C/r, r =
+    # cbrt(det C) (_strain_floats), and b of Cbar^-1, and the arrays (Cbar,
+    # Cbar^-1, C^-1 = Cbar^-1/r) that the stress laws take
+    C = t3.require_spd(C, name)
+    r, q = _strain_floats(C)
+    b = t3._inverse9(*q)
+    Cbar_inv = np.array(b).reshape(3, 3)
+    return _Strain(q, b, (C / r, Cbar_inv, Cbar_inv / r))
+
+
+def _strain_floats(C):
+    # r = cbrt(det C) and the nine entries q of Cbar = C/r, read from its
+    # upper triangle, on Python floats
+    c = C.ravel().tolist()
+    r = t3._cbrt_det9(c, "strain input")
+    q0, q1, q2, q3, q4, q5 = c[0] / r, c[4] / r, c[8] / r, c[1] / r, c[2] / r, c[5] / r
+    q = (q0, q3, q4, q3, q1, q5, q4, q5, q2)
+    if not t3._is_spd9(*q):
+        raise DomainError("strain input is not positive definite")
+    return r, q
+
+
+def _stress_from_parts(arrays, Ci, p):
+    # the stress law on the arrays of _strain, for p's c10 and c01.  The raw
+    # product c10 Cbar Ci^-1 - c01 Ci Cbar^-1 cancels badly near relaxed states
+    # (Ci ~ Cbar), and D = Ci - Cbar rewrites it identically, keeping the
+    # round-off at the size of D.  The stress product M is symmetric in exact
+    # arithmetic, formed from operands of size scale; a skew part beyond sym's
+    # round-off bound comes from a strain too ill-conditioned for it
+    Cbar, Cbar_inv, C_inv = arrays
     D = Ci - Cbar
     term = p.c10 * (D @ inverse(Ci)) + p.c01 * (D @ Cbar_inv)
     scale = t3.norm(C_inv) * (t3.norm(term) + (p.c10 + p.c01) * 1e-12)
-    return -_sym_stress(C_inv @ deviator(term), scale, Cbar, Cbar_inv)
-
-
-def _sym_stress(M, scale, Cbar, Cbar_inv):
-    # sym(M) of a stress product M that is symmetric in exact arithmetic,
-    # formed from operands of size scale; a skew part beyond sym's round-off
-    # bound comes from a strain too ill-conditioned for it
+    M = C_inv @ deviator(term)
     S = sym(M, check=False)
     if not t3._skew_norm_ok(M, S, scale):
         raise DomainError(
             "stress asymmetry exceeds round-off: the unimodular strain has "
             f"condition number {t3.norm(Cbar) * t3.norm(Cbar_inv):.3e}"
         )
-    return S
+    return -S
 
 
 # below this size of the quadratic's largest coefficient, the cube of its
@@ -466,24 +473,29 @@ def _diagnostics(x, phi, corrections):
     return StepDiagnostics(phi, corrections, det_residual=abs(x[0] * x[1] * x[2] - 1.0))
 
 
-def _ci_update(Ci, sq, isq, coeffs, corrections):
-    # the closed-form update of Ci towards a strain whose unimodular part has
-    # the square root sq (inverse isq): the root X on isq Ci isq, mapped back
-    # as unimodular(sq X sq); and the root's diagnostics
+def _ci_update(Ci, Cbar, coeffs, corrections):
+    # the closed-form update of Ci towards a strain with the unimodular part
+    # Cbar, and its diagnostics: the root X on isq Ci isq, mapped back as
+    # unimodular(sq X sq), with sq = Cbar^1/2 and isq = sq^-1 from one eigh
+    w, V = np.linalg.eigh(Cbar)
+    if not w[0] > 0.0:
+        raise DomainError(
+            "strain input is not positive definite", min_eigenvalue=float(w[0])
+        )
+    r = np.sqrt(w)
+    sq, isq = (V * r) @ V.T, (V / r) @ V.T
     W = sym(isq @ Ci @ isq, check=False)
     X, diagnostics = _closed_form_root(W, coeffs, corrections, "quadratic input")
     return unimodular(sym(sq @ X @ sq, check=False)), diagnostics
 
 
-def _closed_form_step(C_next, Ci, dt, p, corrections):
-    # the StepResult of the closed-form step from Ci towards C_next
+def _closed_form_step(arrays, Ci, dt, p, corrections):
+    # the StepResult of the closed-form step from Ci towards the strain with
+    # the arrays of _strain, on the eigen path
     coeffs = _coefficients(dt, p)
-    C_next = t3.require_spd(C_next, "C_next")
-    Cbar, sq, isq, Cbar_inv, C_inv = _strain_parts(C_next)
-    Ci_new, diagnostics = _ci_update(Ci, sq, isq, coeffs, corrections)
+    Ci_new, diagnostics = _ci_update(Ci, arrays[0], coeffs, corrections)
     state = LagrangianState(Ci_new)
-    stress = _stress_from_parts(C_inv, Cbar, Cbar_inv, Ci_new, p)
-    return StepResult(state, stress, diagnostics)
+    return StepResult(state, _stress_from_parts(arrays, Ci_new, p), diagnostics)
 
 
 def _inverse_cholesky(a):
@@ -549,24 +561,24 @@ def _principal_block(w, x, s, g, p):
 def _lagrangian_tangent(C_next, Ci, dt, p, corrections):
     # the exact derivative of the closed-form step's stress, Ci held fixed, as
     # the principal basis N and the block of _principal_block.  With Cbar =
-    # C_next/cbrt(det C_next) = L L^T and L^-1 Ci L^-T = U diag(w) U^T, w is
-    # the spectrum of the step's congruence W, and N = L^-T U / sqrt(cbrt(det
-    # C_next)) has N^T C_next N = I and N^T Ci N = diag(w)/cbrt(det C_next):
-    # there the whole step is diagonal
+    # C_next/r = L L^T, r = cbrt(det C_next), and L^-1 Ci L^-T = U diag(w) U^T,
+    # w is the spectrum of the step's congruence W, and N = L^-T U / sqrt(r)
+    # has N^T C_next N = I and N^T Ci N = diag(w)/r: there the step is diagonal
     beta, eps = _coefficients(dt, p)
+    # the strain checked and prepared as _strain does, less Cbar^-1 and the
+    # stress arrays, which the tangent does not read
     C_next = t3.require_spd(C_next, "C_next")
-    cbrt_det = np.cbrt(det(C_next))
-    Cbar = C_next / cbrt_det
-    Linv = _inverse_cholesky(Cbar.ravel().tolist())
+    r, q = _strain_floats(C_next)
+    Linv = _inverse_cholesky(q)
     w, U = np.linalg.eigh(Linv @ Ci @ Linv.T)
     w = w.tolist()
     x, _, s, g = _root(w, beta, eps, corrections, "quadratic input", slopes=True)
     # the state as the step builds and checks it: sq X sq = B diag(x) B^T, B
     # = L U = Cbar L^-T U
     LU = Linv.T @ U
-    B = Cbar @ LU
+    B = (C_next / r) @ LU
     LagrangianState(unimodular(sym((B * x) @ B.T, check=False)))
-    return LU / math.sqrt(cbrt_det), _principal_block(w, x, s, g, p)
+    return LU / math.sqrt(r), _principal_block(w, x, s, g, p)
 
 
 def ifebm_step_lagrangian(
@@ -577,7 +589,7 @@ def ifebm_step_lagrangian(
     Closed form; preserves symmetry, positive definiteness and the unit
     determinant of the internal variable for any dt >= 0.
     """
-    return _closed_form_step(C_next, state.Ci, dt, p, 0)
+    return _closed_form_step(_strain(C_next, "C_next").arrays, state.Ci, dt, p, 0)
 
 
 def twoiter_step(
@@ -591,7 +603,7 @@ def twoiter_step(
     eigenvalues ``w_i`` of the quadratic's input; the derivative is
     always negative, so every correction is defined.
     """
-    return _closed_form_step(C_next, state.Ci, dt, p, 2)
+    return _closed_form_step(_strain(C_next, "C_next").arrays, state.Ci, dt, p, 2)
 
 
 def ifebm_step_eulerian(
@@ -689,25 +701,22 @@ def _substepping_solve(value, Ci_n, dt, label, depth=0):
 
 
 def _newton_baseline(family, label, C_next, state, dt, p):
-    # the step of both Newton baselines; family(Cbar, p) gives the value
-    # function that _newton_solve takes
+    # the step of both Newton baselines; family(q, b, p) gives the value
+    # function that _newton_solve takes, from the parts q, b of _strain
     _coefficients(dt, p)
-    C_next = t3.require_spd(C_next, "C_next")
-    Cbar = unimodular(C_next)
-    Ci_new, diag = _substepping_solve(family(Cbar, p), state.Ci, dt, label)
+    q, b, arrays = _strain(C_next, "C_next")
+    Ci_new, diag = _substepping_solve(family(q, b, p), state.Ci, dt, label)
     state = LagrangianState(unimodular(Ci_new))
-    T = _stress_from_parts(inverse(C_next), Cbar, inverse(Cbar), state.Ci, p)
-    return StepResult(state, T, diag)
+    return StepResult(state, _stress_from_parts(arrays, state.Ci, p), diag)
 
 
-def _mebm_residual(Cbar, p):
-    # value(x, n, h) of Ci - unimodular(Ci_n + h f(Ci) Ci), f(Ci) Ci = (c10
-    # Cbar - c01 Ci Cbar^-1 Ci - tr_part Ci) / eta, in straight-line float code
-    c = Cbar.ravel().tolist()
-    b00, b01, b02, _, b11, b12, _, _, b22 = t3._inverse9(*c)
-    q0, q1, q2, q3, q4, q5 = c[0], c[4], c[8], c[1], c[2], c[5]
+def _mebm_residual(q, b, p):
+    # value(x, n, h) of Ci - unimodular(Ci_n + h f(Ci) Ci), f(Ci) Ci = (c10 Cbar
+    # - c01 Ci Cbar^-1 Ci - tr_part Ci) / eta, on the floats q, b of _strain
+    b00, b01, b02, _, b11, b12, _, _, b22 = b
+    q0, q1, q2, q3, q4, q5 = q[0], q[4], q[8], q[1], q[2], q[5]
     c10, c01, eta = p.c10, p.c01, p.eta
-    e0, e1, e2, e3, e4, e5 = (c10 * q for q in (q0, q1, q2, q3, q4, q5))
+    e0, e1, e2, e3, e4, e5 = (c10 * v for v in (q0, q1, q2, q3, q4, q5))
 
     def value(x, n, h):
         a00, a11, a22, a01, a02, a12 = x
@@ -789,20 +798,19 @@ def _exp_slope(e1, e2, w1, w2, slope):
     return e1 * math.expm1(d) / d * slope
 
 
-def _em_residual(Cbar, p):
-    # value(x, n, h) of Ci - sym(exp(h f(Ci)) Ci_n), in straight-line float
-    # code.  h f = g(P) is a scalar function of P = Cbar Ci^-1 alone (Ci
-    # Cbar^-1 = P^-1), g(s) = hs (c10 s - c01/s - tb), so exp(h f) = e(P), e
-    # = exp(g): Newton's interpolation e(w1) I + e[w1,w2] A + e[w1,w2,w3] A B,
-    # A = P - w1 I and B = P - w2 I, on the spectrum w1 <= w2 <= w3 of P,
-    # which is real since P is similar to Cbar^1/2 Ci^-1 Cbar^1/2 (the
-    # exponential map in principal axes of Simo & Miehe, CMAME 98, 1992).
-    # The Newton form keeps A and A B the size of the spread, where the
-    # monomials of P cancel near a relaxed state.  An exponent past 709
+def _em_residual(q, b, p):
+    # value(x, n, h) of Ci - sym(exp(h f(Ci)) Ci_n), in float code on the
+    # floats q, b of _strain.  h f = g(P) is a scalar function of P = Cbar
+    # Ci^-1 alone (Ci Cbar^-1 = P^-1), g(s) = hs (c10 s - c01/s - tb), so
+    # exp(h f) = e(P), e = exp(g): Newton's interpolation e(w1) I + e[w1,w2] A
+    # + e[w1,w2,w3] A B, A = P - w1 I and B = P - w2 I, on the spectrum w1 <=
+    # w2 <= w3 of P, which is real since P is similar to Cbar^1/2 Ci^-1
+    # Cbar^1/2 (the exponential map in principal axes of Simo & Miehe, CMAME
+    # 98, 1992).  The Newton form keeps A and A B the size of the spread, where
+    # the monomials of P cancel near a relaxed state.  An exponent past 709
     # overflows math.exp, which the Newton solve counts as divergence
-    c = Cbar.ravel().tolist()
-    b00, b01, b02, _, b11, b12, _, _, b22 = t3._inverse9(*c)
-    q0, q1, q2, q3, q4, q5 = c[0], c[4], c[8], c[1], c[2], c[5]
+    b00, b01, b02, _, b11, b12, _, _, b22 = b
+    q0, q1, q2, q3, q4, q5 = q[0], q[4], q[8], q[1], q[2], q[5]
     c10, c01, eta = p.c10, p.c01, p.eta
 
     def value(x, n, h):
@@ -934,21 +942,9 @@ class ReferenceSolution:
 _SPREAD_MAX = 100.0
 
 
-def _strain_floats(C):
-    # cbrt(det C), and the nine entries of Cbar = C/cbrt(det C), read from
-    # its upper triangle, and of Cbar^-1, on Python floats
-    c = C.ravel().tolist()
-    r = t3._cbrt_det9(c, "strain input")
-    q0, q1, q2, q3, q4, q5 = c[0] / r, c[4] / r, c[8] / r, c[1] / r, c[2] / r, c[5] / r
-    q = (q0, q3, q4, q3, q1, q5, q4, q5, q2)
-    if not t3._is_spd9(*q):
-        raise DomainError("strain input is not positive definite")
-    return r, q, t3._inverse9(*q)
-
-
 def _float_update(q, b, a, beta, eps, corrections):
     # the closed-form update of Ci towards the strain with the parts q, b of
-    # _strain_floats, on Python floats, Ci and the result as upper triangles
+    # _strain, on Python floats, Ci and the result as upper triangles
     # (11, 22, 33, 12, 13, 23), and the root's eigenvalues and phi (for its
     # StepDiagnostics, which the march does without); None where W spreads
     # beyond _SPREAD_MAX.  X = f(W), f(w) = x(w + beta), is Newton's
@@ -993,32 +989,29 @@ def _float_update(q, b, a, beta, eps, corrections):
 def _march_substep(C, a, beta, eps):
     # one ifebm substep of the march towards the strain C, a and the result
     # as upper triangles: the float update, or the eigen path where W is wide
-    _, q, b = _strain_floats(C)
-    step = _float_update(q, b, a, beta, eps, 0)
+    _, q = _strain_floats(C)
+    step = _float_update(q, t3._inverse9(*q), a, beta, eps, 0)
     if step is not None:
         return step[0]
-    _, sq, isq, _, _ = _strain_parts(C)
-    Ci, _ = _ci_update(t3.unpack_sym(np.array(a)), sq, isq, (beta, eps), 0)
+    Ci = t3.unpack_sym(np.array(a))
+    Ci, _ = _ci_update(Ci, np.array(q).reshape(3, 3), (beta, eps), 0)
     return t3.pack_sym(Ci).tolist()
 
 
-def _branch_steps(C_next, states, dt, params, corrections):
-    # the StepResults of closed-form steps of several states towards one
-    # C_next, in order: the strain's parts formed once, each update on floats
-    # and its stress by _stress_from_parts, or where W is wide the eigen step
-    C_next = t3.require_spd(C_next, "C_next")
-    r, q, b = _strain_floats(C_next)
-    Cbar, Cbar_inv = np.array(q).reshape(3, 3), np.array(b).reshape(3, 3)
-    C_inv = Cbar_inv / r
+def _branch_steps(strain, states, dt, params, corrections):
+    # the StepResults of closed-form steps of several states towards the one
+    # strain with the parts of _strain, in order: each update on floats and
+    # its stress by _stress_from_parts, or where W is wide the eigen step
+    q, b, arrays = strain
     results = []
     for state, p in zip(states, params):
         beta, eps = _coefficients(dt, p)
         step = _float_update(q, b, t3.pack_sym(state.Ci).tolist(), beta, eps, corrections)
         if step is None:
-            results.append(_closed_form_step(C_next, state.Ci, dt, p, corrections))
+            results.append(_closed_form_step(arrays, state.Ci, dt, p, corrections))
             continue
         state = LagrangianState(t3.unpack_sym(np.array(step[0])))
-        stress = _stress_from_parts(C_inv, Cbar, Cbar_inv, state.Ci, p)
+        stress = _stress_from_parts(arrays, state.Ci, p)
         results.append(StepResult(state, stress, _diagnostics(*step[1:], corrections)))
     return results
 

@@ -224,11 +224,13 @@ def require_spd(A: np.ndarray, name: str = "tensor") -> np.ndarray:
 
 
 def _spd_eigen(A, name):
+    # the spectrum and eigenvectors of the one SPD tensor A passed to name
+    _entries(A, name)
     w, V = np.linalg.eigh(A)
     floor = 1e-14 * np.linalg.norm(A)
     if not w[0] > floor:
         raise DomainError(
-            f"{name} is not positive definite (min eigenvalue {w[0]:.3e})",
+            f"{name} argument is not positive definite (min eigenvalue {w[0]:.3e})",
             min_eigenvalue=float(w[0]),
         )
     return w, V
@@ -236,13 +238,13 @@ def _spd_eigen(A, name):
 
 def spd_sqrt(A: np.ndarray) -> np.ndarray:
     """Principal square root of a symmetric positive definite tensor."""
-    w, V = _spd_eigen(A, "spd_sqrt argument")
+    w, V = _spd_eigen(A, "spd_sqrt")
     return sym((V * np.sqrt(w)) @ V.T, check=False)
 
 
 def spd_inv_sqrt(A: np.ndarray) -> np.ndarray:
     """Inverse principal square root of an SPD tensor."""
-    w, V = _spd_eigen(A, "spd_inv_sqrt argument")
+    w, V = _spd_eigen(A, "spd_inv_sqrt")
     return sym((V / np.sqrt(w)) @ V.T, check=False)
 
 

@@ -13,15 +13,20 @@ from mrmaxwell import (
     LagrangianState,
     MaterialParams,
     composite_step,
+    consistent_tangent,
+    em_step,
     equilibrium_stress,
     ifebm_step_lagrangian,
     load_model,
+    mebm_step,
     table_model_path,
     twoiter_step,
     uniaxial_axial_stress,
 )
+from mrmaxwell import constitutive as cn
+from mrmaxwell.cli import main as cli_main
 from mrmaxwell import tensor3 as t3
-from mrmaxwell.constitutive import _SPREAD_MAX, _strain_parts, stress_2pk
+from mrmaxwell.constitutive import _SPREAD_MAX, stress_2pk
 from mrmaxwell.harness import LoadingProgram
 
 from conftest import (
@@ -216,6 +221,16 @@ class TestCompositeStep:
         res = composite_step(np.eye(3), model, 0.01)
         assert np.allclose(res.total_stress, 0.0, atol=1e-15)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, -0.1])
+    @pytest.mark.parametrize("branches", [0, 4])
+    def test_bad_dt_refused(self, dt, branches):
+        # with no branch to step, a bad dt used to pass unseen
+        model = load_model(table_model_path())
+        model = CompositeModel.relaxed(model.equilibrium, model.branches[:branches])
+        message = f"dt must be finite and non-negative, got {dt!r}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            composite_step(np.eye(3), model, dt)
+
     def test_single_branch_reduces_to_constitutive(self, rng):
         p = MaterialParams(0.4, 0.3, 2.0)
         model = CompositeModel.relaxed(EquilibriumParams(0.0, 0.0, math.inf), [p])
@@ -332,7 +347,7 @@ class TestLanePath:
             with pytest.raises(DomainError, match=r"dt = 1e\+300 overflows"):
                 composite_step(C, bad_params, 1e300, wrapped)
 
-    def test_strain_prepared_once(self, count_eigh):
+    def test_strain_prepared_once(self, count_eigh, monkeypatch):
         # the float composite decomposes nothing; the per-call loop makes
         # two eigh calls per branch
         model = load_model(table_model_path())
@@ -341,13 +356,50 @@ class TestLanePath:
         assert len(count_eigh) == 0
         composite_step(C, model, 0.1, per_call(ifebm_step_lagrangian))
         assert len(count_eigh) == 8
+        # every path forms the strain's parts once (_strain_floats), and a
+        # composite step checks the strain once (require_spd)
+        prepared, checked = [], []
+        strain_floats, require_spd = cn._strain_floats, t3.require_spd
+
+        def counting_floats(A):
+            prepared.append(A)
+            return strain_floats(A)
+
+        def counting_check(A, name="tensor"):
+            checked.append(A is C)
+            return require_spd(A, name)
+
+        monkeypatch.setattr(cn, "_strain_floats", counting_floats)
+        monkeypatch.setattr(t3, "require_spd", counting_check)
+        state, p = LagrangianState.identity(), model.branches[3]
+        calls = {
+            "composite_step": lambda: composite_step(C, model, 0.1),
+            "ifebm": lambda: ifebm_step_lagrangian(C, state, 0.1, p),
+            "2iebm": lambda: twoiter_step(C, state, 0.1, p),
+            "tangent": lambda: consistent_tangent(twoiter_step, C, state, 0.1, p),
+            "mebm": lambda: mebm_step(C, state, 0.1, p),
+            "em": lambda: em_step(C, state, 0.1, p),
+            "stress_2pk": lambda: stress_2pk(C, np.eye(3), p),
+            "equilibrium_stress": lambda: equilibrium_stress(C, model.equilibrium),
+        }
+        for name, call in calls.items():
+            prepared.clear()
+            checked.clear()
+            call()
+            assert len(prepared) == 1, name
+            assert checked.count(True) == 1, name
+        # the first sample of a uniaxial history: one for the equilibrium and
+        # all four branches
+        prepared.clear()
+        uniaxial_axial_stress(model, [uniaxial_F(0.2)], 0.1)
+        assert len(prepared) == 1
 
     @pytest.mark.parametrize("stepper", CLOSED_FORM)
     def test_wide_branch_takes_the_eigen_step(self, stepper, count_eigh, rng):
         # a branch whose W = isq Ci isq spreads beyond _SPREAD_MAX takes the
         # per-call step itself, bit for bit, with its two eigh calls
         C = rand_spd(rng)
-        _, sq, _, _, _ = _strain_parts(C)
+        sq = t3.spd_sqrt(t3.unimodular(C))
         r = math.sqrt(1.01 * _SPREAD_MAX)
         Q = rand_rotation(rng)
         wide = t3.sym(sq @ ((Q * [1.0 / r, 1.0, r]) @ Q.T) @ sq, check=False)
@@ -422,6 +474,15 @@ class TestUniaxial:
         with pytest.raises(DomainError):
             uniaxial_axial_stress(model, [F_bad], 0.1)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
+    @pytest.mark.parametrize("samples", [1, 3])
+    def test_bad_dt_refused(self, dt, samples):
+        # one message for every bad dt, also where no step would run
+        model = load_model(table_model_path())
+        message = f"dt must be finite and positive, got {dt!r}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            uniaxial_axial_stress(model, [np.eye(3)] * samples, dt)
+
     def test_rejects_compressible_model(self):
         model = CompositeModel.relaxed(EquilibriumParams(0.2, 0.2, 20.0), [])
         with pytest.raises(DomainError):
@@ -452,6 +513,31 @@ class TestModelFile:
     def test_malformed_raises(self):
         with pytest.raises(DomainError):
             load_model({"equilibrium": {"c10": 0.2}, "branches": []})
+
+    @pytest.mark.parametrize(
+        "text, cause",
+        [
+            ('{"equilibrium": {"c10": 0.2, "c01": 0.2, "k": "foo"}, "branches": []}',
+             "could not convert string to float: 'foo'"),
+            ('{"equilibrium": ', "Expecting value: line 1 column 17"),
+            (None, "No such file or directory"),
+        ],
+        ids=["k-not-a-number", "not-json", "missing"],
+    )
+    def test_unloadable_file_refused(self, text, cause, tmp_path, capsys):
+        # named with its cause by load_model, and a usage error (exit
+        # status 2) to the command line, not a traceback
+        path = tmp_path / "model.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(DomainError) as error:
+            load_model(str(path))
+        message = str(error.value)
+        assert str(path) in message and cause in message
+        with pytest.raises(SystemExit) as stop:
+            cli_main(["uniaxial", "--model", str(path)])
+        assert stop.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
 
     @pytest.mark.parametrize("c10", ["NaN", "Infinity"])
     def test_non_finite_moduli_rejected(self, c10, tmp_path):

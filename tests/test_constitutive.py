@@ -39,7 +39,7 @@ from mrmaxwell.constitutive import (
     _mebm_residual,
     _newton_solve,
     _root_eigvals,
-    _strain_parts,
+    _strain,
     _SPREAD_MAX,
 )
 
@@ -383,7 +383,8 @@ class TestTwoiter:
             dt = float(rng.uniform(0.1, 2.0))
             r1 = ifebm_step_lagrangian(C, LagrangianState(Ci), dt, P111)
             r2 = twoiter_step(C, LagrangianState(Ci), dt, P111)
-            Cbar, _, isq, _, _ = _strain_parts(C)
+            Cbar = _strain(C, "C").arrays[0]
+            isq = t3.spd_inv_sqrt(Cbar)
             A = sym(isq @ (Ci + dt * Cbar) @ isq)
             eps = dt * P111.c01 / P111.eta
             res_est = abs(residual_R(r1.diagnostics.phi, A, eps))
@@ -416,7 +417,8 @@ class TestDetResidual:
             C = rand_spd(rng, 0.5, 2.0)
             Ci = rand_unimodular_spd(rng, 0.5, 2.0)
             dt = float(rng.uniform(0.1, 1.0))
-            Cbar, _, isq, _, _ = _strain_parts(C)
+            Cbar = _strain(C, "C").arrays[0]
+            isq = t3.spd_inv_sqrt(Cbar)
             A = sym(isq @ (Ci + dt * Cbar) @ isq)
             for step in worst:
                 d = step(C, LagrangianState(Ci), dt, P111).diagnostics
@@ -486,6 +488,12 @@ class TestNewtonBaselines:
             Ci = rand_unimodular_spd(rng)
             res = em_step(C, LagrangianState(Ci), 0.5, P111)
             assert abs(t3.det(res.state.Ci) - 1.0) < 1e-12
+
+
+def _parts(Cbar):
+    # the floats q of Cbar and b of Cbar^-1 that the Newton residuals take
+    q = Cbar.ravel().tolist()
+    return q, t3._inverse9(*q)
 
 
 def _mebm_rhs(Cbar, p):
@@ -591,7 +599,7 @@ class TestStackedJacobian:
             Cbar = sym(t3.unimodular(C))
             n = Ci_n.ravel().tolist()
             for family in (_mebm_residual, _em_residual):
-                value = family(Cbar, P111)
+                value = family(*_parts(Cbar), P111)
                 for dt in (0.5, 1.0):
                     xs, solves = [], []
 
@@ -660,9 +668,9 @@ class TestMebmFloatResidual:
             value = _mebm_rhs(Cbar, p)(Ci, Ci_n, dt)
         except DomainError:
             with pytest.raises(DomainError, match="det > 0"):
-                _mebm_residual(Cbar, p)(x, n, dt)
+                _mebm_residual(*_parts(Cbar), p)(x, n, dt)
             return None
-        g = _mebm_residual(Cbar, p)(x, n, dt)
+        g = _mebm_residual(*_parts(Cbar), p)(x, n, dt)
         error = np.abs(np.array(g) - t3.pack_sym(Ci - value)).max()
         Cbar_inv, Ci_inv = t3.inverse(Cbar), t3.inverse(Ci)
         t = (p.c10 * np.trace(Cbar @ Ci_inv) - p.c01 * np.trace(Ci @ Cbar_inv)) / 3.0
@@ -710,7 +718,7 @@ class TestEmFloatResidual:
     @staticmethod
     def _errors(Cbar, p, points, h):
         # em's float residual at each (Ci, Ci_n) of points, against the oracle
-        value = _em_residual(Cbar, p)
+        value = _em_residual(*_parts(Cbar), p)
         errors = []
         for Ci, Ci_n in points:
             x = t3.pack_sym(Ci).tolist()
@@ -731,7 +739,7 @@ class TestEmFloatResidual:
             Cbar = sym(t3.unimodular(C))
             x = t3.pack_sym(Ci).tolist()
             try:
-                g = _em_residual(Cbar, p)(x, Ci_n.ravel().tolist(), dt)
+                g = _em_residual(*_parts(Cbar), p)(x, Ci_n.ravel().tolist(), dt)
             except DomainError:
                 # refused exactly where the oracle refuses
                 assert _em_error(Cbar, p, x, Ci_n, dt, [0.0] * 6) is None
@@ -904,7 +912,7 @@ class TestNewtonDomainFailures:
     def test_em_iterate_beyond_the_norm_bound(self):
         # h f(I) = h dev(diag(4, 1, 1/4) - diag(1/4, 1, 4)) has the
         # exponents 0 and +-3.75 h
-        value = _em_residual(np.diag([4.0, 1.0, 0.25]), P111)
+        value = _em_residual(*_parts(np.diag([4.0, 1.0, 0.25])), P111)
         with pytest.raises(OverflowError):
             value([1.0, 1.0, 1.0, 0.0, 0.0, 0.0], self.I.ravel().tolist(), 200.0)
         assert _newton_solve(value, self.I, 200.0) == (None, 0)
@@ -918,7 +926,7 @@ class TestNewtonDomainFailures:
         x[1] += (2.0 * delta + delta * delta) * 1000.0 / 999.0
         Ci_n = t3.unpack_sym(np.array(x))
         n = Ci_n.ravel().tolist()
-        value = _em_residual(self.I, P111)
+        value = _em_residual(*_parts(self.I), P111)
         assert 1e-3 < math.hypot(*value(x, n, 1e-6)) < 1e3
         point = list(x)
         point[3] += 1e-7 * math.hypot(*x, x[3], x[4], x[5])
@@ -929,7 +937,7 @@ class TestNewtonDomainFailures:
     def test_em_converged_iterate_needs_no_jacobian(self):
         # at Ci = Cbar = I the flow is exactly zero, so the iterate solves
         # the step at once; its points, at h = 1e12, all overflow
-        value = _em_residual(self.I, P111)
+        value = _em_residual(*_parts(self.I), P111)
         x, n = [1.0, 1.0, 1.0, 0.0, 0.0, 0.0], self.I.ravel().tolist()
         assert value(x, n, 1e12) == [0.0] * 6
         for j in range(6):
@@ -948,7 +956,7 @@ class TestNewtonDomainFailures:
         h = 0.07
         norm1 = float(np.abs(h * _em_flow(Cbar, P111, Ci)).sum(axis=0).max())
         assert 740.0 < norm1 < 750.0
-        value = _em_residual(Cbar, P111)
+        value = _em_residual(*_parts(Cbar), P111)
         g = value(t3.pack_sym(Ci).tolist(), Ci.ravel().tolist(), h)
         assert all(map(math.isfinite, g)) and math.hypot(*g) > 1e140
         assert _newton_solve(value, Ci, h) == (None, 0)
@@ -1277,7 +1285,8 @@ class TestImplicitConsistency:
             dt = float(rng.uniform(0.05, 2.0))
             beta = dt * P111.c10 / P111.eta
             eps = dt * P111.c01 / P111.eta
-            Cbar, sq, isq, Cbar_inv, _ = _strain_parts(C)
+            Cbar, Cbar_inv, _ = _strain(C, "C").arrays
+            sq, isq = t3.spd_sqrt(Cbar), t3.spd_inv_sqrt(Cbar)
             X, d = _closed_form_root(sym(isq @ Ci_n @ isq), (beta, eps), 0, "W")
             phi = d.phi
             Ci_star = sym(sq @ X @ sq)  # before projection
@@ -1346,8 +1355,8 @@ def _eigen_march(C_of_t, t_grid, p, n_substeps):
     for t0, t1 in zip(t_grid[:-1], t_grid[1:]):
         h = (t1 - t0) / n_substeps
         for s in range(1, n_substeps + 1):
-            _, sq, isq, _, _ = _strain_parts(C_of_t(t0 + s * h))
-            Ci, _ = _ci_update(Ci, sq, isq, _coefficients(h, p), 0)
+            Cbar = _strain(C_of_t(t0 + s * h), "C").arrays[0]
+            Ci, _ = _ci_update(Ci, Cbar, _coefficients(h, p), 0)
         states.append(Ci)
         stresses.append(stress_2pk(C_of_t(t1), Ci, p))
     return states, stresses
@@ -1384,8 +1393,8 @@ class TestReferenceMarch:
         for dt in (1e-3, 0.1, 10.0):
             beta, eps = _coefficients(dt, P111)
             got = np.array(_march_substep(C, t3.pack_sym(Ci).tolist(), beta, eps))
-            _, sq, isq, _, _ = _strain_parts(C)
-            want = t3.pack_sym(_ci_update(Ci, sq, isq, (beta, eps), 0)[0])
+            Cbar = _strain(C, "C").arrays[0]
+            want = t3.pack_sym(_ci_update(Ci, Cbar, (beta, eps), 0)[0])
             assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
             _check_states([t3.unpack_sym(got)])
 
@@ -1394,13 +1403,14 @@ class TestReferenceMarch:
         # W = isq Ci isq with eigenvalues (r, 1, 1/r), r^2 = spread * _SPREAD_MAX
         r = math.sqrt(spread * _SPREAD_MAX)
         C = rand_spd(rng)
-        Cbar, sq, isq, _, _ = _strain_parts(C)
+        Cbar = _strain(C, "C").arrays[0]
+        sq = t3.spd_sqrt(Cbar)
         Q = rand_rotation(rng)
         Ci = sym(sq @ ((Q * [1.0 / r, 1.0, r]) @ Q.T) @ sq)
         Ci = sym(t3.unimodular(Ci))
         beta, eps = _coefficients(0.3, P111)
         got = np.array(_march_substep(C, t3.pack_sym(Ci).tolist(), beta, eps))
-        want = t3.pack_sym(_ci_update(Ci, sq, isq, (beta, eps), 0)[0])
+        want = t3.pack_sym(_ci_update(Ci, Cbar, (beta, eps), 0)[0])
         if spread > 1.0:
             assert np.array_equal(got, want)
         else:

@@ -244,9 +244,10 @@ class TestStacks:
     def test_one_tensor_primitives_refuse_a_stack(self, f):
         # one, two and three members: a stack of three would broadcast
         # against its own transpose, and one of one has nine entries; sym
-        # unchecked, as its check would refuse the stack in norm
+        # unchecked, as its check would refuse the stack in norm.  Each is
+        # refused by its shape, not by whatever numpy makes of it
         for n in (1, 2, 3):
-            with pytest.raises(ValueError):
+            with pytest.raises(DomainError, match=rf"got shape \({n}, 3, 3\)$"):
                 f(np.array([2.0 * np.eye(3)] * n))
 
 
