@@ -118,12 +118,16 @@ def equilibrium_stress(C: np.ndarray, p: EquilibriumParams) -> np.ndarray:
     driving protocol.  A volume ratio ``det C`` that overflows, or whose
     volumetric factor does, raises :class:`DomainError`.
     """
-    return _equilibrium_stress(C, _strain(C, "C").arrays, p)
+    return _equilibrium_stress(C, _strain(C, "C"), p)
 
 
-def _equilibrium_stress(C, arrays, p):
-    # equilibrium_stress of C, given the arrays of _strain(C); the isochoric
-    # part is the Maxwell branches' stress law at Ci = I
+# the upper triangle (11, 22, 33, 12, 13, 23) of Ci = I
+_RELAXED = (1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
+
+
+def _equilibrium_stress(C, strain, p):
+    # equilibrium_stress of C, given _strain(C); the isochoric part is the
+    # Maxwell branches' stress law at Ci = I, the volumetric C^-1 is Cbar^-1/r
     d = det(C)
     try:
         vol = 0.0 if p.incompressible else p.k / 10.0 * (d**2.5 - d**-2.5)
@@ -131,8 +135,10 @@ def _equilibrium_stress(C, arrays, p):
         vol = math.inf
     if not vol < math.inf:
         raise DomainError(f"volume ratio det C = {d:.3e} is out of float range")
-    iso = _stress_from_parts(arrays, t3.IDENTITY, p)
-    return iso if p.incompressible else iso + vol * arrays[2]
+    iso = _stress_from_parts(strain, _RELAXED, p)
+    if p.incompressible:
+        return iso
+    return iso + vol * (np.array(strain.b).reshape(3, 3) / strain.r)
 
 
 @dataclass(frozen=True)
@@ -152,19 +158,21 @@ def composite_step(
 ) -> CompositeStepResult:
     """Advance every Maxwell branch independently and sum the stresses.
 
-    The strain is checked and its parts formed once, for the equilibrium
-    branch and every Maxwell branch.  The branches of
+    The strain is checked and its parts formed once, as Python floats, for
+    the equilibrium branch and every Maxwell branch.  The branches of
     ``ifebm_step_lagrangian`` and ``twoiter_step`` take the reference
-    march's float update on those parts; they agree with one stepper call
-    per branch to round-off and raise its errors in branch order.  Any other stepper is called once per branch.
+    march's float update on those parts, and every stress, the
+    equilibrium's included, comes from the one float stress law; they
+    agree with one stepper call per branch to round-off and raise its
+    errors in branch order.  Any other stepper is called once per branch.
     For the incompressible model the returned stress excludes the
     indeterminate pressure term ``-p C^-1``.  A ``dt`` that is not finite
     and non-negative is refused, with or without branches.
     """
     if not 0.0 <= dt < math.inf:
         raise DomainError(f"dt must be finite and non-negative, got {dt!r}")
-    strain = _strain(C_next, "C")
-    eq = _equilibrium_stress(C_next, strain.arrays, model.equilibrium)
+    strain = _strain(C_next, "C_next")
+    eq = _equilibrium_stress(C_next, strain, model.equilibrium)
     corrections = _CORRECTIONS.get(stepper)
     if corrections is None or not model.branches:
         results = [
@@ -230,10 +238,11 @@ def uniaxial_axial_stress(
         lam = _check_uniaxial_isochoric(F)
         C = sym(F.T @ F, check=False)
         if k == 0:
-            arrays = _strain(C, "C").arrays
-            T_iso = _equilibrium_stress(C, arrays, model.equilibrium)
+            strain = _strain(C, "C")
+            T_iso = _equilibrium_stress(C, strain, model.equilibrium)
             for params, state in zip(model.branches, model.states):
-                T_iso = T_iso + _stress_from_parts(arrays, state.Ci, params)
+                a = t3.pack_sym(state.Ci).tolist()
+                T_iso = T_iso + _stress_from_parts(strain, a, params)
         else:
             res = composite_step(C, current, dt, stepper)
             current = res.model

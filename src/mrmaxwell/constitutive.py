@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from . import tensor3 as t3
-from .tensor3 import det, deviator, inverse, sym, trace, unimodular
+from .tensor3 import det, inverse, sym, trace, unimodular
 
 __all__ = [
     "MaterialParams",
@@ -213,23 +213,39 @@ class StepResult:
 def stress_2pk(C: np.ndarray, Ci: np.ndarray, p: MaterialParams) -> np.ndarray:
     """2nd Piola-Kirchhoff stress of one Maxwell branch.
 
-    ``C^-1 (c10 unimodular(C) Ci^-1 - c01 Ci unimodular(C)^-1)^D``.
-    The product is symmetric in exact arithmetic and symmetrized after
-    evaluation.
+    ``C^-1 (c10 unimodular(C) Ci^-1 - c01 Ci unimodular(C)^-1)^D``, formed
+    on Python floats in the form ``-C^-1 (D (c10 Ci^-1 + c01
+    unimodular(C)^-1))^D``, ``D = Ci - unimodular(C)``, which keeps the
+    round-off at the size of ``D`` near a relaxed state.  The product is
+    symmetric in exact arithmetic and symmetrized after evaluation; a skew
+    part beyond round-off raises :class:`DomainError` naming the strain's
+    condition number.
     """
-    arrays = _strain(C, "C").arrays
-    Ci = t3.require_spd(Ci, "Ci")
-    _check_det_one(Ci.ravel().tolist(), "Ci")
-    return _stress_from_parts(arrays, Ci, p)
+    strain = _strain(C, "C")
+    a = t3.require_spd(Ci, "Ci").ravel().tolist()
+    _check_det_one(a, "Ci")
+    return _stress_from_parts(strain, (a[0], a[4], a[8], a[1], a[2], a[5]), p)
 
 
 def kirchhoff_eulerian(Be_inv_bar: np.ndarray, p: MaterialParams) -> np.ndarray:
     """Kirchhoff stress from the unimodular inverse elastic left
     Cauchy-Green tensor (purely deviatoric)."""
     t3.require_spd(Be_inv_bar, "Be_inv_bar")
-    _check_det_one(Be_inv_bar.ravel().tolist(), "Be_inv_bar")
-    Be_bar = inverse(Be_inv_bar)
-    return p.c10 * deviator(Be_bar) - p.c01 * deviator(Be_inv_bar)
+    e = Be_inv_bar.ravel().tolist()
+    _check_det_one(e, "Be_inv_bar")
+    return _kirchhoff(e, p)
+
+
+def _kirchhoff(e, p):
+    # kirchhoff_eulerian's law c10 dev(B^-1) - c01 dev(B) on the nine entries
+    # e of B = Be^-1, on Python floats
+    i = t3._inverse9(*e)
+    c10, c01 = p.c10, p.c01
+    s = [c10 * u - c01 * v for u, v in zip(i, e)]
+    mi, me = (i[0] + i[4] + i[8]) / 3.0, (e[0] + e[4] + e[8]) / 3.0
+    for j in (0, 4, 8):
+        s[j] = c10 * (i[j] - mi) - c01 * (e[j] - me)
+    return np.array(s).reshape(3, 3)
 
 
 # --------------------------------------------------------------------------
@@ -312,52 +328,96 @@ def residual_R(phi: float, A: np.ndarray, eps: float) -> float:
 # closed-form steppers
 
 
-_Strain = namedtuple("_Strain", "q b arrays")
+_Strain = namedtuple("_Strain", "q b r")
 
 
 def _strain(C, name):
     # C checked by require_spd as name and prepared once, for every stress law,
-    # step, Newton baseline and composite step: the floats q of Cbar = C/r, r =
-    # cbrt(det C) (_strain_floats), and b of Cbar^-1, and the arrays (Cbar,
-    # Cbar^-1, C^-1 = Cbar^-1/r) that the stress laws take
+    # step, Newton baseline and composite step, on Python floats: r = cbrt(det
+    # C), the nine entries q of Cbar = C/r (_strain_floats) and b of Cbar^-1
     C = t3.require_spd(C, name)
-    r, q = _strain_floats(C)
-    b = t3._inverse9(*q)
-    Cbar_inv = np.array(b).reshape(3, 3)
-    return _Strain(q, b, (C / r, Cbar_inv, Cbar_inv / r))
+    r, q = _strain_floats(C, name)
+    return _Strain(q, t3._inverse9(*q), r)
 
 
-def _strain_floats(C):
-    # r = cbrt(det C) and the nine entries q of Cbar = C/r, read from its
-    # upper triangle, on Python floats
+def _strain_floats(C, name):
+    # r = cbrt(det C) and the nine entries q of Cbar = C/r, read from the upper
+    # triangle of the argument name, on Python floats
     c = C.ravel().tolist()
     r = t3._cbrt_det9(c, "strain input")
     q0, q1, q2, q3, q4, q5 = c[0] / r, c[4] / r, c[8] / r, c[1] / r, c[2] / r, c[5] / r
     q = (q0, q3, q4, q3, q1, q5, q4, q5, q2)
     if not t3._is_spd9(*q):
-        raise DomainError("strain input is not positive definite")
+        raise _indefinite_strain(q, name)
     return r, q
 
 
-def _stress_from_parts(arrays, Ci, p):
-    # the stress law on the arrays of _strain, for p's c10 and c01.  The raw
-    # product c10 Cbar Ci^-1 - c01 Ci Cbar^-1 cancels badly near relaxed states
-    # (Ci ~ Cbar), and D = Ci - Cbar rewrites it identically, keeping the
-    # round-off at the size of D.  The stress product M is symmetric in exact
-    # arithmetic, formed from operands of size scale; a skew part beyond sym's
-    # round-off bound comes from a strain too ill-conditioned for it
-    Cbar, Cbar_inv, C_inv = arrays
-    D = Ci - Cbar
-    term = p.c10 * (D @ inverse(Ci)) + p.c01 * (D @ Cbar_inv)
-    scale = t3.norm(C_inv) * (t3.norm(term) + (p.c10 + p.c01) * 1e-12)
-    M = C_inv @ deviator(term)
-    S = sym(M, check=False)
-    if not t3._skew_norm_ok(M, S, scale):
+def _indefinite_strain(q, name):
+    # the refusal of the strain passed as name whose unimodular part, the nine
+    # entries q, is not positive definite, with its condition number ||q||
+    # ||q^-1|| (inf where q is singular)
+    try:
+        cond = math.hypot(*q) * math.hypot(*t3._inverse9(*q))
+    except DomainError:
+        cond = math.inf
+    return DomainError(
+        f"strain input is not positive definite: {name} has condition number {cond:.1e}"
+    )
+
+
+def _stress_from_parts(strain, a, p):
+    # the stress law on the floats of _strain and the upper triangle a (11, 22,
+    # 33, 12, 13, 23) of Ci, for p's c10 and c01.  The raw product c10 Cbar
+    # Ci^-1 - c01 Ci Cbar^-1 cancels badly near relaxed states (Ci ~ Cbar),
+    # and D = Ci - Cbar rewrites it identically as -term, term = D G, G = c10
+    # Ci^-1 + c01 Cbar^-1, keeping the round-off at the size of D.  The stress
+    # product M = C^-1 dev(term), C^-1 = Cbar^-1/r, is symmetric in exact
+    # arithmetic, formed from operands of size scale; a skew part beyond
+    # sym's round-off bound comes from a strain too ill-conditioned for it
+    q, b, r = strain
+    c10, c01 = p.c10, p.c01
+    a00, a11, a22, a01, a02, a12 = a
+    i00, i01, i02, _, i11, i12, _, _, i22 = t3._inverse9(
+        a00, a01, a02, a01, a11, a12, a02, a12, a22
+    )
+    b00, b01, b02, _, b11, b12, _, _, b22 = b
+    g00, g11, g22 = c10 * i00 + c01 * b00, c10 * i11 + c01 * b11, c10 * i22 + c01 * b22
+    g01, g02, g12 = c10 * i01 + c01 * b01, c10 * i02 + c01 * b02, c10 * i12 + c01 * b12
+    d00, d11, d22 = a00 - q[0], a11 - q[4], a22 - q[8]
+    d01, d02, d12 = a01 - q[1], a02 - q[2], a12 - q[5]
+    t00 = d00 * g00 + d01 * g01 + d02 * g02
+    t01 = d00 * g01 + d01 * g11 + d02 * g12
+    t02 = d00 * g02 + d01 * g12 + d02 * g22
+    t10 = d01 * g00 + d11 * g01 + d12 * g02
+    t11 = d01 * g01 + d11 * g11 + d12 * g12
+    t12 = d01 * g02 + d11 * g12 + d12 * g22
+    t20 = d02 * g00 + d12 * g01 + d22 * g02
+    t21 = d02 * g01 + d12 * g11 + d22 * g12
+    t22 = d02 * g02 + d12 * g12 + d22 * g22
+    m = (t00 + t11 + t22) / 3.0
+    e00, e11, e22 = t00 - m, t11 - m, t22 - m
+    k00, k11, k22, k01, k02, k12 = b00 / r, b11 / r, b22 / r, b01 / r, b02 / r, b12 / r
+    m00 = k00 * e00 + k01 * t10 + k02 * t20
+    m01 = k00 * t01 + k01 * e11 + k02 * t21
+    m02 = k00 * t02 + k01 * t12 + k02 * e22
+    m10 = k01 * e00 + k11 * t10 + k12 * t20
+    m11 = k01 * t01 + k11 * e11 + k12 * t21
+    m12 = k01 * t02 + k11 * t12 + k12 * e22
+    m20 = k02 * e00 + k12 * t10 + k22 * t20
+    m21 = k02 * t01 + k12 * e11 + k22 * t21
+    m22 = k02 * t02 + k12 * t12 + k22 * e22
+    s01, s02, s12 = (m01 + m10) / 2.0, (m02 + m20) / 2.0, (m12 + m21) / 2.0
+    scale = math.hypot(k00, k11, k22, k01, k01, k02, k02, k12, k12) * (
+        math.hypot(t00, t01, t02, t10, t11, t12, t20, t21, t22) + (c10 + c01) * 1e-12
+    )
+    size = math.hypot(m00, m11, m22, s01, s01, s02, s02, s12, s12)
+    skew = math.sqrt(2.0) * math.hypot(m01 - m10, m02 - m20, m12 - m21)
+    if not skew <= 1e-10 * max(size, scale, 1e-300):
         raise DomainError(
             "stress asymmetry exceeds round-off: the unimodular strain has "
-            f"condition number {t3.norm(Cbar) * t3.norm(Cbar_inv):.3e}"
+            f"condition number {math.hypot(*q) * math.hypot(*b):.3e}"
         )
-    return -S
+    return np.array([-m00, -s01, -s02, -s01, -m11, -s12, -s02, -s12, -m22]).reshape(3, 3)
 
 
 # below this size of the quadratic's largest coefficient, the cube of its
@@ -489,18 +549,21 @@ def _ci_update(Ci, Cbar, coeffs, corrections):
     return unimodular(sym(sq @ X @ sq, check=False)), diagnostics
 
 
-def _closed_form_step(arrays, Ci, dt, p, corrections):
+def _closed_form_step(strain, Ci, dt, p, corrections):
     # the StepResult of the closed-form step from Ci towards the strain with
-    # the arrays of _strain, on the eigen path
+    # the parts of _strain, on the eigen path
     coeffs = _coefficients(dt, p)
-    Ci_new, diagnostics = _ci_update(Ci, arrays[0], coeffs, corrections)
+    Ci_new, diagnostics = _ci_update(
+        Ci, np.array(strain.q).reshape(3, 3), coeffs, corrections
+    )
     state = LagrangianState(Ci_new)
-    return StepResult(state, _stress_from_parts(arrays, Ci_new, p), diagnostics)
+    stress = _stress_from_parts(strain, t3.pack_sym(Ci_new).tolist(), p)
+    return StepResult(state, stress, diagnostics)
 
 
-def _inverse_cholesky(a):
+def _inverse_cholesky(a, name):
     # L^-1 of the Cholesky factor L L^T of the nine entries a, on floats; a
-    # pivot <= 0 is a strain that is not positive definite
+    # pivot <= 0 is a strain, the argument name, that is not positive definite
     l00 = math.sqrt(a[0])
     l10, l20 = a[3] / l00, a[6] / l00
     pivot = a[4] - l10 * l10
@@ -509,7 +572,7 @@ def _inverse_cholesky(a):
     l21 = (a[7] - l20 * l10) / l11
     pivot = a[8] - l20 * l20 - l21 * l21
     if not pivot > 0.0:
-        raise DomainError("strain input is not positive definite")
+        raise _indefinite_strain(a, name)
     m00, m11, m22 = 1.0 / l00, 1.0 / l11, 1.0 / math.sqrt(pivot)
     m10 = -l10 * m00 * m11
     m20, m21 = -(l20 * m00 + l21 * m10) * m22, -l21 * m11 * m22
@@ -565,11 +628,11 @@ def _lagrangian_tangent(C_next, Ci, dt, p, corrections):
     # w is the spectrum of the step's congruence W, and N = L^-T U / sqrt(r)
     # has N^T C_next N = I and N^T Ci N = diag(w)/r: there the step is diagonal
     beta, eps = _coefficients(dt, p)
-    # the strain checked and prepared as _strain does, less Cbar^-1 and the
-    # stress arrays, which the tangent does not read
+    # the strain checked and prepared as _strain does, less Cbar^-1, which the
+    # tangent does not read
     C_next = t3.require_spd(C_next, "C_next")
-    r, q = _strain_floats(C_next)
-    Linv = _inverse_cholesky(q)
+    r, q = _strain_floats(C_next, "C_next")
+    Linv = _inverse_cholesky(q, "C_next")
     w, U = np.linalg.eigh(Linv @ Ci @ Linv.T)
     w = w.tolist()
     x, _, s, g = _root(w, beta, eps, corrections, "quadratic input", slopes=True)
@@ -589,7 +652,7 @@ def ifebm_step_lagrangian(
     Closed form; preserves symmetry, positive definiteness and the unit
     determinant of the internal variable for any dt >= 0.
     """
-    return _closed_form_step(_strain(C_next, "C_next").arrays, state.Ci, dt, p, 0)
+    return _closed_form_step(_strain(C_next, "C_next"), state.Ci, dt, p, 0)
 
 
 def twoiter_step(
@@ -603,7 +666,7 @@ def twoiter_step(
     eigenvalues ``w_i`` of the quadratic's input; the derivative is
     always negative, so every correction is defined.
     """
-    return _closed_form_step(_strain(C_next, "C_next").arrays, state.Ci, dt, p, 2)
+    return _closed_form_step(_strain(C_next, "C_next"), state.Ci, dt, p, 2)
 
 
 def ifebm_step_eulerian(
@@ -621,12 +684,9 @@ def ifebm_step_eulerian(
     X, diagnostics = _closed_form_root(
         sym(G.T @ state.Be_inv_bar @ G, check=False), (beta, eps), 0, "trial state"
     )
-    Be_inv_new = unimodular(sym(X, check=False))
-    return StepResult(
-        EulerianState(Be_inv_new, F_next),
-        kirchhoff_eulerian(Be_inv_new, p),
-        diagnostics,
-    )
+    # the state's _check_manifold is stricter than kirchhoff_eulerian's checks
+    state = EulerianState(unimodular(sym(X, check=False)), F_next)
+    return StepResult(state, _kirchhoff(state.Be_inv_bar.ravel().tolist(), p), diagnostics)
 
 
 # --------------------------------------------------------------------------
@@ -704,10 +764,11 @@ def _newton_baseline(family, label, C_next, state, dt, p):
     # the step of both Newton baselines; family(q, b, p) gives the value
     # function that _newton_solve takes, from the parts q, b of _strain
     _coefficients(dt, p)
-    q, b, arrays = _strain(C_next, "C_next")
-    Ci_new, diag = _substepping_solve(family(q, b, p), state.Ci, dt, label)
+    strain = _strain(C_next, "C_next")
+    Ci_new, diag = _substepping_solve(family(strain.q, strain.b, p), state.Ci, dt, label)
     state = LagrangianState(unimodular(Ci_new))
-    return StepResult(state, _stress_from_parts(arrays, state.Ci, p), diag)
+    stress = _stress_from_parts(strain, t3.pack_sym(state.Ci).tolist(), p)
+    return StepResult(state, stress, diag)
 
 
 def _mebm_residual(q, b, p):
@@ -989,7 +1050,7 @@ def _float_update(q, b, a, beta, eps, corrections):
 def _march_substep(C, a, beta, eps):
     # one ifebm substep of the march towards the strain C, a and the result
     # as upper triangles: the float update, or the eigen path where W is wide
-    _, q = _strain_floats(C)
+    _, q = _strain_floats(C, "C")
     step = _float_update(q, t3._inverse9(*q), a, beta, eps, 0)
     if step is not None:
         return step[0]
@@ -1000,37 +1061,39 @@ def _march_substep(C, a, beta, eps):
 
 def _branch_steps(strain, states, dt, params, corrections):
     # the StepResults of closed-form steps of several states towards the one
-    # strain with the parts of _strain, in order: each update on floats and
-    # its stress by _stress_from_parts, or where W is wide the eigen step
-    q, b, arrays = strain
+    # strain with the parts of _strain, in order: each update and its stress
+    # on floats, or where W is wide the eigen step
     results = []
     for state, p in zip(states, params):
         beta, eps = _coefficients(dt, p)
-        step = _float_update(q, b, t3.pack_sym(state.Ci).tolist(), beta, eps, corrections)
+        a = t3.pack_sym(state.Ci).tolist()
+        step = _float_update(strain.q, strain.b, a, beta, eps, corrections)
         if step is None:
-            results.append(_closed_form_step(arrays, state.Ci, dt, p, corrections))
+            results.append(_closed_form_step(strain, state.Ci, dt, p, corrections))
             continue
         state = LagrangianState(t3.unpack_sym(np.array(step[0])))
-        stress = _stress_from_parts(arrays, state.Ci, p)
+        stress = _stress_from_parts(strain, step[0], p)
         results.append(StepResult(state, stress, _diagnostics(*step[1:], corrections)))
     return results
 
 
 def _march(C_of_t, Ci0, t_grid, p, n_substeps):
-    # states and stresses at t_grid, each interval n_substeps _march_substep
+    # states and stresses at t_grid, each interval n_substeps _march_substep;
+    # the states are checked by LagrangianState, so the stresses take them as
+    # they are
     state = LagrangianState(np.array(Ci0))
+    a = t3.pack_sym(state.Ci).tolist()
     states = [state.Ci]
-    stresses = [stress_2pk(C_of_t(float(t_grid[0])), state.Ci, p)]
+    stresses = [_stress_from_parts(_strain(C_of_t(float(t_grid[0])), "C"), a, p)]
     for k in range(len(t_grid) - 1):
         t0, t1 = float(t_grid[k]), float(t_grid[k + 1])
         h = (t1 - t0) / n_substeps
         beta, eps = _coefficients(h, p)
-        a = t3.pack_sym(state.Ci).tolist()
         for s in range(1, n_substeps + 1):
             a = _march_substep(C_of_t(t0 + s * h), a, beta, eps)
         state = LagrangianState(t3.unpack_sym(np.array(a)))
         states.append(state.Ci)
-        stresses.append(stress_2pk(C_of_t(t1), state.Ci, p))
+        stresses.append(_stress_from_parts(_strain(C_of_t(t1), "C"), a, p))
     return states, stresses
 
 

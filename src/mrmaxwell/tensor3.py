@@ -69,12 +69,11 @@ def sym(A: np.ndarray, check: bool = True) -> np.ndarray:
     return S
 
 
-def _skew_norm_ok(A, S, scale=0.0):
-    # skew part <= 1e-10 max(||S||, scale), scale the size of the operands
-    # of a product small by cancellation
+def _skew_norm_ok(A, S):
+    # skew part of A <= 1e-10 ||S||
     a = A.ravel().tolist()
     skew = math.sqrt(2.0) * math.hypot(a[1] - a[3], a[2] - a[6], a[5] - a[7])
-    return skew <= 1e-10 * max(norm(S), scale, 1e-300)
+    return skew <= 1e-10 * max(norm(S), 1e-300)
 
 
 def norm(A: np.ndarray) -> float:

@@ -205,6 +205,40 @@ def test_determinant_out_of_float_range(call, C, det):
         _CALLS[call](C)
 
 
+def test_rejected_strain_named():
+    # beyond a condition number near 1e12 the strain's determinant is rounding
+    # noise: require_spd (on C) or the minors of Cbar = C/cbrt(det C) refuse
+    # it by chance, and either names the argument; the second also gives the
+    # condition number.  Spectra (10^e, 1, 10^-e), e in [6, 8]
+    state, p = LagrangianState.identity(), MaterialParams(0.4, 0.3, 2.0)
+    model = load_model(table_model_path())
+    calls = {
+        "stress_2pk": ("C", lambda C: stress_2pk(C, np.eye(3), p)),
+        "ifebm_step_lagrangian": ("C_next", lambda C: ifebm_step_lagrangian(C, state, 0.1, p)),
+        "consistent_tangent": (
+            "C_next", lambda C: consistent_tangent(ifebm_step_lagrangian, C, state, 0.1, p)
+        ),
+        "composite_step": ("C_next", lambda C: composite_step(C, model, 0.1)),
+    }
+    for function, (name, call) in calls.items():
+        with pytest.raises(DomainError, match=rf"^{name} is not symmetric positive definite$"):
+            call(rotated_strain([1e8, 1.0, 1e-8]))
+        message = (
+            rf"{name} is not symmetric positive definite|strain input is not "
+            rf"positive definite: {name} has condition number \d\.\de\+\d\d"
+        )
+        by_minors = 0
+        for e in np.linspace(6.0, 8.0, 41):
+            try:
+                call(rotated_strain([10.0**e, 1.0, 10.0**-e]))
+            except DomainError as err:
+                # a refusal of the strain (not of the stress or the state)
+                if str(err).startswith("strain input") or str(err).split()[0] in ("C", "C_next"):
+                    assert re.fullmatch(message, str(err)), function
+                    by_minors += str(err).startswith("strain input")
+        assert by_minors > 0, function
+
+
 class TestEquilibriumParams:
     # zero moduli stay allowed: the tests above use a zero equilibrium branch
     @pytest.mark.parametrize(
@@ -357,20 +391,28 @@ class TestLanePath:
         composite_step(C, model, 0.1, per_call(ifebm_step_lagrangian))
         assert len(count_eigh) == 8
         # every path forms the strain's parts once (_strain_floats), and a
-        # composite step checks the strain once (require_spd)
-        prepared, checked = [], []
-        strain_floats, require_spd = cn._strain_floats, t3.require_spd
+        # composite step checks the strain once (require_spd); the stress law
+        # inverts no tensor, so neither does a composite step or the
+        # equilibrium (which once inverted Ci = I)
+        prepared, checked, inverted = [], [], []
+        strain_floats, require_spd, inverse = cn._strain_floats, t3.require_spd, t3.inverse
 
-        def counting_floats(A):
+        def counting_floats(A, name):
             prepared.append(A)
-            return strain_floats(A)
+            return strain_floats(A, name)
 
         def counting_check(A, name="tensor"):
             checked.append(A is C)
             return require_spd(A, name)
 
+        def counting_inverse(A):
+            inverted.append(A)
+            return inverse(A)
+
         monkeypatch.setattr(cn, "_strain_floats", counting_floats)
         monkeypatch.setattr(t3, "require_spd", counting_check)
+        monkeypatch.setattr(t3, "inverse", counting_inverse)
+        monkeypatch.setattr(cn, "inverse", counting_inverse)
         state, p = LagrangianState.identity(), model.branches[3]
         calls = {
             "composite_step": lambda: composite_step(C, model, 0.1),
@@ -385,9 +427,12 @@ class TestLanePath:
         for name, call in calls.items():
             prepared.clear()
             checked.clear()
+            inverted.clear()
             call()
             assert len(prepared) == 1, name
             assert checked.count(True) == 1, name
+            if name in ("composite_step", "equilibrium_stress"):
+                assert not inverted, name
         # the first sample of a uniaxial history: one for the equilibrium and
         # all four branches
         prepared.clear()
