@@ -138,7 +138,8 @@ def _equilibrium_stress(C, strain, p):
     iso = _stress_from_parts(strain, _RELAXED, p)
     if p.incompressible:
         return iso
-    return iso + vol * (np.array(strain.b).reshape(3, 3) / strain.r)
+    _, b, r = strain
+    return iso + vol * (np.array(b).reshape(3, 3) / r)
 
 
 @dataclass(frozen=True)

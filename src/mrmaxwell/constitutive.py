@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -328,28 +327,18 @@ def residual_R(phi: float, A: np.ndarray, eps: float) -> float:
 # closed-form steppers
 
 
-_Strain = namedtuple("_Strain", "q b r")
-
-
 def _strain(C, name):
-    # C checked by require_spd as name and prepared once, for every stress law,
-    # step, Newton baseline and composite step, on Python floats: r = cbrt(det
-    # C), the nine entries q of Cbar = C/r (_strain_floats) and b of Cbar^-1
-    C = t3.require_spd(C, name)
-    r, q = _strain_floats(C, name)
-    return _Strain(q, t3._inverse9(*q), r)
-
-
-def _strain_floats(C, name):
-    # r = cbrt(det C) and the nine entries q of Cbar = C/r, read from the upper
-    # triangle of the argument name, on Python floats
-    c = C.ravel().tolist()
+    # the one reader of a strain, the argument name, for every stress law,
+    # step, tangent, Newton baseline, march substep and composite step: C
+    # checked by require_spd and prepared on Python floats as (q, b, r), r =
+    # cbrt(det C) and the nine entries q of Cbar = C/r and b of Cbar^-1
+    c = t3.require_spd(C, name).ravel().tolist()
     r = t3._cbrt_det9(c, "strain input")
     q0, q1, q2, q3, q4, q5 = c[0] / r, c[4] / r, c[8] / r, c[1] / r, c[2] / r, c[5] / r
     q = (q0, q3, q4, q3, q1, q5, q4, q5, q2)
     if not t3._is_spd9(*q):
         raise _indefinite_strain(q, name)
-    return r, q
+    return q, t3._inverse9(*q), r
 
 
 def _indefinite_strain(q, name):
@@ -451,7 +440,13 @@ def _phi_estimate(w, eps, scale):
     # det and tr are formed in units of a power of two near the largest w
     unit = _scale_for(w[2])
     u0, u1, u2 = w[0] * unit, w[1] * unit, w[2] * unit
-    q0 = float(np.cbrt(u0 * u1 * u2))
+    d = u0 * u1 * u2
+    if not d > 0.0:
+        raise DomainError(
+            f"quadratic input spectrum spans {w[0]:.3e} to {w[2]:.3e}: "
+            "its det underflows"
+        )
+    q0 = float(np.cbrt(d))
     phi0 = q0 / unit * scale
     if eps == 0.0:
         return phi0, phi0
@@ -554,7 +549,7 @@ def _closed_form_step(strain, Ci, dt, p, corrections):
     # the parts of _strain, on the eigen path
     coeffs = _coefficients(dt, p)
     Ci_new, diagnostics = _ci_update(
-        Ci, np.array(strain.q).reshape(3, 3), coeffs, corrections
+        Ci, np.array(strain[0]).reshape(3, 3), coeffs, corrections
     )
     state = LagrangianState(Ci_new)
     stress = _stress_from_parts(strain, t3.pack_sym(Ci_new).tolist(), p)
@@ -628,10 +623,7 @@ def _lagrangian_tangent(C_next, Ci, dt, p, corrections):
     # w is the spectrum of the step's congruence W, and N = L^-T U / sqrt(r)
     # has N^T C_next N = I and N^T Ci N = diag(w)/r: there the step is diagonal
     beta, eps = _coefficients(dt, p)
-    # the strain checked and prepared as _strain does, less Cbar^-1, which the
-    # tangent does not read
-    C_next = t3.require_spd(C_next, "C_next")
-    r, q = _strain_floats(C_next, "C_next")
+    q, _, r = _strain(C_next, "C_next")
     Linv = _inverse_cholesky(q, "C_next")
     w, U = np.linalg.eigh(Linv @ Ci @ Linv.T)
     w = w.tolist()
@@ -639,7 +631,7 @@ def _lagrangian_tangent(C_next, Ci, dt, p, corrections):
     # the state as the step builds and checks it: sq X sq = B diag(x) B^T, B
     # = L U = Cbar L^-T U
     LU = Linv.T @ U
-    B = (C_next / r) @ LU
+    B = np.array(q).reshape(3, 3) @ LU
     LagrangianState(unimodular(sym((B * x) @ B.T, check=False)))
     return LU / math.sqrt(r), _principal_block(w, x, s, g, p)
 
@@ -765,7 +757,8 @@ def _newton_baseline(family, label, C_next, state, dt, p):
     # function that _newton_solve takes, from the parts q, b of _strain
     _coefficients(dt, p)
     strain = _strain(C_next, "C_next")
-    Ci_new, diag = _substepping_solve(family(strain.q, strain.b, p), state.Ci, dt, label)
+    q, b, _ = strain
+    Ci_new, diag = _substepping_solve(family(q, b, p), state.Ci, dt, label)
     state = LagrangianState(unimodular(Ci_new))
     stress = _stress_from_parts(strain, t3.pack_sym(state.Ci).tolist(), p)
     return StepResult(state, stress, diag)
@@ -1003,7 +996,7 @@ class ReferenceSolution:
 _SPREAD_MAX = 100.0
 
 
-def _float_update(q, b, a, beta, eps, corrections):
+def _float_update(strain, a, beta, eps, corrections):
     # the closed-form update of Ci towards the strain with the parts q, b of
     # _strain, on Python floats, Ci and the result as upper triangles
     # (11, 22, 33, 12, 13, 23), and the root's eigenvalues and phi (for its
@@ -1012,6 +1005,7 @@ def _float_update(q, b, a, beta, eps, corrections):
     # interpolation on the spectrum w1 <= w2 <= w3 of W, that of P = Ci
     # Cbar^-1; as sq W sq = Ci and sq W^2 sq = P Ci, Y = sq X sq = f(w1) Cbar
     # + f[w1,w2] (Ci - w1 Cbar) + f[w1,w2,w3] (P - w1) (Ci - w2 Cbar)
+    q, b, _ = strain
     q0, q1, q2, q3, q4, q5 = q[0], q[4], q[8], q[1], q[2], q[5]
     b00, b01, b02, _, b11, b12, _, _, b22 = b
     a00, a11, a22, a01, a02, a12 = a
@@ -1047,15 +1041,15 @@ def _float_update(q, b, a, beta, eps, corrections):
     return [u / r for u in y], (x1, x2, x3), phi
 
 
-def _march_substep(C, a, beta, eps):
-    # one ifebm substep of the march towards the strain C, a and the result
-    # as upper triangles: the float update, or the eigen path where W is wide
-    _, q = _strain_floats(C, "C")
-    step = _float_update(q, t3._inverse9(*q), a, beta, eps, 0)
+def _march_substep(strain, a, beta, eps):
+    # one ifebm substep of the march towards the strain with the parts of
+    # _strain, a and the result as upper triangles: the float update, or the
+    # eigen path where W is wide
+    step = _float_update(strain, a, beta, eps, 0)
     if step is not None:
         return step[0]
     Ci = t3.unpack_sym(np.array(a))
-    Ci, _ = _ci_update(Ci, np.array(q).reshape(3, 3), (beta, eps), 0)
+    Ci, _ = _ci_update(Ci, np.array(strain[0]).reshape(3, 3), (beta, eps), 0)
     return t3.pack_sym(Ci).tolist()
 
 
@@ -1067,7 +1061,7 @@ def _branch_steps(strain, states, dt, params, corrections):
     for state, p in zip(states, params):
         beta, eps = _coefficients(dt, p)
         a = t3.pack_sym(state.Ci).tolist()
-        step = _float_update(strain.q, strain.b, a, beta, eps, corrections)
+        step = _float_update(strain, a, beta, eps, corrections)
         if step is None:
             results.append(_closed_form_step(strain, state.Ci, dt, p, corrections))
             continue
@@ -1078,9 +1072,9 @@ def _branch_steps(strain, states, dt, params, corrections):
 
 
 def _march(C_of_t, Ci0, t_grid, p, n_substeps):
-    # states and stresses at t_grid, each interval n_substeps _march_substep;
-    # the states are checked by LagrangianState, so the stresses take them as
-    # they are
+    # states and stresses at t_grid, each interval n_substeps _march_substep,
+    # the last at t1, whose strain also gives the stress there; the states
+    # are checked by LagrangianState, so the stresses take them as they are
     state = LagrangianState(np.array(Ci0))
     a = t3.pack_sym(state.Ci).tolist()
     states = [state.Ci]
@@ -1090,10 +1084,11 @@ def _march(C_of_t, Ci0, t_grid, p, n_substeps):
         h = (t1 - t0) / n_substeps
         beta, eps = _coefficients(h, p)
         for s in range(1, n_substeps + 1):
-            a = _march_substep(C_of_t(t0 + s * h), a, beta, eps)
+            strain = _strain(C_of_t(t0 + s * h if s < n_substeps else t1), "C")
+            a = _march_substep(strain, a, beta, eps)
         state = LagrangianState(t3.unpack_sym(np.array(a)))
         states.append(state.Ci)
-        stresses.append(_stress_from_parts(_strain(C_of_t(t1), "C"), a, p))
+        stresses.append(_stress_from_parts(strain, a, p))
     return states, stresses
 
 
@@ -1109,7 +1104,10 @@ def reference_solve(
 
     Integrates with the closed-form (ifebm) update using ``n_substeps``
     uniform substeps per interval of the finite, strictly increasing
-    ``t_grid``, one call of ``C_of_t`` each and one per output time.  A
+    ``t_grid``, one call of ``C_of_t`` each, the last at the interval's
+    output time, whose strain also gives the stress there (plus one call at
+    the first time).  Every substep's strain is checked as
+    :func:`stress_2pk` checks it, and refused with its message.  A
     substep writes the root as a polynomial in ``Ci Cbar^-1`` on Python
     floats, with no eigenvectors (the update the composite's closed-form
     branches take), and agrees with the steppers' eigen path to round-off;

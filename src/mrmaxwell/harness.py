@@ -254,6 +254,8 @@ class RunConfig:
             raise DomainError(f"dt must be finite, got {self.dt!r}")
         if not self.dt > 0.0:
             raise DomainError("dt must be positive")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise DomainError(f"seed must be a non-negative integer, got {self.seed!r}")
         if isinstance(self.methods, str):
             self.methods = (
                 METHOD_NAMES if self.methods == "all" else (self.methods,)
@@ -401,6 +403,7 @@ class StudyResult:
                 },
                 indent=2,
                 sort_keys=True,
+                allow_nan=False,
             )
         lines = [f"study: {self.name}"]
         for key, ok in sorted(self.checks.items()):
@@ -422,14 +425,17 @@ class StudyResult:
 
 
 def _jsonable(obj):
+    # JSON has no NaN or infinity (RFC 8259): a non-finite float is null
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.generic):
-        return obj.item()
+        return _jsonable(obj.item())
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return _jsonable(obj.tolist())
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     return obj
 
 

@@ -200,6 +200,9 @@ def require_spd(A: np.ndarray, name: str = "tensor") -> np.ndarray:
     if A.shape != (3, 3):
         raise DomainError(f"{name} must be a 3x3 array, got shape {A.shape}")
     a = A.ravel().tolist()
+    # accepted in one pass: 0 < det A < inf, which no inf or nan entry passes
+    if a[1] == a[3] and a[2] == a[6] and a[5] == a[7] and _is_spd9(*a):
+        return A
     if not all(map(math.isfinite, a)):
         raise DomainError(f"{name} has non-finite entries")
     if not _is_spd9(*a):
@@ -214,8 +217,6 @@ def require_spd(A: np.ndarray, name: str = "tensor") -> np.ndarray:
                 f"det {name} = {10.0 ** (log10 - k):.3f}e{k:+d} is out of float range"
             )
         raise DomainError(f"{name} is not symmetric positive definite")
-    if a[1] == a[3] and a[2] == a[6] and a[5] == a[7]:
-        return A
     S = sym(A, check=False)
     if not _skew_norm_ok(A, S):
         raise DomainError(f"{name} is not symmetric: skew part beyond round-off")

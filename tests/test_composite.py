@@ -23,6 +23,7 @@ from mrmaxwell import (
     twoiter_step,
     uniaxial_axial_stress,
 )
+from mrmaxwell import composite
 from mrmaxwell import constitutive as cn
 from mrmaxwell.cli import main as cli_main
 from mrmaxwell import tensor3 as t3
@@ -390,16 +391,18 @@ class TestLanePath:
         assert len(count_eigh) == 0
         composite_step(C, model, 0.1, per_call(ifebm_step_lagrangian))
         assert len(count_eigh) == 8
-        # every path forms the strain's parts once (_strain_floats), and a
-        # composite step checks the strain once (require_spd); the stress law
+        # every path reads the strain once (_strain), the exact tangent and
+        # each march substep included, and checks it once (require_spd), the
+        # same whether it is exactly symmetric or has a round-off skew part
+        # that require_spd removes.  The stress law
         # inverts no tensor, so neither does a composite step or the
         # equilibrium (which once inverted Ci = I)
         prepared, checked, inverted = [], [], []
-        strain_floats, require_spd, inverse = cn._strain_floats, t3.require_spd, t3.inverse
+        strain, require_spd, inverse = cn._strain, t3.require_spd, t3.inverse
 
-        def counting_floats(A, name):
+        def counting_strain(A, name):
             prepared.append(A)
-            return strain_floats(A, name)
+            return strain(A, name)
 
         def counting_check(A, name="tensor"):
             checked.append(A is C)
@@ -409,7 +412,8 @@ class TestLanePath:
             inverted.append(A)
             return inverse(A)
 
-        monkeypatch.setattr(cn, "_strain_floats", counting_floats)
+        for module in (cn, composite):
+            monkeypatch.setattr(module, "_strain", counting_strain)
         monkeypatch.setattr(t3, "require_spd", counting_check)
         monkeypatch.setattr(t3, "inverse", counting_inverse)
         monkeypatch.setattr(cn, "inverse", counting_inverse)
@@ -419,25 +423,39 @@ class TestLanePath:
             "ifebm": lambda: ifebm_step_lagrangian(C, state, 0.1, p),
             "2iebm": lambda: twoiter_step(C, state, 0.1, p),
             "tangent": lambda: consistent_tangent(twoiter_step, C, state, 0.1, p),
+            "ifebm tangent": lambda: consistent_tangent(ifebm_step_lagrangian, C, state, 0.1, p),
             "mebm": lambda: mebm_step(C, state, 0.1, p),
             "em": lambda: em_step(C, state, 0.1, p),
             "stress_2pk": lambda: stress_2pk(C, np.eye(3), p),
             "equilibrium_stress": lambda: equilibrium_stress(C, model.equilibrium),
         }
-        for name, call in calls.items():
-            prepared.clear()
-            checked.clear()
-            inverted.clear()
-            call()
-            assert len(prepared) == 1, name
-            assert checked.count(True) == 1, name
-            if name in ("composite_step", "equilibrium_stress"):
-                assert not inverted, name
+        for C in (np.diag([1.2, 1.0, 1.0 / 1.2]), skewed_strain()[0]):
+            for name, call in calls.items():
+                prepared.clear()
+                checked.clear()
+                inverted.clear()
+                call()
+                assert len(prepared) == 1 and prepared[0] is C, name
+                assert checked.count(True) == 1, name
+                if name in ("composite_step", "equilibrium_stress"):
+                    assert not inverted, name
         # the first sample of a uniaxial history: one for the equilibrium and
         # all four branches
         prepared.clear()
         uniaxial_axial_stress(model, [uniaxial_F(0.2)], 0.1)
         assert len(prepared) == 1
+        # a march reads C_of_t once per substep, the last of an interval at its
+        # output time, and once at the first time
+        times = []
+
+        def C_of_t(t):
+            times.append(t)
+            return np.diag([1.0 + t, 1.0, 1.0 / (1.0 + t)])
+
+        prepared.clear()
+        cn.reference_solve(C_of_t, np.eye(3), [0.0, 0.3, 1.0], p, 4, False)
+        assert len(times) == len(prepared) == 2 * 4 + 1
+        assert times[0] == 0.0 and times[4] == 0.3 and times[8] == 1.0
 
     @pytest.mark.parametrize("stepper", CLOSED_FORM)
     def test_wide_branch_takes_the_eigen_step(self, stepper, count_eigh, rng):

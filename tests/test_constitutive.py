@@ -13,11 +13,14 @@ from mrmaxwell import (
     EulerianState,
     LagrangianState,
     MaterialParams,
+    composite_step,
+    consistent_tangent,
     em_step,
     eulerian_state_from_lagrangian,
     ifebm_step_eulerian,
     ifebm_step_lagrangian,
     kirchhoff_eulerian,
+    load_model,
     mebm_step,
     quad_root_X,
     quad_root_X_subtractive,
@@ -25,6 +28,7 @@ from mrmaxwell import (
     residual_R,
     solve_phi,
     stress_2pk,
+    table_model_path,
     twoiter_step,
 )
 from mrmaxwell import tensor3 as t3
@@ -240,7 +244,7 @@ class TestFloatStressLaw:
             try:
                 _stress_from_parts(strain, (1.0, 1.0, 1.0, 0.0, 0.0, 0.0), P111)
             except DomainError as err:
-                cond = math.hypot(*strain.q) * math.hypot(*strain.b)
+                cond = math.hypot(*strain[0]) * math.hypot(*strain[1])
                 assert str(err) == (
                     "stress asymmetry exceeds round-off: the unimodular strain "
                     f"has condition number {cond:.3e}"
@@ -1253,6 +1257,26 @@ class TestStressLawDomain:
                         asymmetric[name] += 1
         assert min(asymmetric.values()) > 0
 
+    def test_wide_spectrum_refused(self):
+        # a spectrum spanning 1e250 or more underflows the closed-form root's
+        # det: every entry raises a DomainError that names the spectrum, not a
+        # ZeroDivisionError
+        model, state = load_model(table_model_path()), LagrangianState.identity()
+        calls = [
+            lambda C: ifebm_step_lagrangian(C, state, 0.1, P111),
+            lambda C: twoiter_step(C, state, 0.1, P111),
+            lambda C: consistent_tangent(ifebm_step_lagrangian, C, state, 0.1, P111),
+            lambda C: consistent_tangent(twoiter_step, C, state, 0.1, P111),
+            lambda C: composite_step(C, model, 0.1),
+            lambda C: reference_solve(lambda t: C, np.eye(3), [0.0, 1.0], P111, 1, False),
+        ]
+        for e in range(200, 308):
+            for call in calls:
+                with pytest.raises(DomainError) as err:
+                    call(np.diag([10.0**-e, 1.0, 1.0]))
+                if e >= 250:
+                    assert "quadratic input spectrum spans" in str(err.value)
+
 
 _FIVE_STEPPERS = {
     "ifebm": (ifebm_step_lagrangian, LagrangianState.identity),
@@ -1483,7 +1507,7 @@ class TestReferenceMarch:
         C, Ci = np.diag([1.44, 1.0 / 1.2, 1.0 / 1.2]), np.diag([0.81, 1 / 0.9, 1 / 0.9])
         for dt in (1e-3, 0.1, 10.0):
             beta, eps = _coefficients(dt, P111)
-            got = np.array(_march_substep(C, t3.pack_sym(Ci).tolist(), beta, eps))
+            got = np.array(_march_substep(_strain(C, "C"), t3.pack_sym(Ci).tolist(), beta, eps))
             Cbar = _cbar(C)[0]
             want = t3.pack_sym(_ci_update(Ci, Cbar, (beta, eps), 0)[0])
             assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
@@ -1500,7 +1524,7 @@ class TestReferenceMarch:
         Ci = sym(sq @ ((Q * [1.0 / r, 1.0, r]) @ Q.T) @ sq)
         Ci = sym(t3.unimodular(Ci))
         beta, eps = _coefficients(0.3, P111)
-        got = np.array(_march_substep(C, t3.pack_sym(Ci).tolist(), beta, eps))
+        got = np.array(_march_substep(_strain(C, "C"), t3.pack_sym(Ci).tolist(), beta, eps))
         want = t3.pack_sym(_ci_update(Ci, Cbar, (beta, eps), 0)[0])
         if spread > 1.0:
             assert np.array_equal(got, want)
@@ -1522,12 +1546,111 @@ class TestReferenceMarch:
 
     @pytest.mark.parametrize(
         "bad, message",
-        [(np.diag([1.0, -1.0, -1.0]), "strain input is not positive definite"),
-         (np.diag([np.inf, 1.0, 1.0]), "strain input is not positive definite"),
-         (np.diag([1.0, 1.0, -1.0]), "strain input requires det > 0")],
+        [(np.diag([1.0, -1.0, -1.0]), "C is not symmetric positive definite"),
+         (np.diag([np.inf, 1.0, 1.0]), "C has non-finite entries"),
+         (np.diag([1.0, 1.0, -1.0]), "C is not symmetric positive definite")],
+        ids=["indefinite", "inf", "negative-det"],
     )
     def test_non_spd_strain_named(self, bad, message):
         # the strain at t = 0 is the identity, the substeps' strains are not
-        with pytest.raises(DomainError, match=message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
             reference_solve(lambda t: bad if t > 0.0 else np.eye(3), np.eye(3),
                             [0.0, 1.0], P111, 4)
+
+    @pytest.mark.parametrize(
+        "kind", ["skew", "nan", "inf", "2x2", "indefinite", "overflow", "1e-165"]
+    )
+    def test_bad_strain_inside_interval_refused_as_stress_2pk(self, kind):
+        # a strain that is bad only between output times: each substep's
+        # strain is checked, and refused as stress_2pk refuses it
+        C = skewed_strain()[0]
+        if kind == "skew":
+            C[0, 1] += 0.3
+        elif kind in ("nan", "inf"):
+            C[1, 2] = C[2, 1] = float(kind)
+        else:
+            C = {"2x2": np.eye(2), "indefinite": np.diag([1.0, 1.0, -1.0]),
+                 "overflow": 1e120 * np.eye(3),
+                 "1e-165": np.diag([1e-165, 1e-165, 1e250])}[kind]
+        with pytest.raises(DomainError) as want:
+            stress_2pk(C, np.eye(3), P111)
+
+        def C_of_t(t):
+            return C if 0.0 < t < 1.0 else np.eye(3)
+
+        with pytest.raises(DomainError) as got:
+            reference_solve(C_of_t, np.eye(3), [0.0, 1.0], P111, 4)
+        assert str(got.value) == str(want.value)
+
+
+def _require_spd_oracle(C):
+    # what _strain returns or the message it raises: require_spd's checks
+    # made one by one (shape, finite entries, minors, then the skew part) in
+    # place of its one-pass accept, and the minors of Cbar = C/cbrt(det C)
+    if C.shape != (3, 3):
+        return f"C must be a 3x3 array, got shape {C.shape}"
+    c = C.ravel().tolist()
+    if not all(map(math.isfinite, c)):
+        return "C has non-finite entries"
+    if not t3._is_spd9(*c):
+        e = math.frexp(max(map(abs, c)))[1]
+        if t3._is_spd9(*(math.ldexp(v, -e) for v in c)):
+            return "det C = "
+        return "C is not symmetric positive definite"
+    if not (c[1] == c[3] and c[2] == c[6] and c[5] == c[7]):
+        S = t3.sym(C, check=False)
+        if not t3._skew_norm_ok(C, S):
+            return "C is not symmetric: skew part beyond round-off"
+        c = S.ravel().tolist()
+    r = float(np.cbrt(t3._det9(*c)))
+    q = tuple(v / r for v in c)
+    if not t3._is_spd9(*q):
+        return "strain input is not positive definite: C has condition number"
+    return q, t3._inverse9(*q), r
+
+
+def _refusal_table():
+    # every kind of strain require_spd refuses, with those it accepts
+    C0 = rotated_strain([2.0, 1.0, 0.5])
+    table = []
+    for k in range(9):
+        for v in (math.nan, math.inf, -math.inf):
+            C = C0.copy()
+            C.flat[k] = v
+            table.append(C)
+    skew = skewed_strain()[0]
+    skew[0, 1] += 0.3
+    table += [
+        np.eye(2), np.ones((3, 4)), np.stack([C0, C0]), np.zeros((3, 3)),
+        np.diag([1.0, -1.0, 1.0]), np.diag([1.0, 1.0, 0.0]), -C0,
+        1e-110 * np.eye(3), 1e120 * np.eye(3), 1e200 * C0, 1e-200 * C0,
+        np.diag([1e-165, 1e-165, 1e250]), skew, skewed_strain()[0], C0,
+        C0 + 1e-12 * rotated_strain([1.0, -1.0, 0.0]), np.eye(3, dtype=int),
+    ]
+    # skew parts around the round-off bound
+    for size in (1e-17, 1e-12, 1e-10, 1e-9, 1e-6):
+        C = C0.copy()
+        C[1, 2] += size
+        table.append(C)
+    return table
+
+
+class TestStrainReader:
+    # _strain reads every strain through require_spd, whose one-pass accept
+    # takes what its checks made one by one take; with the minors of Cbar,
+    # they accept the same strains and name the same causes
+    @pytest.mark.parametrize("name", ["C", "C_next"])
+    def test_matches_require_spd(self, name, rng):
+        sweep = [rotated_strain([10.0**e, 1.0, 10.0**-e]) for e in np.linspace(2.0, 16.0, 281)]
+        spd = [rand_spd(rng, 1e-3, 1e3) for _ in range(50)]
+        refused = 0
+        for C in _refusal_table() + sweep + spd:
+            want = _require_spd_oracle(C)
+            if isinstance(want, str):
+                refused += 1
+                with pytest.raises(DomainError) as got:
+                    _strain(C, name)
+                assert str(got.value).startswith(want.replace("C", name, 1))
+            else:
+                assert _strain(C, name) == want
+        assert refused > 100

@@ -259,6 +259,13 @@ class TestRunConfig:
         with pytest.raises(DomainError, match=f"{field} must be >= 1, got {value}"):
             hn.RunConfig(**{field: value})
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, "3", None])
+    def test_seed_rejected_by_name(self, seed):
+        # numpy's generator raised its own ValueError from inside the study
+        with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+            hn.RunConfig(seed=seed)
+        hn.RunConfig(seed=np.int64(3))
+
     def test_fine_grid_must_refine_coarse_grid(self):
         # run_uniaxial would compare fine t = 0.3k with coarse t = k/3
         with pytest.raises(DomainError, match="10 is not a multiple of .* = 3"):
@@ -546,18 +553,32 @@ class TestCli:
         assert "overall: PASS" in out
         assert (tmp_path / "nonprop_errors.csv").exists()
 
-    @pytest.mark.parametrize("study", ["nonprop", "convergence", "tangent-sweep"])
-    def test_json_summary_round_trip(self, study, capsys):
-        # the tangent sweep's grid of steps and viscosities is fixed
-        cheap = [] if study == "tangent-sweep" else [
-            "--dt", "0.5", "--reference-substeps", "600"
-        ]
-        code = cli_main([study, "--summary", "json"] + cheap)
-        payload = json.loads(capsys.readouterr().out)
+    @pytest.mark.filterwarnings("ignore:reference not converged")
+    @pytest.mark.parametrize(
+        "study, cheap",
+        [("nonprop", "--dt 0.5 --reference-substeps 600"),
+         ("convergence", "--dt 0.5 --reference-substeps 600"),
+         ("tangent-sweep", ""),  # its grid of steps and viscosities is fixed
+         ("robustness", ""),
+         ("uniaxial", "--cycles 1 --coarse-steps 2 --fine-steps 4"),
+         # without ifebm there is no dual formulation gap: null, not NaN
+         ("nonprop", "--method mebm --dt 0.5 --reference-substeps 600")],
+        ids=["nonprop", "convergence", "tangent-sweep", "robustness", "uniaxial",
+             "nonprop-mebm"],
+    )
+    def test_json_summary_round_trip(self, study, cheap, capsys):
+        # strict JSON (RFC 8259), which has no NaN or Infinity
+        def refuse(constant):
+            raise AssertionError(f"{study} summary has {constant}")
+
+        code = cli_main([study, "--summary", "json"] + cheap.split())
+        payload = json.loads(capsys.readouterr().out, parse_constant=refuse)
         assert payload["study"] == study
         assert payload["passed"] is (code == 0)
         assert payload["checks"]
         assert all(type(v) is bool for v in payload["checks"].values())
+        if "mebm" in cheap:
+            assert payload["values"]["dual_formulation_gap"] is None
 
     @pytest.fixture
     def recorded(self, monkeypatch):
@@ -616,8 +637,10 @@ class TestCli:
             ("nonprop --dt 0.7", "dt = 0.7 does not divide the domain [0, 3.0]"),
             ("tangent-sweep --method mebm",
              "the tangent sweep needs ifebm or 2iebm in methods, got ('mebm',)"),
+            ("robustness --seed -1", "seed must be a non-negative integer, got -1"),
         ],
-        ids=["fine-steps", "dt-zero", "dt-inf", "dt-not-dividing", "tangent-mebm"],
+        ids=["fine-steps", "dt-zero", "dt-inf", "dt-not-dividing", "tangent-mebm",
+             "seed-negative"],
     )
     def test_domain_error_is_usage_error(self, argv, message, capsys):
         with pytest.raises(SystemExit) as stop:

@@ -264,6 +264,27 @@ class TestRequireSpd:
         A = rand_spd(rng)
         assert t3.require_spd(A) is A
 
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_not_accepted_in_one_pass(self, v, monkeypatch):
+        # an exactly symmetric tensor whose minors pass is returned without
+        # sym; a non-finite entry in any slot fails the minors (det is never
+        # finite) and is named
+        A = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 0.5]])
+
+        def no_sym(*args, **kwargs):
+            raise AssertionError("sym called")
+
+        monkeypatch.setattr(t3, "sym", no_sym)
+        assert t3.require_spd(A) is A
+        monkeypatch.undo()
+        for i in range(3):
+            for j in range(3):
+                symmetric, one = A.copy(), A.copy()
+                symmetric[i, j] = symmetric[j, i] = one[i, j] = v
+                for B in (symmetric, one):
+                    with pytest.raises(DomainError, match="^B has non-finite entries$"):
+                        t3.require_spd(B, "B")
+
     def test_round_off_skew_removed(self):
         C, _ = skewed_strain()
         assert np.array_equal(t3.require_spd(C), t3.sym(C, check=False))
