@@ -6,7 +6,9 @@ volumetric term; it carries no internal state and is evaluated, never
 integrated.  Each Maxwell branch is the single-branch material from
 :mod:`mrmaxwell.constitutive` with its own parameters and internal
 variable, advanced independently within a step.  Total stress is the sum
-of the branch stresses.
+of the branch stresses.  One branch loop, on each branch's ``Ci`` as its
+upper triangle, serves :func:`composite_step` and the march of
+:func:`uniaxial_axial_stress`, which builds its states once, at the end.
 
 Incompressibility is handled exactly rather than by a large bulk
 modulus: with ``k = "incompressible"`` the volumetric term is dropped
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Callable, Sequence
 
@@ -44,7 +46,8 @@ from .constitutive import (
     StepDiagnostics,
     ifebm_step_lagrangian,
 )
-from .constitutive import _CORRECTIONS, _branch_steps, _strain, _stress_from_parts
+from .constitutive import _CORRECTIONS, _check_manifold, _coefficients, _diagnostics
+from .constitutive import _march_substep, _strain, _stress_from_parts
 
 __all__ = [
     "EquilibriumParams",
@@ -116,7 +119,7 @@ def equilibrium_stress(C: np.ndarray, p: EquilibriumParams) -> np.ndarray:
     incompressible limit the volumetric part is omitted; the pressure it
     stands in for must be supplied by the boundary conditions of the
     driving protocol.  A volume ratio ``det C`` that overflows, or whose
-    volumetric factor does, raises :class:`DomainError`.
+    volumetric stress does, raises :class:`DomainError`.
     """
     return _equilibrium_stress(C, _strain(C, "C"), p)
 
@@ -128,18 +131,54 @@ _RELAXED = (1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
 def _equilibrium_stress(C, strain, p):
     # equilibrium_stress of C, given _strain(C); the isochoric part is the
     # Maxwell branches' stress law at Ci = I, the volumetric C^-1 is Cbar^-1/r
-    d = det(C)
-    try:
-        vol = 0.0 if p.incompressible else p.k / 10.0 * (d**2.5 - d**-2.5)
-    except OverflowError:
-        vol = math.inf
-    if not vol < math.inf:
-        raise DomainError(f"volume ratio det C = {d:.3e} is out of float range")
-    iso = _stress_from_parts(strain, _RELAXED, p)
     if p.incompressible:
-        return iso
+        return _stress_from_parts(strain, _RELAXED, p)
+    d = det(C)
     _, b, r = strain
-    return iso + vol * (np.array(b).reshape(3, 3) / r)
+    try:
+        k = p.k / 10.0 * (d**2.5 - d**-2.5)
+    except OverflowError:
+        k = math.inf
+    vol = [k * (u / r) for u in b]
+    if not all(map(math.isfinite, vol)):
+        raise DomainError(f"volume ratio det C = {d:.3e} is out of float range")
+    return _stress_from_parts(strain, _RELAXED, p) + np.array(vol).reshape(3, 3)
+
+
+def _branch_loop(C, strain, model, tris, dt, stepper):
+    # one turn of the composite at C, strain = _strain(C), each branch's Ci as
+    # its upper triangle in tris (11, 22, 33, 12, 13, 23): the equilibrium
+    # part, the total stress (the branch stresses summed after it, in branch
+    # order), the triangles after a step of dt (none if dt is None), the
+    # branch stresses, and each branch's root (x, phi) or its stepper's
+    # diagnostics.  A closed-form branch steps on _march_substep, any other
+    # stepper gets the state; each new Ci is checked as LagrangianState does
+    eq = _equilibrium_stress(C, strain, model.equilibrium)
+    corrections = _CORRECTIONS.get(stepper)
+    out, stresses, roots = [], [], []
+    for a, p in zip(tris, model.branches):
+        if dt is None:
+            stress = _stress_from_parts(strain, a, p)
+        elif corrections is None:
+            res = stepper(C, LagrangianState(t3.unpack_sym(np.array(a))), dt, p)
+            c = res.state.Ci.ravel().tolist()
+            _check_manifold(c, "Ci")
+            a, stress = [c[0], c[4], c[8], c[1], c[2], c[5]], res.stress
+            roots.append(res.diagnostics)
+        else:
+            a, *root = _march_substep(strain, a, *_coefficients(dt, p), corrections)
+            _check_manifold((a[0], a[3], a[4], a[3], a[1], a[5], a[4], a[5], a[2]), "Ci")
+            stress = _stress_from_parts(strain, a, p)
+            roots.append(root)
+        out.append(a)
+        stresses.append(stress)
+    return eq, sum(stresses, eq.copy()), out, stresses, roots
+
+
+def _with_states(model, tris):
+    # model with each branch's state built from its upper triangle in tris
+    states = tuple(LagrangianState(t3.unpack_sym(np.array(a))) for a in tris)
+    return replace(model, states=states)
 
 
 @dataclass(frozen=True)
@@ -160,42 +199,28 @@ def composite_step(
     """Advance every Maxwell branch independently and sum the stresses.
 
     The strain is checked and its parts formed once, as Python floats, for
-    the equilibrium branch and every Maxwell branch.  The branches of
-    ``ifebm_step_lagrangian`` and ``twoiter_step`` take the reference
-    march's float update on those parts, and every stress, the
-    equilibrium's included, comes from the one float stress law; they
-    agree with one stepper call per branch to round-off and raise its
-    errors in branch order.  Any other stepper is called once per branch.
-    For the incompressible model the returned stress excludes the
-    indeterminate pressure term ``-p C^-1``.  A ``dt`` that is not finite
-    and non-negative is refused, with or without branches.
+    the equilibrium branch and every Maxwell branch.  The one branch loop,
+    which :func:`uniaxial_axial_stress` marches with (building its states
+    once, at the end), steps each branch's ``Ci`` as its upper triangle.
+    The branches of ``ifebm_step_lagrangian`` and ``twoiter_step`` take the
+    reference march's float update, and every stress comes from the one
+    float stress law; they agree with one stepper call per branch to
+    round-off and raise its errors in branch order.  Any other stepper is
+    called once per branch.  Each new ``Ci`` is checked as
+    :class:`LagrangianState` checks it.  For the incompressible model the
+    returned stress excludes the indeterminate pressure term ``-p C^-1``.
+    A ``dt`` that is not finite and non-negative is refused.
     """
     if not 0.0 <= dt < math.inf:
         raise DomainError(f"dt must be finite and non-negative, got {dt!r}")
-    strain = _strain(C_next, "C_next")
-    eq = _equilibrium_stress(C_next, strain, model.equilibrium)
-    corrections = _CORRECTIONS.get(stepper)
-    if corrections is None or not model.branches:
-        results = [
-            stepper(C_next, state, dt, params)
-            for params, state in zip(model.branches, model.states)
-        ]
-    else:
-        results = _branch_steps(strain, model.states, dt, model.branches, corrections)
-    total = eq.copy()
-    for r in results:
-        total += r.stress
-    new_model = CompositeModel(
-        model.equilibrium,
-        model.branches,
-        tuple(r.state for r in results),
+    tris = [t3.pack_sym(s.Ci).tolist() for s in model.states]
+    eq, total, tris, stresses, roots = _branch_loop(
+        C_next, _strain(C_next, "C_next"), model, tris, dt, stepper
     )
+    if stepper in _CORRECTIONS:
+        roots = [_diagnostics(x, phi, _CORRECTIONS[stepper]) for x, phi in roots]
     return CompositeStepResult(
-        new_model,
-        total,
-        eq,
-        tuple(r.stress for r in results),
-        tuple(r.diagnostics for r in results),
+        _with_states(model, tris), total, eq, tuple(stresses), tuple(roots)
     )
 
 
@@ -234,24 +259,16 @@ def uniaxial_axial_stress(
         raise DomainError(f"dt must be finite and positive, got {dt!r}")
 
     stresses = np.empty(len(F_history))
-    current = model
+    tris = [t3.pack_sym(s.Ci).tolist() for s in model.states]
     for k, F in enumerate(F_history):
         lam = _check_uniaxial_isochoric(F)
         C = sym(F.T @ F, check=False)
-        if k == 0:
-            strain = _strain(C, "C")
-            T_iso = _equilibrium_stress(C, strain, model.equilibrium)
-            for params, state in zip(model.branches, model.states):
-                a = t3.pack_sym(state.Ci).tolist()
-                T_iso = T_iso + _stress_from_parts(strain, a, params)
-        else:
-            res = composite_step(C, current, dt, stepper)
-            current = res.model
-            T_iso = res.total_stress
+        step = dt if k else None
+        _, T_iso, tris, _, _ = _branch_loop(C, _strain(C, "C"), model, tris, step, stepper)
         sigma = F @ T_iso @ F.T  # Kirchhoff = Cauchy here (det F = 1)
         pressure = (sigma[1, 1] + sigma[2, 2]) / 2.0
         stresses[k] = (sigma[0, 0] - pressure) / lam
-    return stresses, current
+    return stresses, _with_states(model, tris)
 
 
 def load_model(source) -> CompositeModel:

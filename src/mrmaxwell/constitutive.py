@@ -103,8 +103,8 @@ def _frozen_array(obj, name, value):
     return arr
 
 
-def _check_manifold(A, name):
-    a = A.ravel().tolist()
+def _check_manifold(a, name):
+    # the nine entries a of the state name: finite, symmetric, SPD, unimodular
     if not all(map(math.isfinite, a)):
         raise DomainError(f"{name} has non-finite entries")
     if a[1] != a[3] or a[2] != a[6] or a[5] != a[7]:
@@ -137,8 +137,7 @@ class LagrangianState:
     Ci: np.ndarray
 
     def __post_init__(self):
-        Ci = _frozen_array(self, "Ci", self.Ci)
-        _check_manifold(Ci, "Ci")
+        _check_manifold(_frozen_array(self, "Ci", self.Ci).ravel().tolist(), "Ci")
 
     @classmethod
     def identity(cls) -> "LagrangianState":
@@ -155,7 +154,7 @@ class EulerianState:
 
     def __post_init__(self):
         B = _frozen_array(self, "Be_inv_bar", self.Be_inv_bar)
-        _check_manifold(B, "Be_inv_bar")
+        _check_manifold(B.ravel().tolist(), "Be_inv_bar")
         F = _frozen_array(self, "F_prev", self.F_prev)
         if not np.isfinite(F).all() or not det(F) > 0.0:
             raise DomainError("F_prev must be finite with positive determinant")
@@ -515,23 +514,22 @@ def _root(w, beta, eps, corrections, name, slopes=False):
 
 
 def _closed_form_root(W, coeffs, corrections, name):
-    # the root X of phi X = (W + beta I) - eps X^2, coeffs = (beta, eps), and
-    # its StepDiagnostics, with the residual |x1 x2 x3 - 1| that the
-    # projection removes; W is isq Ci isq, or G^T Be^-1 G
+    # the root X of phi X = (W + beta I) - eps X^2, coeffs = (beta, eps), its
+    # eigenvalues x and phi; W is isq Ci isq, or G^T Be^-1 G
     w, V = np.linalg.eigh(W)
     x, phi = _root(w.tolist(), *coeffs, corrections, name)
-    return (V * x) @ V.T, _diagnostics(x, phi, corrections)
+    return (V * x) @ V.T, x, phi
 
 
 def _diagnostics(x, phi, corrections):
-    # a closed-form step's diagnostics from its root's eigenvalues x and phi
+    # the StepDiagnostics of a closed-form root: phi and |x1 x2 x3 - 1|
     return StepDiagnostics(phi, corrections, det_residual=abs(x[0] * x[1] * x[2] - 1.0))
 
 
 def _ci_update(Ci, Cbar, coeffs, corrections):
     # the closed-form update of Ci towards a strain with the unimodular part
-    # Cbar, and its diagnostics: the root X on isq Ci isq, mapped back as
-    # unimodular(sq X sq), with sq = Cbar^1/2 and isq = sq^-1 from one eigh
+    # Cbar, its root's eigenvalues and phi: the root X on isq Ci isq, mapped
+    # back as unimodular(sq X sq), sq = Cbar^1/2 and isq = sq^-1 from one eigh
     w, V = np.linalg.eigh(Cbar)
     if not w[0] > 0.0:
         raise DomainError(
@@ -540,20 +538,18 @@ def _ci_update(Ci, Cbar, coeffs, corrections):
     r = np.sqrt(w)
     sq, isq = (V * r) @ V.T, (V / r) @ V.T
     W = sym(isq @ Ci @ isq, check=False)
-    X, diagnostics = _closed_form_root(W, coeffs, corrections, "quadratic input")
-    return unimodular(sym(sq @ X @ sq, check=False)), diagnostics
+    X, x, phi = _closed_form_root(W, coeffs, corrections, "quadratic input")
+    return unimodular(sym(sq @ X @ sq, check=False)), x, phi
 
 
 def _closed_form_step(strain, Ci, dt, p, corrections):
     # the StepResult of the closed-form step from Ci towards the strain with
     # the parts of _strain, on the eigen path
     coeffs = _coefficients(dt, p)
-    Ci_new, diagnostics = _ci_update(
-        Ci, np.array(strain[0]).reshape(3, 3), coeffs, corrections
-    )
+    Ci_new, x, phi = _ci_update(Ci, np.array(strain[0]).reshape(3, 3), coeffs, corrections)
     state = LagrangianState(Ci_new)
     stress = _stress_from_parts(strain, t3.pack_sym(Ci_new).tolist(), p)
-    return StepResult(state, stress, diagnostics)
+    return StepResult(state, stress, _diagnostics(x, phi, corrections))
 
 
 def _inverse_cholesky(a, name):
@@ -673,12 +669,13 @@ def ifebm_step_eulerian(
     if not np.isfinite(F_next).all() or not det(F_next) > 0.0:
         raise DomainError("F_next must be finite with positive determinant")
     G = inverse(unimodular(F_next @ inverse(state.F_prev)))
-    X, diagnostics = _closed_form_root(
+    X, x, phi = _closed_form_root(
         sym(G.T @ state.Be_inv_bar @ G, check=False), (beta, eps), 0, "trial state"
     )
     # the state's _check_manifold is stricter than kirchhoff_eulerian's checks
     state = EulerianState(unimodular(sym(X, check=False)), F_next)
-    return StepResult(state, _kirchhoff(state.Be_inv_bar.ravel().tolist(), p), diagnostics)
+    stress = _kirchhoff(state.Be_inv_bar.ravel().tolist(), p)
+    return StepResult(state, stress, _diagnostics(x, phi, 0))
 
 
 # --------------------------------------------------------------------------
@@ -999,8 +996,8 @@ _SPREAD_MAX = 100.0
 def _float_update(strain, a, beta, eps, corrections):
     # the closed-form update of Ci towards the strain with the parts q, b of
     # _strain, on Python floats, Ci and the result as upper triangles
-    # (11, 22, 33, 12, 13, 23), and the root's eigenvalues and phi (for its
-    # StepDiagnostics, which the march does without); None where W spreads
+    # (11, 22, 33, 12, 13, 23), and the root's eigenvalues and phi (which
+    # the march does without); None where W spreads
     # beyond _SPREAD_MAX.  X = f(W), f(w) = x(w + beta), is Newton's
     # interpolation on the spectrum w1 <= w2 <= w3 of W, that of P = Ci
     # Cbar^-1; as sq W sq = Ci and sq W^2 sq = P Ci, Y = sq X sq = f(w1) Cbar
@@ -1041,34 +1038,17 @@ def _float_update(strain, a, beta, eps, corrections):
     return [u / r for u in y], (x1, x2, x3), phi
 
 
-def _march_substep(strain, a, beta, eps):
-    # one ifebm substep of the march towards the strain with the parts of
-    # _strain, a and the result as upper triangles: the float update, or the
-    # eigen path where W is wide
-    step = _float_update(strain, a, beta, eps, 0)
+def _march_substep(strain, a, beta, eps, corrections):
+    # one closed-form step, with `corrections` of phi, of the upper triangle a
+    # of Ci towards the strain with the parts of _strain: the new triangle,
+    # the root's eigenvalues and phi, from the float update or, where W is
+    # wide, the eigen path
+    step = _float_update(strain, a, beta, eps, corrections)
     if step is not None:
-        return step[0]
+        return step
     Ci = t3.unpack_sym(np.array(a))
-    Ci, _ = _ci_update(Ci, np.array(strain[0]).reshape(3, 3), (beta, eps), 0)
-    return t3.pack_sym(Ci).tolist()
-
-
-def _branch_steps(strain, states, dt, params, corrections):
-    # the StepResults of closed-form steps of several states towards the one
-    # strain with the parts of _strain, in order: each update and its stress
-    # on floats, or where W is wide the eigen step
-    results = []
-    for state, p in zip(states, params):
-        beta, eps = _coefficients(dt, p)
-        a = t3.pack_sym(state.Ci).tolist()
-        step = _float_update(strain, a, beta, eps, corrections)
-        if step is None:
-            results.append(_closed_form_step(strain, state.Ci, dt, p, corrections))
-            continue
-        state = LagrangianState(t3.unpack_sym(np.array(step[0])))
-        stress = _stress_from_parts(strain, step[0], p)
-        results.append(StepResult(state, stress, _diagnostics(*step[1:], corrections)))
-    return results
+    Ci, x, phi = _ci_update(Ci, np.array(strain[0]).reshape(3, 3), (beta, eps), corrections)
+    return t3.pack_sym(Ci).tolist(), x, phi
 
 
 def _march(C_of_t, Ci0, t_grid, p, n_substeps):
@@ -1085,7 +1065,7 @@ def _march(C_of_t, Ci0, t_grid, p, n_substeps):
         beta, eps = _coefficients(h, p)
         for s in range(1, n_substeps + 1):
             strain = _strain(C_of_t(t0 + s * h if s < n_substeps else t1), "C")
-            a = _march_substep(strain, a, beta, eps)
+            a = _march_substep(strain, a, beta, eps, 0)[0]
         state = LagrangianState(t3.unpack_sym(np.array(a)))
         states.append(state.Ci)
         stresses.append(_stress_from_parts(strain, a, p))

@@ -200,16 +200,20 @@ def require_spd(A: np.ndarray, name: str = "tensor") -> np.ndarray:
     if A.shape != (3, 3):
         raise DomainError(f"{name} must be a 3x3 array, got shape {A.shape}")
     a = A.ravel().tolist()
+    symmetric = a[1] == a[3] and a[2] == a[6] and a[5] == a[7]
     # accepted in one pass: 0 < det A < inf, which no inf or nan entry passes
-    if a[1] == a[3] and a[2] == a[6] and a[5] == a[7] and _is_spd9(*a):
+    if symmetric and _is_spd9(*a):
         return A
     if not all(map(math.isfinite, a)):
         raise DomainError(f"{name} has non-finite entries")
-    if not _is_spd9(*a):
+    # the minors tested are those of the tensor returned
+    S = A if symmetric else sym(A, check=False)
+    s = S.ravel().tolist()
+    if not _is_spd9(*s):
         # scaled by a power of two near its largest entry (exact), a tensor
         # whose minors only left the float range is definite again
-        e = math.frexp(max(map(abs, a)))[1]
-        s = [math.ldexp(v, -e) for v in a]
+        e = math.frexp(max(map(abs, s)))[1]
+        s = [math.ldexp(v, -e) for v in s]
         if _is_spd9(*s):
             log10 = round(math.log10(_det9(*s)) + 3 * e * math.log10(2.0), 6)
             k = math.floor(log10)
@@ -217,7 +221,6 @@ def require_spd(A: np.ndarray, name: str = "tensor") -> np.ndarray:
                 f"det {name} = {10.0 ** (log10 - k):.3f}e{k:+d} is out of float range"
             )
         raise DomainError(f"{name} is not symmetric positive definite")
-    S = sym(A, check=False)
     if not _skew_norm_ok(A, S):
         raise DomainError(f"{name} is not symmetric: skew part beyond round-off")
     return S

@@ -170,6 +170,18 @@ class TestEquilibriumStress:
             with pytest.raises(DomainError, match=r"det C = 1\.000e\+600 is out of"):
                 equilibrium_stress(C, p)
 
+    def test_volumetric_product_overflow_refused(self):
+        # (det C)^(-5/2) = 1e300 is finite, its product with C^-1 ~ 1e40 is
+        # not: refused by the volume ratio, where it was returned as an inf
+        # stress (and added to the composite's total)
+        C = 1e-40 * rotated_strain([2.0, 1.0, 0.5])
+        p = EquilibriumParams(1.0, 0.5, 2.0)
+        with pytest.raises(DomainError, match=r"^volume ratio det C = 1\.000e-120 is out of"):
+            equilibrium_stress(C, p)
+        model = CompositeModel.relaxed(p, load_model(table_model_path()).branches)
+        with pytest.raises(DomainError, match="^volume ratio det C"):
+            composite_step(C, model, 0.1)
+
 
 _P = MaterialParams(0.4, 0.3, 2.0)
 _CALLS = {
@@ -370,21 +382,27 @@ class TestLanePath:
     def test_bad_lane_raises(self, stepper):
         C = np.diag([1.2, 1.0, 0.9])
         ok = MaterialParams(1.0, 1.0, 1.0)
-        # the second branch's state is indefinite, or its dt c10/eta overflows
+        # the second branch's state is indefinite, or its dt c10/eta overflows.
+        # The float path's root refuses the state; a per-call stepper gets the
+        # state rebuilt from its upper triangle, which the state's own check
+        # refuses first
         indefinite = invalid_state(np.diag([2.0, -1.0, -0.5]))
         bad_state = CompositeModel(
             EQ_INC, (ok, ok), (LagrangianState.identity(), indefinite)
         )
         bad_params = CompositeModel.relaxed(EQ_INC, [ok, MaterialParams(1, 1, 1e-10)])
-        for wrapped in (stepper, per_call(stepper)):
-            with pytest.raises(DomainError, match="lost positive definiteness"):
+        for wrapped, message in (
+            (stepper, "quadratic input lost positive definiteness"),
+            (per_call(stepper), "Ci is not positive definite"),
+        ):
+            with pytest.raises(DomainError, match=message):
                 composite_step(C, bad_state, 0.1, wrapped)
             with pytest.raises(DomainError, match=r"dt = 1e\+300 overflows"):
                 composite_step(C, bad_params, 1e300, wrapped)
 
     def test_strain_prepared_once(self, count_eigh, monkeypatch):
-        # the float composite decomposes nothing; the per-call loop makes
-        # two eigh calls per branch
+        # the branch loop's float steps decompose nothing; a per-call stepper
+        # makes two eigh calls per branch
         model = load_model(table_model_path())
         C = np.diag([1.2, 1.0, 1.0 / 1.2])
         composite_step(C, model, 0.1)
@@ -439,11 +457,15 @@ class TestLanePath:
                 assert checked.count(True) == 1, name
                 if name in ("composite_step", "equilibrium_stress"):
                     assert not inverted, name
-        # the first sample of a uniaxial history: one for the equilibrium and
-        # all four branches
+        # a uniaxial history reads each sample's strain once, for the
+        # equilibrium and all four branches: the first sample's stresses and
+        # each step of the branch loop it shares with composite_step
         prepared.clear()
         uniaxial_axial_stress(model, [uniaxial_F(0.2)], 0.1)
         assert len(prepared) == 1
+        prepared.clear()
+        uniaxial_axial_stress(model, [uniaxial_F(0.2), uniaxial_F(0.3), uniaxial_F(0.1)], 0.1)
+        assert len(prepared) == 3
         # a march reads C_of_t once per substep, the last of an interval at its
         # output time, and once at the first time
         times = []
@@ -478,7 +500,111 @@ class TestLanePath:
         assert res.branch_diagnostics[1] == want.diagnostics
 
 
+def wide_tmj_model():
+    """The bundled model with its slowest branch first in a state whose
+    congruence spreads beyond _SPREAD_MAX (225 at C = I), so the branch loop
+    steps it on the eigen path through a cycle."""
+    model = load_model(table_model_path())
+    states = (LagrangianState(rotated_strain([15.0, 1.0, 1.0 / 15.0])),) + model.states[1:]
+    return CompositeModel(model.equilibrium, model.branches, states)
+
+
+def uniaxial_cycle(n):
+    program = LoadingProgram(kind="uniaxial", cycles=1)
+    return [program.F(float(t)) for t in np.linspace(0.0, program.t_end, n + 1)], program.t_end / n
+
+
 class TestUniaxial:
+    @pytest.mark.parametrize(
+        "stepper",
+        [ifebm_step_lagrangian, twoiter_step, mebm_step, per_call(ifebm_step_lagrangian)],
+        ids=["ifebm", "2iebm", "mebm", "per_call-ifebm"],
+    )
+    def test_matches_a_composite_step_loop(self, stepper, count_eigh):
+        # the march and composite_step share the branch loop: the stresses
+        # and the returned states equal a hand loop of composite_step bit for
+        # bit, the first sample's stress that of the public stress laws
+        Fs, dt = uniaxial_cycle(40)
+        model = wide_tmj_model()
+        count_eigh.clear()
+        got, got_model = uniaxial_axial_stress(model, Fs, dt, stepper)
+        if stepper in CLOSED_FORM:
+            # the wide branch took the eigen path (two eigh a step) throughout
+            assert len(count_eigh) == 2 * 40
+        want = []
+        for k, F in enumerate(Fs):
+            C = t3.sym(F.T @ F, check=False)
+            if k:
+                res = composite_step(C, model, dt, stepper)
+                model, T = res.model, res.total_stress
+            else:
+                T = equilibrium_stress(C, model.equilibrium)
+                for p, state in zip(model.branches, model.states):
+                    T = T + stress_2pk(C, state.Ci, p)
+            sigma = F @ T @ F.T
+            want.append((sigma[0, 0] - (sigma[1, 1] + sigma[2, 2]) / 2.0) / F[0, 0])
+        assert np.array_equal(got, want)
+        for x, y in zip(got_model.states, model.states):
+            assert np.array_equal(x.Ci, y.Ci)
+
+    @pytest.mark.parametrize("stepper", CLOSED_FORM)
+    def test_state_is_checked(self, stepper, monkeypatch):
+        # a root with two negative eigenvalues keeps det > 0 on the eigen
+        # path (the wide first branch), so only the check of each new Ci
+        # refuses it: in a composite step, and in a march from its sixth step
+        # on (two branches, two roots a step)
+        root, calls = cn._root, []
+
+        def indefinite(*args, **kwargs):
+            x, *rest = root(*args, **kwargs)
+            calls.append(1)
+            return (x if len(calls) <= normal else [-x[0], -x[1], x[2]], *rest)
+
+        monkeypatch.setattr(cn, "_root", indefinite)
+        model = wide_tmj_model()
+        model = CompositeModel(model.equilibrium, model.branches[:2], model.states[:2])
+        normal = 0
+        with pytest.raises(DomainError, match="^Ci is not positive definite$"):
+            composite_step(np.diag([1.2, 1.0, 1.0 / 1.2]), model, 0.1, stepper)
+        calls.clear()
+        normal = 10
+        with pytest.raises(DomainError, match="^Ci is not positive definite$"):
+            uniaxial_axial_stress(model, *uniaxial_cycle(40), stepper)
+        assert len(calls) == 11
+
+    @pytest.mark.parametrize("stepper", CLOSED_FORM)
+    def test_unimodularity_is_checked(self, stepper, monkeypatch):
+        # a step whose Ci misses det 1 is refused by the same check, also in
+        # the march, which builds no state between its first and last sample
+        monkeypatch.setattr(
+            composite, "_march_substep", lambda *args: ([2.0, 2.0, 2.0, 0.0, 0.0, 0.0], 0, 0)
+        )
+        for call in (
+            lambda: composite_step(np.eye(3), load_model(table_model_path()), 0.1, stepper),
+            lambda: uniaxial_axial_stress(
+                load_model(table_model_path()), *uniaxial_cycle(4), stepper
+            ),
+        ):
+            with pytest.raises(DomainError, match=r"^Ci must be unimodular, det = 8\.0$"):
+                call()
+
+    def test_per_call_state_is_checked(self):
+        # a per-call stepper's state is checked before it is packed to its
+        # upper triangle: one off exact symmetry by an ulp, built without the
+        # state's validation, is refused by name, not symmetrized
+        def skewed(*args):
+            res = ifebm_step_lagrangian(*args)
+            Ci = np.array(res.state.Ci)
+            Ci[0, 1] = np.nextafter(Ci[0, 1], np.inf)
+            return cn.StepResult(invalid_state(Ci), res.stress, res.diagnostics)
+
+        model = load_model(table_model_path())
+        message = r"^Ci must be exactly symmetric \(use tensor3.sym\)$"
+        with pytest.raises(DomainError, match=message):
+            composite_step(np.diag([1.2, 1.0, 1.0 / 1.2]), model, 0.1, skewed)
+        with pytest.raises(DomainError, match=message):
+            uniaxial_axial_stress(model, *uniaxial_cycle(4), skewed)
+
     def test_zero_strain_zero_stress(self):
         model = load_model(table_model_path())
         Fs = [np.eye(3)] * 10

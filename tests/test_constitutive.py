@@ -1340,7 +1340,7 @@ class TestHugeSteps:
             beta = 0.0 if log_beta is None else math.exp(rng.uniform(*log_beta))
             eps = math.exp(rng.uniform(*log_eps))
             corrections = 2 * (k % 2)
-            X, d = _closed_form_root(W, (beta, eps), corrections, "W")
+            X, got_x, phi = _closed_form_root(W, (beta, eps), corrections, "W")
             w, V = np.linalg.eigh(W)
             w = (w + beta).tolist()
             phi0 = float(np.cbrt(w[0] * w[1] * w[2]))
@@ -1349,9 +1349,9 @@ class TestHugeSteps:
                 r, slope = _det_residual(w, expect, eps)
                 expect -= r / slope
             x = [_root_eigvals(v, expect, eps) for v in w]
-            assert d.phi == expect
+            assert phi == expect
+            assert got_x == x
             assert np.array_equal(X, (V * x) @ V.T)
-            assert d.det_residual == abs(x[0] * x[1] * x[2] - 1.0)
 
 
 class TestSmoothness:
@@ -1402,8 +1402,7 @@ class TestImplicitConsistency:
             eps = dt * P111.c01 / P111.eta
             Cbar, Cbar_inv = _cbar(C)
             sq, isq = t3.spd_sqrt(Cbar), t3.spd_inv_sqrt(Cbar)
-            X, d = _closed_form_root(sym(isq @ Ci_n @ isq), (beta, eps), 0, "W")
-            phi = d.phi
+            X, _, phi = _closed_form_root(sym(isq @ Ci_n @ isq), (beta, eps), 0, "W")
             Ci_star = sym(sq @ X @ sq)  # before projection
             # phi Ci* = Ci_n + beta Cbar - eps Ci* Cbar^-1 Ci*
             resid = (
@@ -1471,7 +1470,7 @@ def _eigen_march(C_of_t, t_grid, p, n_substeps):
         h = (t1 - t0) / n_substeps
         for s in range(1, n_substeps + 1):
             Cbar = _cbar(C_of_t(t0 + s * h))[0]
-            Ci, _ = _ci_update(Ci, Cbar, _coefficients(h, p), 0)
+            Ci = _ci_update(Ci, Cbar, _coefficients(h, p), 0)[0]
         states.append(Ci)
         stresses.append(stress_2pk(C_of_t(t1), Ci, p))
     return states, stresses
@@ -1507,7 +1506,8 @@ class TestReferenceMarch:
         C, Ci = np.diag([1.44, 1.0 / 1.2, 1.0 / 1.2]), np.diag([0.81, 1 / 0.9, 1 / 0.9])
         for dt in (1e-3, 0.1, 10.0):
             beta, eps = _coefficients(dt, P111)
-            got = np.array(_march_substep(_strain(C, "C"), t3.pack_sym(Ci).tolist(), beta, eps))
+            a = t3.pack_sym(Ci).tolist()
+            got = np.array(_march_substep(_strain(C, "C"), a, beta, eps, 0)[0])
             Cbar = _cbar(C)[0]
             want = t3.pack_sym(_ci_update(Ci, Cbar, (beta, eps), 0)[0])
             assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
@@ -1524,7 +1524,8 @@ class TestReferenceMarch:
         Ci = sym(sq @ ((Q * [1.0 / r, 1.0, r]) @ Q.T) @ sq)
         Ci = sym(t3.unimodular(Ci))
         beta, eps = _coefficients(0.3, P111)
-        got = np.array(_march_substep(_strain(C, "C"), t3.pack_sym(Ci).tolist(), beta, eps))
+        a = t3.pack_sym(Ci).tolist()
+        got = np.array(_march_substep(_strain(C, "C"), a, beta, eps, 0)[0])
         want = t3.pack_sym(_ci_update(Ci, Cbar, (beta, eps), 0)[0])
         if spread > 1.0:
             assert np.array_equal(got, want)
@@ -1585,25 +1586,25 @@ class TestReferenceMarch:
 
 def _require_spd_oracle(C):
     # what _strain returns or the message it raises: require_spd's checks
-    # made one by one (shape, finite entries, minors, then the skew part) in
-    # place of its one-pass accept, and the minors of Cbar = C/cbrt(det C)
+    # made one by one (shape, finite entries, the minors of the sym(C) it
+    # returns, then the skew part) in place of its one-pass accept, and the
+    # minors of Cbar = C/cbrt(det C)
     if C.shape != (3, 3):
         return f"C must be a 3x3 array, got shape {C.shape}"
     c = C.ravel().tolist()
     if not all(map(math.isfinite, c)):
         return "C has non-finite entries"
-    if not t3._is_spd9(*c):
-        e = math.frexp(max(map(abs, c)))[1]
-        if t3._is_spd9(*(math.ldexp(v, -e) for v in c)):
+    S = t3.sym(C, check=False)
+    s = S.ravel().tolist()
+    if not t3._is_spd9(*s):
+        e = math.frexp(max(map(abs, s)))[1]
+        if t3._is_spd9(*(math.ldexp(v, -e) for v in s)):
             return "det C = "
         return "C is not symmetric positive definite"
-    if not (c[1] == c[3] and c[2] == c[6] and c[5] == c[7]):
-        S = t3.sym(C, check=False)
-        if not t3._skew_norm_ok(C, S):
-            return "C is not symmetric: skew part beyond round-off"
-        c = S.ravel().tolist()
-    r = float(np.cbrt(t3._det9(*c)))
-    q = tuple(v / r for v in c)
+    if not t3._skew_norm_ok(C, S):
+        return "C is not symmetric: skew part beyond round-off"
+    r = float(np.cbrt(t3._det9(*s)))
+    q = tuple(v / r for v in s)
     if not t3._is_spd9(*q):
         return "strain input is not positive definite: C has condition number"
     return q, t3._inverse9(*q), r
@@ -1626,6 +1627,8 @@ def _refusal_table():
         1e-110 * np.eye(3), 1e120 * np.eye(3), 1e200 * C0, 1e-200 * C0,
         np.diag([1e-165, 1e-165, 1e250]), skew, skewed_strain()[0], C0,
         C0 + 1e-12 * rotated_strain([1.0, -1.0, 0.0]), np.eye(3, dtype=int),
+        # a round-off skew part whose minors pass where those of sym(C) fail
+        np.array([[1.0, 0.0, 0.0], [0.0, 1.0, -4e-11], [0.0, 4e-11, -1e-22]]),
     ]
     # skew parts around the round-off bound
     for size in (1e-17, 1e-12, 1e-10, 1e-9, 1e-6):

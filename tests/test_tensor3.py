@@ -303,6 +303,11 @@ class TestRequireSpd:
             (np.diag([1.0, -1.0, 1.0]), "B is not symmetric positive definite"),
             (np.eye(2), r"B must be a 3x3 array, got shape \(2, 2\)"),
             (np.array([np.eye(3)] * 2), "B must be a 3x3 array"),
+            # the minors of B pass, those of sym(B) = diag(1, 1, -1e-22) do not
+            (
+                np.array([[1.0, 0.0, 0.0], [0.0, 1.0, -4e-11], [0.0, 4e-11, -1e-22]]),
+                "B is not symmetric positive definite",
+            ),
         ],
     )
     def test_bad_tensor_rejected_by_name(self, bad, message):
