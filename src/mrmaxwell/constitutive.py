@@ -409,14 +409,9 @@ def _stress_from_parts(strain, a, p):
 
 
 # below this size of the quadratic's largest coefficient, the cube of its
-# spectrum, phi^2 and eps w stay far from overflow
+# spectrum, phi^2 and eps w stay far from overflow; above it _root scales by
+# 2**-e for the coefficient m 2**e (0.5 <= m < 1), which is exact
 _SAFE = 1e100
-
-
-def _scale_for(x):
-    # 1 below _SAFE, else 2**-e for x = m 2**e (0.5 <= m < 1): a power of
-    # two, so multiplying by it is exact
-    return 1.0 if x < _SAFE else 2.0 ** -math.frexp(x)[1]
 
 
 def _coefficients(dt, p):
@@ -430,26 +425,6 @@ def _coefficients(dt, p):
             f"dt = {dt!r} overflows dt*c10/eta = {beta!r} or dt*c01/eta = {eps!r}"
         )
     return beta, eps
-
-
-def _phi_estimate(w, eps, scale):
-    # the first-order estimate phi0 - tr/(3 phi0) eps, phi0 = cbrt(det), of
-    # the quadratic times `scale`, a power of two (eps is scaled already,
-    # the spectrum w is not), and phi0; where the cube of w could overflow,
-    # det and tr are formed in units of a power of two near the largest w
-    unit = _scale_for(w[2])
-    u0, u1, u2 = w[0] * unit, w[1] * unit, w[2] * unit
-    d = u0 * u1 * u2
-    if not d > 0.0:
-        raise DomainError(
-            f"quadratic input spectrum spans {w[0]:.3e} to {w[2]:.3e}: "
-            "its det underflows"
-        )
-    q0 = float(np.cbrt(d))
-    phi0 = q0 / unit * scale
-    if eps == 0.0:
-        return phi0, phi0
-    return phi0 - ((u0 + u1) + u2) / (3.0 * q0) * eps, phi0
 
 
 def _det_residual(w, phi, eps):
@@ -484,19 +459,33 @@ def _root(w, beta, eps, corrections, name, slopes=False):
     # W + beta I, so beta shifts w without entering the assembly.  With
     # slopes, also s_i = sqrt(phi^2 + 4 eps (w_i + beta)) and the gradient of
     # phi with respect to w, which the scaling below leaves unchanged
-    if not w[0] > 0.0:
-        raise DomainError(f"{name} lost positive definiteness", min_eigenvalue=w[0])
-    w = [w[0] + beta, w[1] + beta, w[2] + beta]
-    if not w[2] < math.inf:
+    w0, w1, w2 = w
+    if not w0 > 0.0:
+        raise DomainError(f"{name} lost positive definiteness", min_eigenvalue=w0)
+    w0, w1, w2 = w0 + beta, w1 + beta, w2 + beta
+    if not w2 < math.inf:
         raise DomainError(f"{name} overflows when shifted by beta = {beta!r}")
     # where phi^2 or eps w could overflow, the quadratic is multiplied by a
     # power of two near the inverse of its largest coefficient: exact, since
     # phi, eps and w all scale by it and X does not (phi may overflow when
     # scaled back)
-    scale = _scale_for(max(w[2], eps))
+    scale = 1.0 if max(w2, eps) < _SAFE else 2.0 ** -math.frexp(max(w2, eps))[1]
     eps *= scale
-    phi, phi0 = _phi_estimate(w, eps, scale)
-    w = [w[0] * scale, w[1] * scale, w[2] * scale]
+    # the first-order estimate phi0 - tr/(3 phi0) eps, phi0 = cbrt(det), of
+    # the scaled quadratic; where the cube of w could overflow, det and tr
+    # are formed in units of a power of two near the largest w
+    unit = 1.0 if w2 < _SAFE else 2.0 ** -math.frexp(w2)[1]
+    u0, u1, u2 = w0 * unit, w1 * unit, w2 * unit
+    d = u0 * u1 * u2
+    if not d > 0.0:
+        raise DomainError(
+            f"quadratic input spectrum spans {w0:.3e} to {w2:.3e}: its det underflows"
+        )
+    q0 = float(np.cbrt(d))
+    phi = phi0 = q0 / unit * scale
+    if eps != 0.0:
+        phi = phi0 - ((u0 + u1) + u2) / (3.0 * q0) * eps
+    w = w0, w1, w2 = w0 * scale, w1 * scale, w2 * scale
     if slopes:
         # the estimate phi0 - a, a = tr eps/(3 phi0), has the slope (phi0 +
         # a)/(3 w_i) - eps/(3 phi0)
@@ -506,11 +495,16 @@ def _root(w, beta, eps, corrections, name, slopes=False):
         if slopes:
             g = _correction_slope(w, phi, eps, r, slope, g)
         phi -= r / slope
-    x = [_root_eigvals(v, phi, eps) for v in w]
-    if not slopes:
-        return x, phi / scale
-    s = [math.sqrt(phi * phi + 4.0 * eps * v) / scale for v in w]
-    return x, phi / scale, s, g
+    # _root_eigvals on each w_i, in its operation order
+    pp, e4 = phi * phi, 4.0 * eps
+    d0, d1, d2 = math.sqrt(pp + e4 * w0), math.sqrt(pp + e4 * w1), math.sqrt(pp + e4 * w2)
+    if phi >= 0.0:
+        x = [2.0 * w0 / (d0 + phi), 2.0 * w1 / (d1 + phi), 2.0 * w2 / (d2 + phi)]
+    else:
+        x = [(d0 - phi) / (2.0 * eps), (d1 - phi) / (2.0 * eps), (d2 - phi) / (2.0 * eps)]
+    if slopes:
+        return x, phi / scale, [d0 / scale, d1 / scale, d2 / scale], g
+    return x, phi / scale
 
 
 def _closed_form_root(W, coeffs, corrections, name):
@@ -1051,27 +1045,6 @@ def _march_substep(strain, a, beta, eps, corrections):
     return t3.pack_sym(Ci).tolist(), x, phi
 
 
-def _march(C_of_t, Ci0, t_grid, p, n_substeps):
-    # states and stresses at t_grid, each interval n_substeps _march_substep,
-    # the last at t1, whose strain also gives the stress there; the states
-    # are checked by LagrangianState, so the stresses take them as they are
-    state = LagrangianState(np.array(Ci0))
-    a = t3.pack_sym(state.Ci).tolist()
-    states = [state.Ci]
-    stresses = [_stress_from_parts(_strain(C_of_t(float(t_grid[0])), "C"), a, p)]
-    for k in range(len(t_grid) - 1):
-        t0, t1 = float(t_grid[k]), float(t_grid[k + 1])
-        h = (t1 - t0) / n_substeps
-        beta, eps = _coefficients(h, p)
-        for s in range(1, n_substeps + 1):
-            strain = _strain(C_of_t(t0 + s * h if s < n_substeps else t1), "C")
-            a = _march_substep(strain, a, beta, eps, 0)[0]
-        state = LagrangianState(t3.unpack_sym(np.array(a)))
-        states.append(state.Ci)
-        stresses.append(_stress_from_parts(strain, a, p))
-    return states, stresses
-
-
 def reference_solve(
     C_of_t: Callable[[float], np.ndarray],
     Ci0: np.ndarray,
@@ -1084,30 +1057,59 @@ def reference_solve(
 
     Integrates with the closed-form (ifebm) update using ``n_substeps``
     uniform substeps per interval of the finite, strictly increasing
-    ``t_grid``, one call of ``C_of_t`` each, the last at the interval's
-    output time, whose strain also gives the stress there (plus one call at
-    the first time).  Every substep's strain is checked as
+    ``t_grid``, the last at the interval's output time, whose strain also
+    gives the stress there.  Every substep's strain is checked as
     :func:`stress_2pk` checks it, and refused with its message.  A
     substep writes the root as a polynomial in ``Ci Cbar^-1`` on Python
     floats, with no eigenvectors (the update the composite's closed-form
     branches take), and agrees with the steppers' eigen path to round-off;
     a substep spread beyond 100 takes that path.  When ``check_richardson``
-    is set the run is repeated with doubled substeps and the largest stress
-    change at any output time is reported, so callers can judge whether the
-    reference is converged to their target.
+    is set a second solution with doubled substeps runs alongside, and the
+    largest stress change at any output time is reported, so callers can
+    judge whether the reference is converged to their target.
+
+    ``C_of_t`` is called once at the first time and once per substep
+    time: ``1 + n_substeps * intervals`` times, or ``1 + 2 * n_substeps *
+    intervals`` with the Richardson check, whose doubled solution reads
+    every time and the solution itself every second one.
     """
-    if not isinstance(n_substeps, (int, np.integer)) or n_substeps < 1:
+    if isinstance(n_substeps, bool) or not (
+        isinstance(n_substeps, (int, np.integer)) and n_substeps >= 1
+    ):
         raise DomainError(f"n_substeps must be an integer >= 1, got {n_substeps!r}")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or not t_grid.size:
         raise DomainError(f"t_grid must be a non-empty list of times, got {t_grid!r}")
     if not (np.isfinite(t_grid).all() and (np.diff(t_grid) > 0.0).all()):
         raise DomainError(f"t_grid must be finite and strictly increasing, got {t_grid!r}")
-    states, stresses = _march(C_of_t, Ci0, t_grid, p, n_substeps)
-    gap = math.nan
-    if check_richardson:
-        _, finer = _march(C_of_t, Ci0, t_grid, p, 2 * n_substeps)
-        gap = max(
-            float(np.linalg.norm(a - b)) for a, b in zip(stresses, finer)
-        )
+    # one pass over the m n substep times of each interval, m = 2 with the
+    # Richardson check: the upper triangle a of Ci steps on every m-th strain,
+    # that of the doubled solution (fine) on each.  Fine time t0 + 2j (h/2) is
+    # coarse time t0 + j h bit for bit, as (t1 - t0)/(2n) is h/2 exactly
+    # unless it is subnormal.  The output states are checked by
+    # LagrangianState, so the stresses take them as they are
+    m = 2 if check_richardson else 1
+    steps = m * n_substeps
+    state = LagrangianState(np.array(Ci0))
+    a = fine = t3.pack_sym(state.Ci).tolist()
+    states = [state.Ci]
+    stresses = [_stress_from_parts(_strain(C_of_t(float(t_grid[0])), "C"), a, p)]
+    gap = 0.0 if check_richardson else math.nan
+    for t0, t1 in zip(t_grid[:-1].tolist(), t_grid[1:].tolist()):
+        coarse = _coefficients((t1 - t0) / n_substeps, p)
+        h = (t1 - t0) / steps
+        halved = _coefficients(h, p) if check_richardson else None
+        for s in range(1, steps + 1):
+            strain = _strain(C_of_t(t0 + s * h if s < steps else t1), "C")
+            if s % m == 0:
+                a = _march_substep(strain, a, *coarse, 0)[0]
+            if check_richardson:
+                fine = _march_substep(strain, fine, *halved, 0)[0]
+        state = LagrangianState(t3.unpack_sym(np.array(a)))
+        states.append(state.Ci)
+        stresses.append(_stress_from_parts(strain, a, p))
+        if check_richardson:
+            LagrangianState(t3.unpack_sym(np.array(fine)))
+            finer = _stress_from_parts(strain, fine, p)
+            gap = max(gap, float(np.linalg.norm(stresses[-1] - finer)))
     return ReferenceSolution(t_grid, states, stresses, gap)

@@ -254,7 +254,9 @@ class RunConfig:
             raise DomainError(f"dt must be finite, got {self.dt!r}")
         if not self.dt > 0.0:
             raise DomainError("dt must be positive")
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+        if isinstance(self.seed, bool) or not (
+            isinstance(self.seed, (int, np.integer)) and self.seed >= 0
+        ):
             raise DomainError(f"seed must be a non-negative integer, got {self.seed!r}")
         if isinstance(self.methods, str):
             self.methods = (
@@ -275,8 +277,11 @@ class RunConfig:
             )
         for name in ("cycles", "reference_substeps", "coarse_steps_per_cycle",
                      "fine_steps_per_cycle"):
-            if not getattr(self, name) >= 1:
-                raise DomainError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
+            if not value >= 1:
+                raise DomainError(f"{name} must be >= 1, got {value!r}")
         # the uniaxial cells (amplitudes as the program takes them), tangent grid
         for name, lo, hi in (("frequencies", 0.0, math.inf), ("amplitudes", -1.0, 1.0),
                              ("tangent_dts", 0.0, math.inf), ("tangent_etas", 0.0, math.inf)):

@@ -1,6 +1,7 @@
 """Single-branch material: stress laws, the five steppers, reference solver."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -31,11 +32,13 @@ from mrmaxwell import (
     table_model_path,
     twoiter_step,
 )
+from mrmaxwell import constitutive as cn
 from mrmaxwell import tensor3 as t3
 from mrmaxwell.constitutive import (
     _ci_update,
     _closed_form_root,
     _coefficients,
+    _correction_slope,
     _det_residual,
     _em_residual,
     _EXP_NORM_MAX,
@@ -1354,6 +1357,90 @@ class TestHugeSteps:
             assert np.array_equal(X, (V * x) @ V.T)
 
 
+def _scale_oracle(x):
+    return 1.0 if x < 1e100 else 2.0 ** -math.frexp(x)[1]
+
+
+def _root_oracle(w, beta, eps, corrections, name, slopes=False):
+    # _root as a loop over lists, with the scaling, the estimate of phi and
+    # the root of one eigenvalue as separate steps: the oracle of its
+    # written-out form
+    if not w[0] > 0.0:
+        raise DomainError(f"{name} lost positive definiteness", min_eigenvalue=w[0])
+    w = [w[0] + beta, w[1] + beta, w[2] + beta]
+    if not w[2] < math.inf:
+        raise DomainError(f"{name} overflows when shifted by beta = {beta!r}")
+    scale = _scale_oracle(max(w[2], eps))
+    eps *= scale
+    unit = _scale_oracle(w[2])
+    u0, u1, u2 = w[0] * unit, w[1] * unit, w[2] * unit
+    d = u0 * u1 * u2
+    if not d > 0.0:
+        raise DomainError(
+            f"quadratic input spectrum spans {w[0]:.3e} to {w[2]:.3e}: "
+            "its det underflows"
+        )
+    q0 = float(np.cbrt(d))
+    phi0 = q0 / unit * scale
+    phi = phi0 if eps == 0.0 else phi0 - ((u0 + u1) + u2) / (3.0 * q0) * eps
+    w = [w[0] * scale, w[1] * scale, w[2] * scale]
+    if slopes:
+        g = [(2.0 * phi0 - phi) / (3.0 * v) - eps / (3.0 * phi0) for v in w]
+    for _ in range(corrections):
+        r, slope = _det_residual(w, phi, eps)
+        if slopes:
+            g = _correction_slope(w, phi, eps, r, slope, g)
+        phi -= r / slope
+    x = [_root_eigvals(v, phi, eps) for v in w]
+    if not slopes:
+        return x, phi / scale
+    s = [math.sqrt(phi * phi + 4.0 * eps * v) / scale for v in w]
+    return x, phi / scale, s, g
+
+
+class TestRootArithmetic:
+    # _root's straight-line form keeps the bits of the loop form
+    def test_matches_loop_form(self, rng):
+        seen = set()
+        for k in range(4000):
+            w = sorted(np.exp(rng.uniform(-8.0, 8.0, 3)).tolist())
+            beta = 0.0 if k % 3 == 0 else math.exp(rng.uniform(-10.0, 10.0))
+            eps = 0.0 if k % 97 == 0 else math.exp(rng.uniform(-10.0, 10.0))
+            if k % 5 == 1:
+                eps *= 1e250
+            elif k % 5 == 2:
+                w = [v * 1e250 for v in w]
+            elif k % 5 == 3:
+                beta *= 1e250
+            corrections, slopes = k % 4 // 2 * 2, k % 2 == 1
+            want = _root_oracle(w, beta, eps, corrections, "W", slopes)
+            assert cn._root(w, beta, eps, corrections, "W", slopes) == want
+            seen.add((
+                want[1] < 0.0,
+                max(w[2] + beta, eps) >= 1e100,
+                corrections,
+                slopes,
+            ))
+        # every sign of phi, scaled or not, with 0 and 2 corrections, with
+        # and without slopes
+        assert len(seen) == 16
+
+    @pytest.mark.parametrize(
+        "w, beta, eps",
+        [([0.0, 1.0, 2.0], 0.1, 0.1), ([-1.0, 1.0, 2.0], 0.1, 0.1),
+         ([math.nan, 1.0, 2.0], 0.1, 0.1), ([1.0, 1.0, 1e308], 1e308, 0.1),
+         ([1e-200, 1e-200, 1e-200], 0.0, 0.1)],
+        ids=["zero", "negative", "nan", "shift-overflow", "det-underflow"],
+    )
+    def test_refusals_match_loop_form(self, w, beta, eps):
+        with pytest.raises(DomainError) as want:
+            _root_oracle(w, beta, eps, 0, "W")
+        with pytest.raises(DomainError) as got:
+            cn._root(w, beta, eps, 0, "W")
+        assert str(got.value) == str(want.value)
+        assert repr(got.value.min_eigenvalue) == repr(want.value.min_eigenvalue)
+
+
 class TestSmoothness:
     def test_no_jumps_in_dt(self, rng):
         # the closed form is a smooth function of the step size
@@ -1442,8 +1529,9 @@ class TestReferenceSolve:
         with pytest.raises(DomainError):
             reference_solve(lambda t: np.eye(3), np.eye(3), [0.0, 1.0], P111, 0)
 
-    @pytest.mark.parametrize("n", [2.5, 4.0, "4", None])
+    @pytest.mark.parametrize("n", [2.5, 4.0, "4", None, True])
     def test_non_integer_substeps_rejected(self, n):
+        # a bool is an int, and True once ran as one substep
         with pytest.raises(DomainError, match="n_substeps must be an integer >= 1"):
             reference_solve(lambda t: np.eye(3), np.eye(3), [0.0, 1.0], P111, n)
 
@@ -1460,6 +1548,114 @@ class TestReferenceSolve:
                 reference_solve(lambda t: np.eye(3), np.eye(3), t_grid, P111, 4)
             ref = reference_solve(lambda t: np.eye(3), np.eye(3), t_grid[:1], P111, 4)
             assert len(ref.states) == 1
+
+
+def _keyframe_history(rng):
+    # a custom-keyframes program from the identity through three unimodular
+    # stretches with random principal axes, on ten intervals over [0, 3]:
+    # with the generator seeded [seed, 2, j], the benchmark's j-th history
+    frames = [np.eye(3)] + [rand_unimodular_spd(rng, 0.5, 2.0) for _ in range(3)]
+    program = LoadingProgram(
+        kind="custom-keyframes", keyframes=tuple((float(k), F) for k, F in enumerate(frames))
+    )
+    return program.C, np.eye(3), np.linspace(0.0, 3.0, 11), P111
+
+
+def _wide_history(p):
+    # a stretch from a state far from it: the early substeps' W spread
+    # beyond _SPREAD_MAX and take the eigen path
+    def C_of_t(t):
+        return np.diag([1.0 + 30.0 * t, 1.0, 1.0 / (1.0 + 30.0 * t)])
+
+    return C_of_t, np.diag([20.0, 1.0, 1.0 / 20.0]), [0.0, 0.01, 0.5, 1.0], p
+
+
+class TestOnePassRichardson:
+    # the Richardson check steps the doubled solution in the same pass,
+    # on the same strains; the oracle is the two separate solutions
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("j", range(3))
+    @pytest.mark.parametrize("n", [1, 25])
+    def test_matches_two_solutions(self, seed, j, n):
+        self._check(_keyframe_history(np.random.default_rng([seed, 2, j])), n)
+
+    @pytest.mark.parametrize("eta", [1.0, 1e-3])
+    def test_matches_two_solutions_on_eigen_path(self, eta, monkeypatch):
+        calls = []
+        update = cn._ci_update
+
+        def counting(*args):
+            calls.append(1)
+            return update(*args)
+
+        monkeypatch.setattr(cn, "_ci_update", counting)
+        self._check(_wide_history(MaterialParams(1.0, 0.5, eta)), 5)
+        assert calls
+
+    def _check(self, history, n):
+        ref = reference_solve(*history, n)
+        coarse = reference_solve(*history, n, False)
+        fine = reference_solve(*history, 2 * n, False)
+        assert math.isnan(coarse.richardson_gap)
+        for got, want in ((ref.states, coarse.states), (ref.stresses, coarse.stresses)):
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        gap = max(float(np.linalg.norm(a - b)) for a, b in zip(coarse.stresses, fine.stresses))
+        assert ref.richardson_gap == gap
+
+    @pytest.mark.parametrize("check_richardson", [True, False])
+    def test_reads_each_time_once(self, check_richardson, monkeypatch):
+        # 1 + m n intervals calls, m = 2 with the check, in time order: the
+        # doubled solution's substep times, the interval ends read exactly
+        prepared, times = [], []
+        strain = cn._strain
+
+        def counting_strain(A, name):
+            prepared.append(A)
+            return strain(A, name)
+
+        def C_of_t(t):
+            times.append(t)
+            return np.diag([1.0 + t, 1.0, 1.0 / (1.0 + t)])
+
+        monkeypatch.setattr(cn, "_strain", counting_strain)
+        t_grid, n = [0.0, 0.3, 1.0], 4
+        cn.reference_solve(C_of_t, np.eye(3), t_grid, P111, n, check_richardson)
+        m = 2 if check_richardson else 1
+        assert len(times) == len(prepared) == 1 + m * n * 2
+        want = [0.0]
+        for t0, t1 in zip(t_grid[:-1], t_grid[1:]):
+            h = (t1 - t0) / (m * n)
+            want += [t0 + s * h for s in range(1, m * n)] + [t1]
+        assert times == want
+
+    @pytest.mark.parametrize("kind", ["indefinite", "nan", "skew", "1e-165"])
+    @pytest.mark.parametrize("at", [0.375, 0.5])
+    def test_bad_strain_refused_as_stress_2pk(self, kind, at):
+        # four substeps on [0, 1]: 0.375 is read by the doubled solution
+        # only, 0.5 by both; either is refused with stress_2pk's message
+        C = skewed_strain()[0]
+        if kind == "skew":
+            C[0, 1] += 0.3
+        elif kind == "nan":
+            C[1, 2] = C[2, 1] = math.nan
+        else:
+            C = {"indefinite": np.diag([1.0, 1.0, -1.0]),
+                 "1e-165": np.diag([1e-165, 1e-165, 1e250])}[kind]
+        with pytest.raises(DomainError) as want:
+            stress_2pk(C, np.eye(3), P111)
+
+        def C_of_t(t):
+            return C if t == at else np.eye(3)
+
+        with pytest.raises(DomainError) as got:
+            reference_solve(C_of_t, np.eye(3), [0.0, 1.0], P111, 4)
+        assert str(got.value) == str(want.value)
+        if at == 0.375:
+            reference_solve(C_of_t, np.eye(3), [0.0, 1.0], P111, 4, False)
+        else:
+            with pytest.raises(DomainError, match=f"^{re.escape(str(want.value))}$"):
+                reference_solve(C_of_t, np.eye(3), [0.0, 1.0], P111, 4, False)
 
 
 def _eigen_march(C_of_t, t_grid, p, n_substeps):

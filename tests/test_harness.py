@@ -259,7 +259,22 @@ class TestRunConfig:
         with pytest.raises(DomainError, match=f"{field} must be >= 1, got {value}"):
             hn.RunConfig(**{field: value})
 
-    @pytest.mark.parametrize("seed", [-1, 2.5, "3", None])
+    @pytest.mark.parametrize(
+        "field", ["cycles", "reference_substeps", "coarse_steps_per_cycle",
+                  "fine_steps_per_cycle"],
+    )
+    @pytest.mark.parametrize(
+        "value", [math.inf, math.nan, 1.5, 3000.5, 50.0, True, "50", None]
+    )
+    def test_counts_must_be_integers(self, field, value):
+        # an inf reference_substeps leaked OverflowError from round() in
+        # the error study, 1.5 cycles TypeError from np.linspace in
+        # run_uniaxial; 3000.5 and True ran as they were
+        with pytest.raises(DomainError, match=f"^{field} must be an integer, got "):
+            hn.RunConfig(**{field: value})
+        hn.RunConfig(**{field: np.int64(50)})
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, "3", None, True])
     def test_seed_rejected_by_name(self, seed):
         # numpy's generator raised its own ValueError from inside the study
         with pytest.raises(DomainError, match="seed must be a non-negative integer"):
