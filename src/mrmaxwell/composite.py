@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _refuse_bools
 from . import tensor3 as t3
 from .tensor3 import det, sym
 from .constitutive import (
@@ -74,6 +74,7 @@ class EquilibriumParams:
     k: float
 
     def __post_init__(self):
+        _refuse_bools(self, "c10", "c01", "k")
         if not (0.0 <= self.c10 < math.inf and 0.0 <= self.c01 < math.inf):
             raise DomainError(
                 "equilibrium moduli c10, c01 must be finite and non-negative, "

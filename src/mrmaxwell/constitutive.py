@@ -29,12 +29,13 @@ Five implicit time steppers are provided:
     iteration on the six symmetric components (baseline).
 ``em_step``
     Exponential-map integrator, also solved by Newton iteration
-    (baseline).  The flow is a scalar function of ``Cbar Ci^-1``, so its
-    exponential is interpolated on that tensor's three eigenvalues.
+    (baseline), its exponential interpolated on the flow's eigenvalues.
 
-The Newton-based baselines iterate from the previous state on the six
-packed components as Python floats, and bisect the step recursively where
-Newton fails.  The closed-form steppers never iterate and never substep.
+The stress and both baselines' flow are one product, ``dev(D G)``, ``D =
+Ci - Cbar``, ``G = c10 Ci^-1 + c01 Cbar^-1``.  The baselines iterate from
+the previous state on the six packed components as Python floats, and
+bisect the step recursively where Newton fails.  The closed-form steppers
+never iterate and never substep.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _refuse_bools
 from . import tensor3 as t3
 from .tensor3 import det, inverse, sym, trace, unimodular
 
@@ -86,6 +87,7 @@ class MaterialParams:
     eta: float
 
     def __post_init__(self):
+        _refuse_bools(self, "c10", "c01", "eta")
         if not (math.isfinite(self.c10) and math.isfinite(self.c01)):
             raise DomainError("shear moduli c10, c01 must be finite")
         if self.c10 < 0.0 or self.c01 < 0.0 or self.c10 + self.c01 <= 0.0:
@@ -216,8 +218,8 @@ def stress_2pk(C: np.ndarray, Ci: np.ndarray, p: MaterialParams) -> np.ndarray:
     unimodular(C)^-1))^D``, ``D = Ci - unimodular(C)``, which keeps the
     round-off at the size of ``D`` near a relaxed state.  The product is
     symmetric in exact arithmetic and symmetrized after evaluation; a skew
-    part beyond round-off raises :class:`DomainError` naming the strain's
-    condition number.
+    part beyond round-off raises :class:`DomainError` naming the condition
+    numbers of the strain and of ``Ci``.
     """
     strain = _strain(C, "C")
     a = t3.require_spd(Ci, "Ci").ravel().tolist()
@@ -353,16 +355,13 @@ def _indefinite_strain(q, name):
     )
 
 
-def _stress_from_parts(strain, a, p):
-    # the stress law on the floats of _strain and the upper triangle a (11, 22,
-    # 33, 12, 13, 23) of Ci, for p's c10 and c01.  The raw product c10 Cbar
-    # Ci^-1 - c01 Ci Cbar^-1 cancels badly near relaxed states (Ci ~ Cbar),
-    # and D = Ci - Cbar rewrites it identically as -term, term = D G, G = c10
-    # Ci^-1 + c01 Cbar^-1, keeping the round-off at the size of D.  The stress
-    # product M = C^-1 dev(term), C^-1 = Cbar^-1/r, is symmetric in exact
-    # arithmetic, formed from operands of size scale; a skew part beyond
-    # sym's round-off bound comes from a strain too ill-conditioned for it
-    q, b, r = strain
+def _flow(strain, a, p):
+    # the nine entries of D G, D = Ci - Cbar and G = c10 Ci^-1 + c01 Cbar^-1,
+    # from the floats q, b of _strain and the upper triangle a (11, 22, 33, 12,
+    # 13, 23) of Ci; the stress law and the Newton baselines' flow are its
+    # deviator.  D G is c01 Ci Cbar^-1 - c10 Cbar Ci^-1 plus a multiple of I,
+    # which cancels badly near relaxed states; D G keeps the round-off at |D|
+    q, b, _ = strain
     c10, c01 = p.c10, p.c01
     a00, a11, a22, a01, a02, a12 = a
     i00, i01, i02, _, i11, i12, _, _, i22 = t3._inverse9(
@@ -373,17 +372,30 @@ def _stress_from_parts(strain, a, p):
     g01, g02, g12 = c10 * i01 + c01 * b01, c10 * i02 + c01 * b02, c10 * i12 + c01 * b12
     d00, d11, d22 = a00 - q[0], a11 - q[4], a22 - q[8]
     d01, d02, d12 = a01 - q[1], a02 - q[2], a12 - q[5]
-    t00 = d00 * g00 + d01 * g01 + d02 * g02
-    t01 = d00 * g01 + d01 * g11 + d02 * g12
-    t02 = d00 * g02 + d01 * g12 + d02 * g22
-    t10 = d01 * g00 + d11 * g01 + d12 * g02
-    t11 = d01 * g01 + d11 * g11 + d12 * g12
-    t12 = d01 * g02 + d11 * g12 + d12 * g22
-    t20 = d02 * g00 + d12 * g01 + d22 * g02
-    t21 = d02 * g01 + d12 * g11 + d22 * g12
-    t22 = d02 * g02 + d12 * g12 + d22 * g22
+    return (
+        d00 * g00 + d01 * g01 + d02 * g02,
+        d00 * g01 + d01 * g11 + d02 * g12,
+        d00 * g02 + d01 * g12 + d02 * g22,
+        d01 * g00 + d11 * g01 + d12 * g02,
+        d01 * g01 + d11 * g11 + d12 * g12,
+        d01 * g02 + d11 * g12 + d12 * g22,
+        d02 * g00 + d12 * g01 + d22 * g02,
+        d02 * g01 + d12 * g11 + d22 * g12,
+        d02 * g02 + d12 * g12 + d22 * g22,
+    )
+
+
+def _stress_from_parts(strain, a, p):
+    # the stress law -C^-1 dev(D G) of _flow, for the strain with the floats
+    # of _strain and the upper triangle a of Ci.  The product M = C^-1
+    # dev(D G), C^-1 = Cbar^-1/r, is symmetric in exact arithmetic, formed
+    # from operands of size scale; a skew part beyond sym's round-off bound
+    # comes from a strain or a Ci too ill-conditioned for it
+    q, b, r = strain
+    t00, t01, t02, t10, t11, t12, t20, t21, t22 = _flow(strain, a, p)
     m = (t00 + t11 + t22) / 3.0
     e00, e11, e22 = t00 - m, t11 - m, t22 - m
+    b00, b01, b02, _, b11, b12, _, _, b22 = b
     k00, k11, k22, k01, k02, k12 = b00 / r, b11 / r, b22 / r, b01 / r, b02 / r, b12 / r
     m00 = k00 * e00 + k01 * t10 + k02 * t20
     m01 = k00 * t01 + k01 * e11 + k02 * t21
@@ -396,14 +408,15 @@ def _stress_from_parts(strain, a, p):
     m22 = k02 * t02 + k12 * t12 + k22 * e22
     s01, s02, s12 = (m01 + m10) / 2.0, (m02 + m20) / 2.0, (m12 + m21) / 2.0
     scale = math.hypot(k00, k11, k22, k01, k01, k02, k02, k12, k12) * (
-        math.hypot(t00, t01, t02, t10, t11, t12, t20, t21, t22) + (c10 + c01) * 1e-12
+        math.hypot(t00, t01, t02, t10, t11, t12, t20, t21, t22) + (p.c10 + p.c01) * 1e-12
     )
     size = math.hypot(m00, m11, m22, s01, s01, s02, s02, s12, s12)
     skew = math.sqrt(2.0) * math.hypot(m01 - m10, m02 - m20, m12 - m21)
     if not skew <= 1e-10 * max(size, scale, 1e-300):
         raise DomainError(
-            "stress asymmetry exceeds round-off: the unimodular strain has "
-            f"condition number {math.hypot(*q) * math.hypot(*b):.3e}"
+            "stress asymmetry exceeds round-off: the unimodular strain has condition "
+            f"number {math.hypot(*q) * math.hypot(*b):.3e} and Ci "
+            f"{np.linalg.cond(t3.unpack_sym(np.array(a)), 'fro'):.3e}"
         )
     return np.array([-m00, -s01, -s02, -s01, -m11, -s12, -s02, -s12, -m22]).reshape(3, 3)
 
@@ -432,8 +445,8 @@ def _det_residual(w, phi, eps):
     # and its exact slope R' = -det X * sum_i 1/sqrt(phi^2 + 4 eps w_i),
     # which is always negative
     det_x = math.prod(_root_eigvals(v, phi, eps) for v in w)
-    slope = -det_x * sum(1.0 / math.sqrt(phi * phi + 4.0 * eps * v) for v in w)
-    return det_x - 1.0, slope
+    s0, s1, s2 = (math.sqrt(phi * phi + 4.0 * eps * v) for v in w)
+    return det_x - 1.0, -det_x * (1.0 / s0 + 1.0 / s1 + 1.0 / s2)
 
 
 def _correction_slope(w, phi, eps, r, slope, g):
@@ -443,11 +456,12 @@ def _correction_slope(w, phi, eps, r, slope, g):
     # w_i); each 1/s_i moves by -(phi dphi + 2 eps dw_i)/s_i^3
     s = [math.sqrt(phi * phi + 4.0 * eps * v) for v in w]
     x = [_root_eigvals(v, phi, eps) for v in w]
-    det_x, inv, cubes = r + 1.0, sum(1.0 / b for b in s), [1.0 / (b * b * b) for b in s]
+    det_x, inv = r + 1.0, 1.0 / s[0] + 1.0 / s[1] + 1.0 / s[2]
+    c0, c1, c2 = cubes = [1.0 / (b * b * b) for b in s]
     out = []
     for gi, xi, si, ci in zip(g, x, s, cubes):
         dr = det_x / (xi * si) + slope * gi
-        dslope = det_x * (phi * sum(cubes) * gi + 2.0 * eps * ci) - dr * inv
+        dslope = det_x * (phi * (c0 + c1 + c2) * gi + 2.0 * eps * ci) - dr * inv
         out.append(gi - (dr - r / slope * dslope) / slope)
     return out
 
@@ -744,52 +758,32 @@ def _substepping_solve(value, Ci_n, dt, label, depth=0):
 
 
 def _newton_baseline(family, label, C_next, state, dt, p):
-    # the step of both Newton baselines; family(q, b, p) gives the value
-    # function that _newton_solve takes, from the parts q, b of _strain
+    # the step of both Newton baselines; family(strain, p) gives the value
+    # function that _newton_solve takes, from the parts of _strain
     _coefficients(dt, p)
     strain = _strain(C_next, "C_next")
-    q, b, _ = strain
-    Ci_new, diag = _substepping_solve(family(q, b, p), state.Ci, dt, label)
+    Ci_new, diag = _substepping_solve(family(strain, p), state.Ci, dt, label)
     state = LagrangianState(unimodular(Ci_new))
     stress = _stress_from_parts(strain, t3.pack_sym(state.Ci).tolist(), p)
     return StepResult(state, stress, diag)
 
 
-def _mebm_residual(q, b, p):
-    # value(x, n, h) of Ci - unimodular(Ci_n + h f(Ci) Ci), f(Ci) Ci = (c10 Cbar
-    # - c01 Ci Cbar^-1 Ci - tr_part Ci) / eta, on the floats q, b of _strain
-    b00, b01, b02, _, b11, b12, _, _, b22 = b
-    q0, q1, q2, q3, q4, q5 = q[0], q[4], q[8], q[1], q[2], q[5]
-    c10, c01, eta = p.c10, p.c01, p.eta
-    e0, e1, e2, e3, e4, e5 = (c10 * v for v in (q0, q1, q2, q3, q4, q5))
-
+def _mebm_residual(strain, p):
+    # value(x, n, h) of Ci - unimodular(Ci_n + h f(Ci) Ci), f(Ci) Ci = -dev(D
+    # G) Ci / eta with D G of _flow, for the strain with the parts of _strain
     def value(x, n, h):
         a00, a11, a22, a01, a02, a12 = x
-        i = t3._inverse9(a00, a01, a02, a01, a11, a12, a02, a12, a22)
-        # the rows of P = Ci Cbar^-1
-        p00 = a00 * b00 + a01 * b01 + a02 * b02
-        p01 = a00 * b01 + a01 * b11 + a02 * b12
-        p02 = a00 * b02 + a01 * b12 + a02 * b22
-        p10 = a01 * b00 + a11 * b01 + a12 * b02
-        p11 = a01 * b01 + a11 * b11 + a12 * b12
-        p12 = a01 * b02 + a11 * b12 + a12 * b22
-        p20 = a02 * b00 + a12 * b01 + a22 * b02
-        p21 = a02 * b01 + a12 * b11 + a22 * b12
-        p22 = a02 * b02 + a12 * b12 + a22 * b22
-        # tr(Cbar Ci^-1) and tr(Ci Cbar^-1), both pairs symmetric
-        t1 = q0 * i[0] + q1 * i[4] + q2 * i[8]
-        t1 += 2.0 * (q3 * i[1] + q4 * i[2] + q5 * i[5])
-        t2 = a00 * b00 + a11 * b11 + a22 * b22
-        t2 += 2.0 * (a01 * b01 + a02 * b02 + a12 * b12)
-        t = (c10 * t1 - c01 * t2) / 3.0
-        # M = Ci_n + h f(Ci) Ci (P Ci by its upper triangle), unimodular(M)
-        hs = h / eta
-        m0 = n[0] + hs * (e0 - c01 * (p00 * a00 + p01 * a01 + p02 * a02) - t * a00)
-        m1 = n[4] + hs * (e1 - c01 * (p10 * a01 + p11 * a11 + p12 * a12) - t * a11)
-        m2 = n[8] + hs * (e2 - c01 * (p20 * a02 + p21 * a12 + p22 * a22) - t * a22)
-        m3 = n[1] + hs * (e3 - c01 * (p00 * a01 + p01 * a11 + p02 * a12) - t * a01)
-        m4 = n[2] + hs * (e4 - c01 * (p00 * a02 + p01 * a12 + p02 * a22) - t * a02)
-        m5 = n[5] + hs * (e5 - c01 * (p10 * a02 + p11 * a12 + p12 * a22) - t * a12)
+        t00, t01, t02, t10, t11, t12, t20, t21, t22 = _flow(strain, x, p)
+        t = (t00 + t11 + t22) / 3.0
+        t00, t11, t22 = t00 - t, t11 - t, t22 - t
+        # M = Ci_n - hs dev(D G) Ci by its upper triangle, unimodular(M)
+        hs = h / p.eta
+        m0 = n[0] - hs * (t00 * a00 + t01 * a01 + t02 * a02)
+        m1 = n[4] - hs * (t10 * a01 + t11 * a11 + t12 * a12)
+        m2 = n[8] - hs * (t20 * a02 + t21 * a12 + t22 * a22)
+        m3 = n[1] - hs * (t00 * a01 + t01 * a11 + t02 * a12)
+        m4 = n[2] - hs * (t00 * a02 + t01 * a12 + t02 * a22)
+        m5 = n[5] - hs * (t10 * a02 + t11 * a12 + t12 * a22)
         d = t3._det9(m0, m3, m4, m3, m1, m5, m4, m5, m2)
         if not d > 0.0:
             raise DomainError(f"unimodular part requires det > 0, got det = {d}")
@@ -807,10 +801,9 @@ _THIRD = 2.0 * math.pi / 3.0
 
 
 def _spectrum(p00, p01, p02, p10, p11, p12, p20, p21, p22):
-    # the eigenvalues w1 <= w2 <= w3 of a 3x3 P with a real spectrum (em's
-    # residual, the reference march), by the trigonometric formula on its
-    # deviator D: m = tr P/3, k2 = tr(D^2)/6, det(D)/2; all three are m where
-    # k2 is not positive
+    # the eigenvalues w1 <= w2 <= w3 of a 3x3 P with a real spectrum (em's h f,
+    # the march's Ci Cbar^-1), by the trigonometric formula on its deviator D:
+    # m = tr P/3, k2 = tr(D^2)/6, det(D)/2; all three are m where k2 <= 0
     m = (p00 + p11 + p22) / 3.0
     d0, d1, d2 = p00 - m, p11 - m, p22 - m
     k2 = (d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (p01 * p10 + p02 * p20 + p12 * p21)) / 6.0
@@ -830,91 +823,68 @@ def _spectrum(p00, p01, p02, p10, p11, p12, p20, p21, p22):
 _EXP_NORM_MAX = 700.0
 
 
-def _exp_slope(e1, e2, w1, w2, slope):
-    # the divided difference e[w1, w2] of e = exp(g), from e1 = e(w1), e2 =
-    # e(w2) and slope = (g(w2) - g(w1))/(w2 - w1): e1 expm1(D)/D slope with D
-    # = (w2 - w1) slope, which never cancels (limit 1 at D = 0); where expm1
-    # would overflow, (e2 - e1)/(w2 - w1), which then does not cancel either
-    d = (w2 - w1) * slope
+def _exp_slope(e1, e2, w1, w2):
+    # the divided difference exp[w1, w2] from e1 = exp(w1), e2 = exp(w2): e1
+    # expm1(d)/d, d = w2 - w1, which never cancels (limit e1 at d = 0), or
+    # where expm1 would overflow (e2 - e1)/d, which then does not cancel either
+    d = w2 - w1
     if d == 0.0:
-        return e1 * slope
+        return e1
     if abs(d) > _EXP_NORM_MAX:
-        return (e2 - e1) / (w2 - w1)
-    return e1 * math.expm1(d) / d * slope
+        return (e2 - e1) / d
+    return e1 * math.expm1(d) / d
 
 
-def _em_residual(q, b, p):
-    # value(x, n, h) of Ci - sym(exp(h f(Ci)) Ci_n), in float code on the
-    # floats q, b of _strain.  h f = g(P) is a scalar function of P = Cbar
-    # Ci^-1 alone (Ci Cbar^-1 = P^-1), g(s) = hs (c10 s - c01/s - tb), so
-    # exp(h f) = e(P), e = exp(g): Newton's interpolation e(w1) I + e[w1,w2] A
-    # + e[w1,w2,w3] A B, A = P - w1 I and B = P - w2 I, on the spectrum w1 <=
-    # w2 <= w3 of P, which is real since P is similar to Cbar^1/2 Ci^-1
-    # Cbar^1/2 (the exponential map in principal axes of Simo & Miehe, CMAME
-    # 98, 1992).  The Newton form keeps A and A B the size of the spread, where
-    # the monomials of P cancel near a relaxed state.  An exponent past 709
-    # overflows math.exp, which the Newton solve counts as divergence
-    b00, b01, b02, _, b11, b12, _, _, b22 = b
-    q0, q1, q2, q3, q4, q5 = q[0], q[4], q[8], q[1], q[2], q[5]
-    c10, c01, eta = p.c10, p.c01, p.eta
-
+def _em_residual(strain, p):
+    # value(x, n, h) of Ci - sym(exp(h f) Ci_n), h f = -(h/eta) dev(D G) of
+    # _flow, for the strain with the parts of _strain: exp(h f) = e1 I +
+    # e[w1,w2] A + e[w1,w2,w3] A B, Newton's interpolation of e = exp on the
+    # spectrum w1 <= w2 <= w3 of h f, A = h f - w1 I, B = h f - w2 I.  h f is a
+    # function of Cbar Ci^-1, similar to Cbar^1/2 Ci^-1 Cbar^1/2, so its
+    # spectrum is real (the exponential map in principal axes of Simo & Miehe,
+    # CMAME 98, 1992).  A and A B stay the size of the spread, where monomials
+    # of h f cancel.  An exponent past 709 overflows math.exp: a divergence
     def value(x, n, h):
-        a00, a11, a22, a01, a02, a12 = x
-        i00, i01, i02, _, i11, i12, _, _, i22 = t3._inverse9(
-            a00, a01, a02, a01, a11, a12, a02, a12, a22
-        )
-        # the rows of P = Cbar Ci^-1, and tr R for R = Ci Cbar^-1
-        p00 = q0 * i00 + q3 * i01 + q4 * i02
-        p01 = q0 * i01 + q3 * i11 + q4 * i12
-        p02 = q0 * i02 + q3 * i12 + q4 * i22
-        p10 = q3 * i00 + q1 * i01 + q5 * i02
-        p11 = q3 * i01 + q1 * i11 + q5 * i12
-        p12 = q3 * i02 + q1 * i12 + q5 * i22
-        p20 = q4 * i00 + q5 * i01 + q2 * i02
-        p21 = q4 * i01 + q5 * i11 + q2 * i12
-        p22 = q4 * i02 + q5 * i12 + q2 * i22
-        r00 = a00 * b00 + a01 * b01 + a02 * b02
-        r11 = a01 * b01 + a11 * b11 + a12 * b12
-        r22 = a02 * b02 + a12 * b12 + a22 * b22
-        hs = h / eta
-        tb = (c10 * (p00 + p11 + p22) - c01 * (r00 + r11 + r22)) / 3.0
-        w1, w2, w3 = _spectrum(p00, p01, p02, p10, p11, p12, p20, p21, p22)
-        # e1 = e(w1), e[w1,w2] and e[w2,w3] with g's exact slopes, e[w1,w2,w3]
-        e1 = math.exp(hs * (c10 * w1 - c01 / w1 - tb))
-        e2 = math.exp(hs * (c10 * w2 - c01 / w2 - tb))
-        e3 = math.exp(hs * (c10 * w3 - c01 / w3 - tb))
-        s12 = _exp_slope(e1, e2, w1, w2, hs * (c10 + c01 / (w1 * w2)))
-        s23 = _exp_slope(e2, e3, w2, w3, hs * (c10 + c01 / (w2 * w3)))
+        f00, f01, f02, f10, f11, f12, f20, f21, f22 = _flow(strain, x, p)
+        hs = -h / p.eta
+        t = (f00 + f11 + f22) / 3.0
+        f00, f11, f22 = hs * (f00 - t), hs * (f11 - t), hs * (f22 - t)
+        f01, f02, f12 = hs * f01, hs * f02, hs * f12
+        f10, f20, f21 = hs * f10, hs * f20, hs * f21
+        w1, w2, w3 = _spectrum(f00, f01, f02, f10, f11, f12, f20, f21, f22)
+        # e1 = e(w1), e[w1,w2], e[w2,w3] and e[w1,w2,w3]
+        e1, e2, e3 = math.exp(w1), math.exp(w2), math.exp(w3)
+        s12, s23 = _exp_slope(e1, e2, w1, w2), _exp_slope(e2, e3, w2, w3)
         s123 = (s23 - s12) / (w3 - w1) if w3 != w1 else 0.0
         # A N and A (B N) for N = Ci_n, B N = A N - (w2 - w1) N
         n00, n01, n02, _, n11, n12, _, _, n22 = n
-        d0, d1, d2, dw = p00 - w1, p11 - w1, p22 - w1, w2 - w1
-        u00 = d0 * n00 + p01 * n01 + p02 * n02
-        u01 = d0 * n01 + p01 * n11 + p02 * n12
-        u02 = d0 * n02 + p01 * n12 + p02 * n22
-        u10 = p10 * n00 + d1 * n01 + p12 * n02
-        u11 = p10 * n01 + d1 * n11 + p12 * n12
-        u12 = p10 * n02 + d1 * n12 + p12 * n22
-        u20 = p20 * n00 + p21 * n01 + d2 * n02
-        u21 = p20 * n01 + p21 * n11 + d2 * n12
-        u22 = p20 * n02 + p21 * n12 + d2 * n22
+        d0, d1, d2, dw = f00 - w1, f11 - w1, f22 - w1, w2 - w1
+        u00 = d0 * n00 + f01 * n01 + f02 * n02
+        u01 = d0 * n01 + f01 * n11 + f02 * n12
+        u02 = d0 * n02 + f01 * n12 + f02 * n22
+        u10 = f10 * n00 + d1 * n01 + f12 * n02
+        u11 = f10 * n01 + d1 * n11 + f12 * n12
+        u12 = f10 * n02 + d1 * n12 + f12 * n22
+        u20 = f20 * n00 + f21 * n01 + d2 * n02
+        u21 = f20 * n01 + f21 * n11 + d2 * n12
+        u22 = f20 * n02 + f21 * n12 + d2 * n22
         v00, v01, v02 = u00 - dw * n00, u01 - dw * n01, u02 - dw * n02
         v10, v11, v12 = u10 - dw * n01, u11 - dw * n11, u12 - dw * n12
         v20, v21, v22 = u20 - dw * n02, u21 - dw * n12, u22 - dw * n22
         # sym(E N) = e1 N + s12 sym(A N) + s123 sym(A B N), upper triangle
         k1, k2 = s12 / 2.0, s123 / 2.0
         return [
-            a00 - (e1 * n00 + s12 * u00 + s123 * (d0 * v00 + p01 * v10 + p02 * v20)),
-            a11 - (e1 * n11 + s12 * u11 + s123 * (p10 * v01 + d1 * v11 + p12 * v21)),
-            a22 - (e1 * n22 + s12 * u22 + s123 * (p20 * v02 + p21 * v12 + d2 * v22)),
-            a01 - (e1 * n01 + k1 * (u01 + u10) + k2 * (
-                (d0 * v01 + p01 * v11 + p02 * v21) + (p10 * v00 + d1 * v10 + p12 * v20)
+            x[0] - (e1 * n00 + s12 * u00 + s123 * (d0 * v00 + f01 * v10 + f02 * v20)),
+            x[1] - (e1 * n11 + s12 * u11 + s123 * (f10 * v01 + d1 * v11 + f12 * v21)),
+            x[2] - (e1 * n22 + s12 * u22 + s123 * (f20 * v02 + f21 * v12 + d2 * v22)),
+            x[3] - (e1 * n01 + k1 * (u01 + u10) + k2 * (
+                (d0 * v01 + f01 * v11 + f02 * v21) + (f10 * v00 + d1 * v10 + f12 * v20)
             )),
-            a02 - (e1 * n02 + k1 * (u02 + u20) + k2 * (
-                (d0 * v02 + p01 * v12 + p02 * v22) + (p20 * v00 + p21 * v10 + d2 * v20)
+            x[4] - (e1 * n02 + k1 * (u02 + u20) + k2 * (
+                (d0 * v02 + f01 * v12 + f02 * v22) + (f20 * v00 + f21 * v10 + d2 * v20)
             )),
-            a12 - (e1 * n12 + k1 * (u12 + u21) + k2 * (
-                (p10 * v02 + d1 * v12 + p12 * v22) + (p20 * v01 + p21 * v11 + d2 * v21)
+            x[5] - (e1 * n12 + k1 * (u12 + u21) + k2 * (
+                (f10 * v02 + d1 * v12 + f12 * v22) + (f20 * v01 + f21 * v11 + d2 * v21)
             )),
         ]
 
@@ -926,9 +896,11 @@ def mebm_step(
 ) -> StepResult:
     """Backward Euler with exact determinant projection (Newton baseline).
 
-    Solves ``Ci = unimodular(Ci_n + dt * f(Ci) Ci)`` on the six
-    symmetric components; the projection makes det(Ci) = 1 by
-    construction.  Divergent Newton runs bisect the step (depth <= 20).
+    Solves ``Ci = unimodular(Ci_n + dt * f(Ci) Ci)`` on the six symmetric
+    components, with the stress law's product: ``f(Ci) Ci = -dev(D G) Ci /
+    eta``, ``D = Ci - Cbar``, ``G = c10 Ci^-1 + c01 Cbar^-1``.  The projection
+    makes det(Ci) = 1 by construction.  Divergent Newton runs bisect the step
+    (depth <= 20).
     """
     return _newton_baseline(_mebm_residual, "mebm", C_next, state, dt, p)
 
@@ -938,13 +910,12 @@ def em_step(
 ) -> StepResult:
     """Exponential-map integrator (Newton baseline).
 
-    Solves ``Ci = exp(dt * f(Ci)) Ci_n``.  The flow ``f`` is a scalar
-    function of ``P = Cbar Ci^-1``, so the exponential is evaluated in the
-    principal axes of ``P``: Newton's interpolation of ``exp(dt g)`` on the
-    three eigenvalues of ``P``, with no eigenvectors and no matrix series
-    (:func:`~mrmaxwell.tensor3.mat_exp` is only the tests' oracle for it).
-    An exponential that overflows raises an ``ArithmeticError``, which the
-    Newton solve counts as a divergence.  The flow is traceless; the
+    Solves ``Ci = exp(dt * f(Ci)) Ci_n`` with mebm's flow, ``dt f = -(dt/eta)
+    dev(D G)``.  The exponential is Newton's interpolation of ``exp`` on the
+    three eigenvalues of ``dt f`` itself, with no eigenvectors and no matrix
+    series (:func:`~mrmaxwell.tensor3.mat_exp` is only the tests' oracle for
+    it).  An exponential that overflows raises an ``ArithmeticError``, which
+    the Newton solve counts as a divergence.  The flow is traceless; the
     result is projected with :func:`~mrmaxwell.tensor3.unimodular` to make
     the volume exact.  Same Newton and substepping policy as :func:`mebm_step`.
     """

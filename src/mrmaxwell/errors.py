@@ -18,3 +18,9 @@ class DomainError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """An iterative solver exhausted its iteration and substepping budget."""
+
+
+def _refuse_bools(obj, *names):
+    # a bool passes the number checks as 0 or 1; refuse one in a field of obj
+    for name in (name for name in names if isinstance(getattr(obj, name), bool)):
+        raise DomainError(f"{name} must be a number, got {getattr(obj, name)!r}")

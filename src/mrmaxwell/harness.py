@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _refuse_bools
 from . import tensor3 as t3
 from .tensor3 import det, sym, unimodular
 from .constitutive import (
@@ -116,6 +116,7 @@ class LoadingProgram:
     keyframes: tuple = ()
 
     def __post_init__(self):
+        _refuse_bools(self, "amplitude", "frequency", "cycles")
         if self.kind == "uniaxial":
             if not 0.0 < self.frequency < math.inf or self.cycles < 1:
                 raise DomainError(
@@ -250,6 +251,7 @@ class RunConfig:
     tangent_etas: tuple = (100.0, 10.0, 1.0, 0.1, 0.01, 0.001)
 
     def __post_init__(self):
+        _refuse_bools(self, "dt", "eta", "c10", "c01")
         if not math.isfinite(self.dt):
             raise DomainError(f"dt must be finite, got {self.dt!r}")
         if not self.dt > 0.0:
@@ -286,7 +288,7 @@ class RunConfig:
         for name, lo, hi in (("frequencies", 0.0, math.inf), ("amplitudes", -1.0, 1.0),
                              ("tangent_dts", 0.0, math.inf), ("tangent_etas", 0.0, math.inf)):
             values = getattr(self, name)
-            if not values or not all(lo < v < hi for v in values):
+            if not values or not all(lo < v < hi and not isinstance(v, bool) for v in values):
                 raise DomainError(f"{name} needs values in ({lo:g}, {hi:g}), got {values!r}")
         if self.fine_steps_per_cycle % self.coarse_steps_per_cycle:
             # run_uniaxial samples the fine grid at every coarse time

@@ -261,6 +261,15 @@ class TestEquilibriumParams:
         with pytest.raises(DomainError, match="c10 = .*, c01 = "):
             EquilibriumParams(c10, c01, math.inf)
 
+    @pytest.mark.parametrize("field", ["c10", "c01", "k"])
+    def test_bool_refused_by_name(self, field):
+        # True and False passed the checks as the numbers 1 and 0
+        values = {"c10": 1.0, "c01": 1.0, "k": math.inf, field: True}
+        with pytest.raises(DomainError, match=f"^{field} must be a number, got True$"):
+            EquilibriumParams(**values)
+        with pytest.raises(DomainError, match="^c10 must be a number, got True$"):
+            EquilibriumParams(True, False, True)
+
 
 class TestCompositeStep:
     def test_all_relaxed_zero_stress(self):

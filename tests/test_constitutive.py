@@ -92,6 +92,15 @@ class TestMaterialParams:
         # eta = inf is a frozen branch
         assert MaterialParams(1.0, 1.0, math.inf).eta == math.inf
 
+    @pytest.mark.parametrize("field", ["c10", "c01", "eta"])
+    def test_bool_refused_by_name(self, field):
+        # True passed every check as the number 1
+        values = {"c10": 1.0, "c01": 1.0, "eta": 1.0, field: True}
+        with pytest.raises(DomainError, match=f"^{field} must be a number, got True$"):
+            MaterialParams(**values)
+        with pytest.raises(DomainError, match="^c10 must be a number, got True$"):
+            MaterialParams(True, 1.0, True)
+
 
 class TestStates:
     def test_lagrangian_validation(self):
@@ -234,7 +243,7 @@ class TestFloatStressLaw:
     def test_skew_refusal_names_condition_number(self):
         # at Ci = I, some strains of spectrum (10^e, 1, 10^-e), e in [6, 9],
         # leave a skew part beyond round-off; the refusal gives ||Cbar||
-        # ||Cbar^-1||
+        # ||Cbar^-1||, and ||Ci|| ||Ci^-1|| = 3
         rng = np.random.default_rng(15)
         refused = 0
         for _ in range(200):
@@ -250,10 +259,39 @@ class TestFloatStressLaw:
                 cond = math.hypot(*strain[0]) * math.hypot(*strain[1])
                 assert str(err) == (
                     "stress asymmetry exceeds round-off: the unimodular strain "
-                    f"has condition number {cond:.3e}"
+                    f"has condition number {cond:.3e} and Ci 3.000e+00"
                 )
                 refused += 1
         assert refused > 0
+
+    @staticmethod
+    def _wide_states():
+        # Ci of condition number above 1e5: draw 189 of
+        # TestKirchhoffEulerian.test_float_law_matches_numpy's generator, and
+        # a rotated spectrum (1e4, 1, 1e-4) with the same moduli
+        rng = np.random.default_rng(19)
+        for k in range(190):
+            B = rand_unimodular_spd(rng, *((0.25, 4.0), (1e-3, 1e3))[k % 2])
+            p = MaterialParams(*rng.uniform(0.0, 2.0, 2), 1.0)
+        yield B, p
+        yield sym(t3.unimodular(rotated_strain([1e4, 1.0, 1e-4]))), p
+
+    def test_skew_refusal_names_ci_condition_number(self):
+        # at C = I the strain is perfectly conditioned (||I|| ||I^-1|| = 3):
+        # the skew part comes from the round-off of Ci^-1, so the refusal
+        # also gives ||Ci|| ||Ci^-1||, by the law and by a step to C = I
+        prefix = (
+            "stress asymmetry exceeds round-off: the unimodular strain has "
+            "condition number 3.000e+00 and Ci "
+        )
+        for Ci, p in self._wide_states():
+            with pytest.raises(DomainError) as law:
+                stress_2pk(np.eye(3), Ci, p)
+            assert str(law.value) == prefix + f"{np.linalg.cond(Ci, 'fro'):.3e}"
+            with pytest.raises(DomainError) as step:
+                ifebm_step_lagrangian(np.eye(3), LagrangianState(Ci), 1e-3, p)
+            message = str(step.value)
+            assert message.startswith(prefix) and float(message[len(prefix):]) > 1e5
 
 
 class TestSolvePhi:
@@ -589,9 +627,10 @@ class TestNewtonBaselines:
 
 
 def _parts(Cbar):
-    # the floats q of Cbar and b of Cbar^-1 that the Newton residuals take
+    # the parts of _strain that the Newton residuals take, for the unimodular
+    # Cbar as it is: the floats q of Cbar, b of Cbar^-1 and r = 1
     q = Cbar.ravel().tolist()
-    return q, t3._inverse9(*q)
+    return q, t3._inverse9(*q), 1.0
 
 
 def _mebm_rhs(Cbar, p):
@@ -697,7 +736,7 @@ class TestStackedJacobian:
             Cbar = sym(t3.unimodular(C))
             n = Ci_n.ravel().tolist()
             for family in (_mebm_residual, _em_residual):
-                value = family(*_parts(Cbar), P111)
+                value = family(_parts(Cbar), P111)
                 for dt in (0.5, 1.0):
                     xs, solves = [], []
 
@@ -766,9 +805,9 @@ class TestMebmFloatResidual:
             value = _mebm_rhs(Cbar, p)(Ci, Ci_n, dt)
         except DomainError:
             with pytest.raises(DomainError, match="det > 0"):
-                _mebm_residual(*_parts(Cbar), p)(x, n, dt)
+                _mebm_residual(_parts(Cbar), p)(x, n, dt)
             return None
-        g = _mebm_residual(*_parts(Cbar), p)(x, n, dt)
+        g = _mebm_residual(_parts(Cbar), p)(x, n, dt)
         error = np.abs(np.array(g) - t3.pack_sym(Ci - value)).max()
         Cbar_inv, Ci_inv = t3.inverse(Cbar), t3.inverse(Ci)
         t = (p.c10 * np.trace(Cbar @ Ci_inv) - p.c01 * np.trace(Ci @ Cbar_inv)) / 3.0
@@ -811,12 +850,59 @@ class TestMebmFloatResidual:
             errors.append(self._error(C, Ci, Ci_n, dt, p))
         self._check(errors, 100)
 
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+        reason="long double is plain double here: no extended-precision oracle",
+    )
+    def test_near_relaxed_wide_strain(self):
+        # Cbar of spread 1e4 and Ci within 1e-6 of it, against the D-form in
+        # long double from the same floats.  Measured worst of 60 cases:
+        # 1.2e-12 relative to the right-hand side; the raw product c10 Cbar -
+        # c01 Ci Cbar^-1 Ci - t Ci, which cancels there, reached 2.3e-8
+        rng = np.random.default_rng(3)
+        Cbar = sym(t3.unimodular(rotated_strain([100.0, 1.0, 0.01])))
+        L = np.linalg.cholesky(Cbar)
+        worst = 0.0
+        for _ in range(20):
+            X = rng.standard_normal((3, 3))
+            Ci = sym(t3.unimodular(sym(L @ (np.eye(3) + 1e-6 * (X + X.T)) @ L.T)))
+            p = MaterialParams(*rng.uniform(0.1, 2.0, 2), 1.0)
+            value = _mebm_residual(_parts(Cbar), p)
+            for h in (0.01, 1.0, 100.0):
+                g = value(t3.pack_sym(Ci).tolist(), Ci.ravel().tolist(), h)
+                rhs = _long_double_rhs(Cbar, Ci, Ci, h, p)
+                want = t3.pack_sym(Ci.astype(np.longdouble) - rhs)
+                worst = max(worst, float(np.abs(g - want).max() / np.abs(rhs).max()))
+        assert worst <= 1e-11
+
+
+def _det_inverse(A):
+    # det A and the cofactor inverse, in A's own precision
+    adj = np.array([
+        [A[(i + 1) % 3, (j + 1) % 3] * A[(i + 2) % 3, (j + 2) % 3]
+         - A[(i + 1) % 3, (j + 2) % 3] * A[(i + 2) % 3, (j + 1) % 3] for i in range(3)]
+        for j in range(3)
+    ])
+    d = A[0] @ adj[:, 0]
+    return d, adj / d
+
+
+def _long_double_rhs(Cbar, Ci, Ci_n, h, p):
+    # mebm's right-hand side unimodular(Ci_n - h/eta dev(D G) Ci), D = Ci -
+    # Cbar, G = c10 Ci^-1 + c01 Cbar^-1, in long double
+    ld = np.longdouble
+    Cbar, Ci, N = (A.astype(ld) for A in (Cbar, Ci, Ci_n))
+    G = ld(p.c10) * _det_inverse(Ci)[1] + ld(p.c01) * _det_inverse(Cbar)[1]
+    T = (Ci - Cbar) @ G
+    M = N - ld(h) / ld(p.eta) * (T - np.trace(T) / 3 * np.eye(3, dtype=ld)) @ Ci
+    return M / np.cbrt(_det_inverse(M)[0])
+
 
 class TestEmFloatResidual:
     @staticmethod
     def _errors(Cbar, p, points, h):
         # em's float residual at each (Ci, Ci_n) of points, against the oracle
-        value = _em_residual(*_parts(Cbar), p)
+        value = _em_residual(_parts(Cbar), p)
         errors = []
         for Ci, Ci_n in points:
             x = t3.pack_sym(Ci).tolist()
@@ -837,7 +923,7 @@ class TestEmFloatResidual:
             Cbar = sym(t3.unimodular(C))
             x = t3.pack_sym(Ci).tolist()
             try:
-                g = _em_residual(*_parts(Cbar), p)(x, Ci_n.ravel().tolist(), dt)
+                g = _em_residual(_parts(Cbar), p)(x, Ci_n.ravel().tolist(), dt)
             except DomainError:
                 # refused exactly where the oracle refuses
                 assert _em_error(Cbar, p, x, Ci_n, dt, [0.0] * 6) is None
@@ -1010,7 +1096,7 @@ class TestNewtonDomainFailures:
     def test_em_iterate_beyond_the_norm_bound(self):
         # h f(I) = h dev(diag(4, 1, 1/4) - diag(1/4, 1, 4)) has the
         # exponents 0 and +-3.75 h
-        value = _em_residual(*_parts(np.diag([4.0, 1.0, 0.25])), P111)
+        value = _em_residual(_parts(np.diag([4.0, 1.0, 0.25])), P111)
         with pytest.raises(OverflowError):
             value([1.0, 1.0, 1.0, 0.0, 0.0, 0.0], self.I.ravel().tolist(), 200.0)
         assert _newton_solve(value, self.I, 200.0) == (None, 0)
@@ -1024,7 +1110,7 @@ class TestNewtonDomainFailures:
         x[1] += (2.0 * delta + delta * delta) * 1000.0 / 999.0
         Ci_n = t3.unpack_sym(np.array(x))
         n = Ci_n.ravel().tolist()
-        value = _em_residual(*_parts(self.I), P111)
+        value = _em_residual(_parts(self.I), P111)
         assert 1e-3 < math.hypot(*value(x, n, 1e-6)) < 1e3
         point = list(x)
         point[3] += 1e-7 * math.hypot(*x, x[3], x[4], x[5])
@@ -1035,7 +1121,7 @@ class TestNewtonDomainFailures:
     def test_em_converged_iterate_needs_no_jacobian(self):
         # at Ci = Cbar = I the flow is exactly zero, so the iterate solves
         # the step at once; its points, at h = 1e12, all overflow
-        value = _em_residual(*_parts(self.I), P111)
+        value = _em_residual(_parts(self.I), P111)
         x, n = [1.0, 1.0, 1.0, 0.0, 0.0, 0.0], self.I.ravel().tolist()
         assert value(x, n, 1e12) == [0.0] * 6
         for j in range(6):
@@ -1054,7 +1140,7 @@ class TestNewtonDomainFailures:
         h = 0.07
         norm1 = float(np.abs(h * _em_flow(Cbar, P111, Ci)).sum(axis=0).max())
         assert 740.0 < norm1 < 750.0
-        value = _em_residual(*_parts(Cbar), P111)
+        value = _em_residual(_parts(Cbar), P111)
         g = value(t3.pack_sym(Ci).tolist(), Ci.ravel().tolist(), h)
         assert all(map(math.isfinite, g)) and math.hypot(*g) > 1e140
         assert _newton_solve(value, Ci, h) == (None, 0)
@@ -1424,6 +1510,23 @@ class TestRootArithmetic:
         # every sign of phi, scaled or not, with 0 and 2 corrections, with
         # and without slopes
         assert len(seen) == 16
+
+    def test_bits_do_not_depend_on_sum(self, monkeypatch):
+        # from Python 3.12 the builtin sum() of floats is compensated: the
+        # corrections write their three-term sums out left to right, so a
+        # compensated sum, patched in, changes no bit
+        def roots():
+            rng = np.random.default_rng(23)
+            out = []
+            for _ in range(2000):
+                w = sorted(np.exp(rng.uniform(-8.0, 8.0, 3)).tolist())
+                beta, eps = np.exp(rng.uniform(-10.0, 10.0, 2)).tolist()
+                out += [cn._root(w, beta, eps, 2, "W", slopes) for slopes in (False, True)]
+            return out
+
+        want = roots()
+        monkeypatch.setattr(cn, "sum", math.fsum, raising=False)
+        assert roots() == want
 
     @pytest.mark.parametrize(
         "w, beta, eps",

@@ -109,6 +109,14 @@ class TestUniaxialProgram:
         with pytest.raises(DomainError, match=f"{field} = {value}"):
             hn.LoadingProgram(kind="uniaxial", **{field: value})
 
+    @pytest.mark.parametrize("field", ["frequency", "cycles", "amplitude"])
+    def test_bool_refused_by_name(self, field):
+        # frequency = cycles = True ran as one cycle at frequency 1
+        with pytest.raises(DomainError, match=f"^{field} must be a number, got True$"):
+            hn.LoadingProgram(kind="uniaxial", **{field: True})
+        with pytest.raises(DomainError, match="^frequency must be a number, got True$"):
+            hn.LoadingProgram(kind="uniaxial", frequency=True, cycles=True)
+
     @pytest.mark.parametrize("amplitude", [1.0, 1.5, -1.0])
     def test_amplitude_must_keep_stretch_positive(self, amplitude):
         # the compression half of the cycle reaches 1 - |amplitude|
@@ -232,7 +240,7 @@ class TestRunConfig:
         [("frequencies", 1.0), ("amplitudes", 0.2), ("tangent_dts", 0.1),
          ("tangent_etas", 1.0)],
     )
-    @pytest.mark.parametrize("bad", [None, math.inf, math.nan, -0.5])
+    @pytest.mark.parametrize("bad", [None, math.inf, math.nan, -0.5, True])
     def test_study_grids_rejected_by_name(self, field, good, bad):
         # an empty grid let its study pass having checked nothing; a bad
         # entry failed deep inside the study, or with another cause
@@ -242,6 +250,15 @@ class TestRunConfig:
         with pytest.raises(DomainError, match=f"{field} needs values in"):
             hn.RunConfig(**{field: values})
         hn.RunConfig(**{field: (good,)})
+
+    @pytest.mark.parametrize("field", ["dt", "eta", "c10", "c01"])
+    def test_bool_refused_by_name(self, field):
+        # dt = eta = True ran the studies at dt = 1 with MaterialParams(1.0,
+        # 1.0, True)
+        with pytest.raises(DomainError, match=f"^{field} must be a number, got True$"):
+            hn.RunConfig(**{field: True})
+        with pytest.raises(DomainError, match="^dt must be a number, got True$"):
+            hn.RunConfig(dt=True, eta=True)
 
     def test_eulerian_needs_ifebm(self):
         # the error study reports the Eulerian history of ifebm only
