@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, _refuse_bools
+from .errors import DomainError, _is_number, _refuse_bools
 from . import tensor3 as t3
 from .tensor3 import det, sym
 from .constitutive import (
@@ -212,7 +212,7 @@ def composite_step(
     returned stress excludes the indeterminate pressure term ``-p C^-1``.
     A ``dt`` that is not finite and non-negative is refused.
     """
-    if not 0.0 <= dt < math.inf:
+    if not (_is_number(dt) and 0.0 <= dt < math.inf):
         raise DomainError(f"dt must be finite and non-negative, got {dt!r}")
     tris = [t3.pack_sym(s.Ci).tolist() for s in model.states]
     eq, total, tris, stresses, roots = _branch_loop(
@@ -256,7 +256,7 @@ def uniaxial_axial_stress(
         raise DomainError(
             "traction-free uniaxial evaluation requires the incompressible model"
         )
-    if not 0.0 < dt < math.inf:
+    if not (_is_number(dt) and 0.0 < dt < math.inf):
         raise DomainError(f"dt must be finite and positive, got {dt!r}")
 
     stresses = np.empty(len(F_history))

@@ -47,7 +47,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, _refuse_bools
+from .errors import ConvergenceError, DomainError, _is_number, _refuse_bools
 from . import tensor3 as t3
 from .tensor3 import det, inverse, sym, trace, unimodular
 
@@ -269,14 +269,15 @@ def solve_phi(A: np.ndarray, eps: float) -> tuple[float, float]:
     return phi0, phi
 
 
-def _root_eigvals(w: float, phi: float, eps: float) -> float:
-    # Positive root of eps x^2 + phi x - w = 0 for one eigenvalue w,
-    # evaluated in whichever of the two algebraically equivalent forms
-    # avoids subtractive cancellation for the sign of phi at hand.
-    disc = math.sqrt(phi * phi + 4.0 * eps * w)
+def _roots(w0, w1, w2, phi, eps):
+    # the positive roots x_i of eps x^2 + phi x - w_i = 0 and s_i = sqrt(phi^2 +
+    # 4 eps w_i) for three eigenvalues w_i; each x_i in whichever of its two
+    # equivalent forms avoids subtractive cancellation for the sign of phi
+    pp, e4 = phi * phi, 4.0 * eps
+    s = s0, s1, s2 = math.sqrt(pp + e4 * w0), math.sqrt(pp + e4 * w1), math.sqrt(pp + e4 * w2)
     if phi >= 0.0:
-        return 2.0 * w / (disc + phi)
-    return (disc - phi) / (2.0 * eps)
+        return [2.0 * w0 / (s0 + phi), 2.0 * w1 / (s1 + phi), 2.0 * w2 / (s2 + phi)], s
+    return [(s0 - phi) / (2.0 * eps), (s1 - phi) / (2.0 * eps), (s2 - phi) / (2.0 * eps)], s
 
 
 def quad_root_X(A: np.ndarray, phi: float, eps: float) -> np.ndarray:
@@ -297,8 +298,7 @@ def quad_root_X(A: np.ndarray, phi: float, eps: float) -> np.ndarray:
         raise DomainError(
             "quad_root_X requires SPD A", min_eigenvalue=float(w[0])
         )
-    x = [_root_eigvals(v, phi, eps) for v in w.tolist()]
-    return sym((V * x) @ V.T, check=False)
+    return sym((V * _roots(*w.tolist(), phi, eps)[0]) @ V.T, check=False)
 
 
 def quad_root_X_subtractive(A: np.ndarray, phi: float, eps: float) -> np.ndarray:
@@ -430,7 +430,7 @@ _SAFE = 1e100
 def _coefficients(dt, p):
     # beta = dt c10 / eta and eps = dt c01 / eta of one step's quadratic;
     # every stepper checks its dt here
-    if not 0.0 <= dt < math.inf:
+    if not (_is_number(dt) and 0.0 <= dt < math.inf):
         raise DomainError(f"dt must be finite and non-negative, got {dt!r}")
     beta, eps = dt * p.c10 / p.eta, dt * p.c01 / p.eta
     if not (beta < math.inf and eps < math.inf):
@@ -440,22 +440,10 @@ def _coefficients(dt, p):
     return beta, eps
 
 
-def _det_residual(w, phi, eps):
-    # R(phi) = det X(phi) - 1 over the spectrum w of the quadratic's input,
-    # and its exact slope R' = -det X * sum_i 1/sqrt(phi^2 + 4 eps w_i),
-    # which is always negative
-    det_x = math.prod(_root_eigvals(v, phi, eps) for v in w)
-    s0, s1, s2 = (math.sqrt(phi * phi + 4.0 * eps * v) for v in w)
-    return det_x - 1.0, -det_x * (1.0 / s0 + 1.0 / s1 + 1.0 / s2)
-
-
-def _correction_slope(w, phi, eps, r, slope, g):
-    # the gradient with respect to w of one Newton correction phi - r/slope,
-    # from that of phi (g): r = det X - 1, slope = -det X sum_i 1/s_i, and
-    # each x_i moves by (dw_i - x_i dphi)/s_i, where s_i = sqrt(phi^2 + 4 eps
-    # w_i); each 1/s_i moves by -(phi dphi + 2 eps dw_i)/s_i^3
-    s = [math.sqrt(phi * phi + 4.0 * eps * v) for v in w]
-    x = [_root_eigvals(v, phi, eps) for v in w]
+def _correction_slope(x, s, phi, eps, r, slope, g):
+    # the gradient in w of one Newton correction phi - r/slope from that of phi
+    # (g), with _roots' x and s at phi: r = det X - 1, slope = -det X sum 1/s_i;
+    # x_i moves by (dw_i - x_i dphi)/s_i and 1/s_i by -(phi dphi + 2 eps dw_i)/s_i^3
     det_x, inv = r + 1.0, 1.0 / s[0] + 1.0 / s[1] + 1.0 / s[2]
     c0, c1, c2 = cubes = [1.0 / (b * b * b) for b in s]
     out = []
@@ -504,20 +492,17 @@ def _root(w, beta, eps, corrections, name, slopes=False):
         # the estimate phi0 - a, a = tr eps/(3 phi0), has the slope (phi0 +
         # a)/(3 w_i) - eps/(3 phi0)
         g = [(2.0 * phi0 - phi) / (3.0 * v) - eps / (3.0 * phi0) for v in w]
+    # each correction: R(phi) = det X - 1 and its exact slope -det X sum_i 1/s_i < 0
+    x, s = _roots(w0, w1, w2, phi, eps)
     for _ in range(corrections):
-        r, slope = _det_residual(w, phi, eps)
+        det_x = x[0] * x[1] * x[2]
+        r, slope = det_x - 1.0, -det_x * (1.0 / s[0] + 1.0 / s[1] + 1.0 / s[2])
         if slopes:
-            g = _correction_slope(w, phi, eps, r, slope, g)
+            g = _correction_slope(x, s, phi, eps, r, slope, g)
         phi -= r / slope
-    # _root_eigvals on each w_i, in its operation order
-    pp, e4 = phi * phi, 4.0 * eps
-    d0, d1, d2 = math.sqrt(pp + e4 * w0), math.sqrt(pp + e4 * w1), math.sqrt(pp + e4 * w2)
-    if phi >= 0.0:
-        x = [2.0 * w0 / (d0 + phi), 2.0 * w1 / (d1 + phi), 2.0 * w2 / (d2 + phi)]
-    else:
-        x = [(d0 - phi) / (2.0 * eps), (d1 - phi) / (2.0 * eps), (d2 - phi) / (2.0 * eps)]
+        x, s = _roots(w0, w1, w2, phi, eps)
     if slopes:
-        return x, phi / scale, [d0 / scale, d1 / scale, d2 / scale], g
+        return x, phi / scale, [s[0] / scale, s[1] / scale, s[2] / scale], g
     return x, phi / scale
 
 

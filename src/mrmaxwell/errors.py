@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numbers
+
 __all__ = ["DomainError", "ConvergenceError"]
 
 
@@ -20,7 +22,13 @@ class ConvergenceError(RuntimeError):
     """An iterative solver exhausted its iteration and substepping budget."""
 
 
+def _is_number(value):
+    # a bool (NumPy's too) passes as 0 or 1; a float skips the slower ABC check
+    return type(value) is float or (
+        isinstance(value, (int, float, numbers.Real)) and not isinstance(value, bool))
+
+
 def _refuse_bools(obj, *names):
-    # a bool passes the number checks as 0 or 1; refuse one in a field of obj
-    for name in (name for name in names if isinstance(getattr(obj, name), bool)):
+    # refuse a bool or a non-number in a field of obj
+    for name in (name for name in names if not _is_number(getattr(obj, name))):
         raise DomainError(f"{name} must be a number, got {getattr(obj, name)!r}")

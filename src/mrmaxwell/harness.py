@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, _refuse_bools
+from .errors import DomainError, _is_number, _refuse_bools
 from . import tensor3 as t3
 from .tensor3 import det, sym, unimodular
 from .constitutive import (
@@ -118,7 +118,7 @@ class LoadingProgram:
     def __post_init__(self):
         _refuse_bools(self, "amplitude", "frequency", "cycles")
         if self.kind == "uniaxial":
-            if not 0.0 < self.frequency < math.inf or self.cycles < 1:
+            if not (0.0 < self.frequency < math.inf and 1 <= self.cycles < math.inf):
                 raise DomainError(
                     "uniaxial program needs a finite frequency > 0 and cycles >= 1, "
                     f"got frequency = {self.frequency!r}, cycles = {self.cycles!r}"
@@ -288,7 +288,7 @@ class RunConfig:
         for name, lo, hi in (("frequencies", 0.0, math.inf), ("amplitudes", -1.0, 1.0),
                              ("tangent_dts", 0.0, math.inf), ("tangent_etas", 0.0, math.inf)):
             values = getattr(self, name)
-            if not values or not all(lo < v < hi and not isinstance(v, bool) for v in values):
+            if not values or not all(_is_number(v) and lo < v < hi for v in values):
                 raise DomainError(f"{name} needs values in ({lo:g}, {hi:g}), got {values!r}")
         if self.fine_steps_per_cycle % self.coarse_steps_per_cycle:
             # run_uniaxial samples the fine grid at every coarse time
@@ -303,7 +303,7 @@ class RunConfig:
 
 
 def _grid(t_end: float, dt: float) -> np.ndarray:
-    if not 0.0 < dt < math.inf:
+    if not (_is_number(dt) and 0.0 < dt < math.inf):
         raise DomainError(f"dt must be finite and positive, got {dt!r}")
     n = round(t_end / dt)
     if abs(n * dt - t_end) > 1e-9 * t_end:

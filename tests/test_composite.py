@@ -270,6 +270,15 @@ class TestEquilibriumParams:
         with pytest.raises(DomainError, match="^c10 must be a number, got True$"):
             EquilibriumParams(True, False, True)
 
+    @pytest.mark.parametrize("value", [np.True_, None])
+    @pytest.mark.parametrize("field", ["c10", "c01", "k"])
+    def test_non_number_refused_by_name(self, field, value):
+        # NumPy's bool passed the checks as the number 1; None leaked a TypeError
+        values = {"c10": 1.0, "c01": 1.0, "k": math.inf, field: value}
+        message = f"^{field} must be a number, got {re.escape(repr(value))}$"
+        with pytest.raises(DomainError, match=message):
+            EquilibriumParams(**values)
+
 
 class TestCompositeStep:
     def test_all_relaxed_zero_stress(self):
@@ -277,10 +286,11 @@ class TestCompositeStep:
         res = composite_step(np.eye(3), model, 0.01)
         assert np.allclose(res.total_stress, 0.0, atol=1e-15)
 
-    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, -0.1])
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, -0.1, True, np.True_])
     @pytest.mark.parametrize("branches", [0, 4])
     def test_bad_dt_refused(self, dt, branches):
-        # with no branch to step, a bad dt used to pass unseen
+        # with no branch to step, a bad dt used to pass unseen; a bool
+        # stepped every branch as dt = 1
         model = load_model(table_model_path())
         model = CompositeModel.relaxed(model.equilibrium, model.branches[:branches])
         message = f"dt must be finite and non-negative, got {dt!r}"
@@ -672,10 +682,11 @@ class TestUniaxial:
         with pytest.raises(DomainError):
             uniaxial_axial_stress(model, [F_bad], 0.1)
 
-    @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
+    @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf, True, np.True_])
     @pytest.mark.parametrize("samples", [1, 3])
     def test_bad_dt_refused(self, dt, samples):
-        # one message for every bad dt, also where no step would run
+        # one message for every bad dt, also where no step would run; a bool
+        # marched the history at dt = 1
         model = load_model(table_model_path())
         message = f"dt must be finite and positive, got {dt!r}"
         with pytest.raises(DomainError, match=re.escape(message)):

@@ -38,14 +38,11 @@ from mrmaxwell.constitutive import (
     _ci_update,
     _closed_form_root,
     _coefficients,
-    _correction_slope,
-    _det_residual,
     _em_residual,
     _EXP_NORM_MAX,
     _march_substep,
     _mebm_residual,
     _newton_solve,
-    _root_eigvals,
     _kirchhoff,
     _strain,
     _stress_from_parts,
@@ -100,6 +97,16 @@ class TestMaterialParams:
             MaterialParams(**values)
         with pytest.raises(DomainError, match="^c10 must be a number, got True$"):
             MaterialParams(True, 1.0, True)
+
+    @pytest.mark.parametrize("value", [np.True_, None, "1"])
+    @pytest.mark.parametrize("field", ["c10", "c01", "eta"])
+    def test_non_number_refused_by_name(self, field, value):
+        # NumPy's bool passed every check as the number 1, and None or a
+        # string leaked a TypeError from the first comparison
+        values = {"c10": 1.0, "c01": 1.0, "eta": 1.0, field: value}
+        message = f"^{field} must be a number, got {re.escape(repr(value))}$"
+        with pytest.raises(DomainError, match=message):
+            MaterialParams(**values)
 
 
 class TestStates:
@@ -529,14 +536,18 @@ class TestTwoiter:
 
     @pytest.mark.parametrize("eps,phi", [(0.0, 1.3), (0.8, -0.6)])
     def test_exact_slope_matches_central_difference(self, eps, phi):
-        # the corrections' slope of det X(phi) - 1, at eps = 0 and on the
-        # negative-phi branch of the root
+        # the corrections' slope -det X sum_i 1/s_i of det X(phi) - 1, from
+        # the roots of _roots, at eps = 0 and on the negative-phi branch
         w = [0.4, 1.1, 2.7]
-        _, slope = _det_residual(w, phi, eps)
+        x, s = cn._roots(*w, phi, eps)
+        slope = -(x[0] * x[1] * x[2]) * (1.0 / s[0] + 1.0 / s[1] + 1.0 / s[2])
+
+        def residual(phi):
+            x, _ = cn._roots(*w, phi, eps)
+            return x[0] * x[1] * x[2] - 1.0
+
         h = 1e-6 * abs(phi)
-        central = (
-            _det_residual(w, phi + h, eps)[0] - _det_residual(w, phi - h, eps)[0]
-        ) / (2.0 * h)
+        central = (residual(phi + h) - residual(phi - h)) / (2.0 * h)
         assert slope < 0.0
         assert abs(slope - central) <= 1e-6 * abs(slope)
 
@@ -1377,9 +1388,12 @@ _FIVE_STEPPERS = {
 
 
 class TestStepSizeValidation:
-    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, -0.1])
+    @pytest.mark.parametrize(
+        "dt", [math.nan, math.inf, -math.inf, -0.1, True, np.True_, "0.1"]
+    )
     @pytest.mark.parametrize("method", sorted(_FIVE_STEPPERS))
     def test_bad_dt_rejected_by_name(self, method, dt):
+        # a bool stepped as dt = 1, and a string leaked a TypeError
         step, identity = _FIVE_STEPPERS[method]
         # diag(1.2, 1, 0.9) is a valid strain and a valid deformation gradient
         with pytest.raises(DomainError, match="dt must be finite and non-negative"):
@@ -1443,14 +1457,52 @@ class TestHugeSteps:
             assert np.array_equal(X, (V * x) @ V.T)
 
 
+# the loop form of _root's arithmetic, each eigenvalue's root and each
+# correction evaluating its own roots: the oracle of _root's one evaluation
+def _root_eigvals(w: float, phi: float, eps: float) -> float:
+    # Positive root of eps x^2 + phi x - w = 0 for one eigenvalue w,
+    # evaluated in whichever of the two algebraically equivalent forms
+    # avoids subtractive cancellation for the sign of phi at hand.
+    disc = math.sqrt(phi * phi + 4.0 * eps * w)
+    if phi >= 0.0:
+        return 2.0 * w / (disc + phi)
+    return (disc - phi) / (2.0 * eps)
+
+
+def _det_residual(w, phi, eps):
+    # R(phi) = det X(phi) - 1 over the spectrum w of the quadratic's input,
+    # and its exact slope R' = -det X * sum_i 1/sqrt(phi^2 + 4 eps w_i),
+    # which is always negative
+    det_x = math.prod(_root_eigvals(v, phi, eps) for v in w)
+    s0, s1, s2 = (math.sqrt(phi * phi + 4.0 * eps * v) for v in w)
+    return det_x - 1.0, -det_x * (1.0 / s0 + 1.0 / s1 + 1.0 / s2)
+
+
+def _correction_slope(w, phi, eps, r, slope, g):
+    # the gradient with respect to w of one Newton correction phi - r/slope,
+    # from that of phi (g): r = det X - 1, slope = -det X sum_i 1/s_i, and
+    # each x_i moves by (dw_i - x_i dphi)/s_i, where s_i = sqrt(phi^2 + 4 eps
+    # w_i); each 1/s_i moves by -(phi dphi + 2 eps dw_i)/s_i^3
+    s = [math.sqrt(phi * phi + 4.0 * eps * v) for v in w]
+    x = [_root_eigvals(v, phi, eps) for v in w]
+    det_x, inv = r + 1.0, 1.0 / s[0] + 1.0 / s[1] + 1.0 / s[2]
+    c0, c1, c2 = cubes = [1.0 / (b * b * b) for b in s]
+    out = []
+    for gi, xi, si, ci in zip(g, x, s, cubes):
+        dr = det_x / (xi * si) + slope * gi
+        dslope = det_x * (phi * (c0 + c1 + c2) * gi + 2.0 * eps * ci) - dr * inv
+        out.append(gi - (dr - r / slope * dslope) / slope)
+    return out
+
+
 def _scale_oracle(x):
     return 1.0 if x < 1e100 else 2.0 ** -math.frexp(x)[1]
 
 
 def _root_oracle(w, beta, eps, corrections, name, slopes=False):
-    # _root as a loop over lists, with the scaling, the estimate of phi and
-    # the root of one eigenvalue as separate steps: the oracle of its
-    # written-out form
+    # _root as a loop over lists, with the scaling, the estimate of phi, the
+    # residual of a correction and the root of one eigenvalue as separate
+    # steps, each evaluating its own roots: the oracle of its written-out form
     if not w[0] > 0.0:
         raise DomainError(f"{name} lost positive definiteness", min_eigenvalue=w[0])
     w = [w[0] + beta, w[1] + beta, w[2] + beta]
@@ -1510,6 +1562,34 @@ class TestRootArithmetic:
         # every sign of phi, scaled or not, with 0 and 2 corrections, with
         # and without slopes
         assert len(seen) == 16
+
+    @pytest.mark.parametrize("slopes", [False, True])
+    @pytest.mark.parametrize("corrections", [0, 2])
+    @pytest.mark.parametrize(
+        "w, beta, eps, negative",
+        [([0.4, 1.1, 2.7], 0.3, 0.8, False), ([0.01, 1.0, 100.0], 0.0, 1e6, True)],
+        ids=["phi-positive", "phi-negative"],
+    )
+    def test_one_root_evaluation_per_phi(
+        self, monkeypatch, w, beta, eps, negative, corrections, slopes
+    ):
+        # the roots x_i and s_i are evaluated once at each phi that _root
+        # visits, the estimate and each correction: 3 square roots each
+        calls = []
+
+        class CountingMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def sqrt(self, v):
+                calls.append(v)
+                return math.sqrt(v)
+
+        want = _root_oracle(w, beta, eps, corrections, "W", slopes)
+        assert (want[1] < 0.0) == negative
+        monkeypatch.setattr(cn, "math", CountingMath())
+        assert cn._root(w, beta, eps, corrections, "W", slopes) == want
+        assert len(calls) == 3 * (corrections + 1)
 
     def test_bits_do_not_depend_on_sum(self, monkeypatch):
         # from Python 3.12 the builtin sum() of floats is compensated: the

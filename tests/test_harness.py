@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -116,6 +117,20 @@ class TestUniaxialProgram:
             hn.LoadingProgram(kind="uniaxial", **{field: True})
         with pytest.raises(DomainError, match="^frequency must be a number, got True$"):
             hn.LoadingProgram(kind="uniaxial", frequency=True, cycles=True)
+
+    @pytest.mark.parametrize("field", ["frequency", "cycles", "amplitude"])
+    def test_numpy_bool_refused_by_name(self, field):
+        # NumPy's bool is no bool: cycles = np.True_ ran one cycle
+        with pytest.raises(DomainError, match=f"^{field} must be a number, got np.True_$"):
+            hn.LoadingProgram(kind="uniaxial", **{field: np.True_})
+
+    @pytest.mark.parametrize("cycles", [math.nan, math.inf])
+    def test_non_finite_cycles_refused(self, cycles):
+        # cycles = nan gave the domain [0, nan], and F(0.5) was refused as
+        # outside it; cycles = inf gave an endless program
+        message = "needs a finite frequency > 0 and cycles >= 1"
+        with pytest.raises(DomainError, match=f"{message}, got .* cycles = {cycles}$"):
+            hn.LoadingProgram(kind="uniaxial", cycles=cycles)
 
     @pytest.mark.parametrize("amplitude", [1.0, 1.5, -1.0])
     def test_amplitude_must_keep_stretch_positive(self, amplitude):
@@ -235,15 +250,25 @@ class TestRunConfig:
         with pytest.raises(DomainError, match="dt must be finite and positive"):
             hn.nonprop_stress_history("ifebm", dt, MaterialParams(1.0, 1.0, 1.0))
 
+    @pytest.mark.parametrize("dt", [True, np.True_])
+    def test_bool_history_dt_refused(self, dt):
+        # a bool ran the history at dt = 1
+        message = re.escape(f"dt must be finite and positive, got {dt!r}")
+        with pytest.raises(DomainError, match=message):
+            hn.nonprop_stress_history("ifebm", dt, MaterialParams(1.0, 1.0, 1.0))
+
     @pytest.mark.parametrize(
         "field, good",
         [("frequencies", 1.0), ("amplitudes", 0.2), ("tangent_dts", 0.1),
          ("tangent_etas", 1.0)],
     )
-    @pytest.mark.parametrize("bad", [None, math.inf, math.nan, -0.5, True])
+    @pytest.mark.parametrize(
+        "bad", [None, math.inf, math.nan, -0.5, True, np.True_, np.False_, "0.1"]
+    )
     def test_study_grids_rejected_by_name(self, field, good, bad):
         # an empty grid let its study pass having checked nothing; a bad
-        # entry failed deep inside the study, or with another cause
+        # entry failed deep inside the study, or with another cause; NumPy's
+        # bool passed as the number 0 or 1, and a string leaked a TypeError
         values = () if bad is None else (good, bad)
         if field == "amplitudes" and bad == -0.5:
             values = (good, 1.0)  # a negative amplitude is a valid program
@@ -259,6 +284,15 @@ class TestRunConfig:
             hn.RunConfig(**{field: True})
         with pytest.raises(DomainError, match="^dt must be a number, got True$"):
             hn.RunConfig(dt=True, eta=True)
+
+    @pytest.mark.parametrize("value", [np.True_, None, "0.1"])
+    @pytest.mark.parametrize("field", ["dt", "eta", "c10", "c01"])
+    def test_non_number_refused_by_name(self, field, value):
+        # NumPy's bool ran as the number 1, and None or a string leaked a
+        # TypeError from the first check
+        message = f"^{field} must be a number, got {re.escape(repr(value))}$"
+        with pytest.raises(DomainError, match=message):
+            hn.RunConfig(**{field: value})
 
     def test_eulerian_needs_ifebm(self):
         # the error study reports the Eulerian history of ifebm only
