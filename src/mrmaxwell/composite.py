@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from decimal import Decimal
 from importlib import resources
 from typing import Callable, Sequence
 
@@ -39,7 +40,7 @@ import numpy as np
 
 from .errors import DomainError, _is_number, _refuse_bools
 from . import tensor3 as t3
-from .tensor3 import det, sym
+from .tensor3 import sym
 from .constitutive import (
     LagrangianState,
     MaterialParams,
@@ -122,27 +123,27 @@ def equilibrium_stress(C: np.ndarray, p: EquilibriumParams) -> np.ndarray:
     driving protocol.  A volume ratio ``det C`` that overflows, or whose
     volumetric stress does, raises :class:`DomainError`.
     """
-    return _equilibrium_stress(C, _strain(C, "C"), p)
+    return _equilibrium_stress(_strain(C, "C"), p)
 
 
 # the upper triangle (11, 22, 33, 12, 13, 23) of Ci = I
 _RELAXED = (1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
 
 
-def _equilibrium_stress(C, strain, p):
-    # equilibrium_stress of C, given _strain(C); the isochoric part is the
-    # Maxwell branches' stress law at Ci = I, the volumetric C^-1 is Cbar^-1/r
+def _equilibrium_stress(strain, p):
+    # equilibrium_stress from _strain(C): the Maxwell stress law at Ci = I plus,
+    # with det C = r^3, the volumetric part k/10 (r^7.5 - r^-7.5) Cbar^-1/r
     if p.incompressible:
         return _stress_from_parts(strain, _RELAXED, p)
-    d = det(C)
     _, b, r = strain
     try:
-        k = p.k / 10.0 * (d**2.5 - d**-2.5)
+        k = p.k / 10.0 * (r**7.5 - r**-7.5)
     except OverflowError:
         k = math.inf
     vol = [k * (u / r) for u in b]
     if not all(map(math.isfinite, vol)):
-        raise DomainError(f"volume ratio det C = {d:.3e} is out of float range")
+        # r^3 in decimal: a float r**3 overflows where det C nears the float limit
+        raise DomainError(f"volume ratio det C = {Decimal(r) ** 3:.3e} is out of float range")
     return _stress_from_parts(strain, _RELAXED, p) + np.array(vol).reshape(3, 3)
 
 
@@ -154,7 +155,7 @@ def _branch_loop(C, strain, model, tris, dt, stepper):
     # branch stresses, and each branch's root (x, phi) or its stepper's
     # diagnostics.  A closed-form branch steps on _march_substep, any other
     # stepper gets the state; each new Ci is checked as LagrangianState does
-    eq = _equilibrium_stress(C, strain, model.equilibrium)
+    eq = _equilibrium_stress(strain, model.equilibrium)
     corrections = _CORRECTIONS.get(stepper)
     out, stresses, roots = [], [], []
     for a, p in zip(tris, model.branches):

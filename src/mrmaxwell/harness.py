@@ -288,7 +288,8 @@ class RunConfig:
         for name, lo, hi in (("frequencies", 0.0, math.inf), ("amplitudes", -1.0, 1.0),
                              ("tangent_dts", 0.0, math.inf), ("tangent_etas", 0.0, math.inf)):
             values = getattr(self, name)
-            if not values or not all(_is_number(v) and lo < v < hi for v in values):
+            if not (isinstance(values, (tuple, list)) and values
+                    and all(_is_number(v) and lo < v < hi for v in values)):
                 raise DomainError(f"{name} needs values in ({lo:g}, {hi:g}), got {values!r}")
         if self.fine_steps_per_cycle % self.coarse_steps_per_cycle:
             # run_uniaxial samples the fine grid at every coarse time

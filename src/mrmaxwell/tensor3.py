@@ -12,11 +12,8 @@ the exponential map, which the package evaluates on the spectrum instead.
   this package that returns a symmetric tensor builds it through
   :func:`sym`, whose output satisfies ``A[i, j] == A[j, i]`` exactly.
 
-Determinants, inverses and traces use closed-form 3x3 expressions.
-Spectral routines (:func:`spd_sqrt`, :func:`spd_inv_sqrt`) are backed by
-LAPACK through ``numpy.linalg.eigh``, which handles repeated eigenvalues
-robustly; repeated spectra occur at every stress-free state, so this is
-the common case rather than the exception.
+Determinants, inverses and traces use closed-form 3x3 expressions.  The
+one test of positive definiteness is by leading minors (:func:`is_spd`).
 """
 
 from __future__ import annotations
@@ -40,8 +37,6 @@ __all__ = [
     "norm",
     "pack_sym",
     "unpack_sym",
-    "spd_sqrt",
-    "spd_inv_sqrt",
     "mat_exp",
 ]
 
@@ -224,31 +219,6 @@ def require_spd(A: np.ndarray, name: str = "tensor") -> np.ndarray:
     if not _skew_norm_ok(A, S):
         raise DomainError(f"{name} is not symmetric: skew part beyond round-off")
     return S
-
-
-def _spd_eigen(A, name):
-    # the spectrum and eigenvectors of the one SPD tensor A passed to name
-    _entries(A, name)
-    w, V = np.linalg.eigh(A)
-    floor = 1e-14 * np.linalg.norm(A)
-    if not w[0] > floor:
-        raise DomainError(
-            f"{name} argument is not positive definite (min eigenvalue {w[0]:.3e})",
-            min_eigenvalue=float(w[0]),
-        )
-    return w, V
-
-
-def spd_sqrt(A: np.ndarray) -> np.ndarray:
-    """Principal square root of a symmetric positive definite tensor."""
-    w, V = _spd_eigen(A, "spd_sqrt")
-    return sym((V * np.sqrt(w)) @ V.T, check=False)
-
-
-def spd_inv_sqrt(A: np.ndarray) -> np.ndarray:
-    """Inverse principal square root of an SPD tensor."""
-    w, V = _spd_eigen(A, "spd_inv_sqrt")
-    return sym((V / np.sqrt(w)) @ V.T, check=False)
 
 
 def mat_exp(A: np.ndarray) -> np.ndarray:

@@ -43,6 +43,18 @@ def rand_unimodular_spd(rng, lo=0.25, hi=4.0):
     return t3.sym(t3.unimodular(rand_spd(rng, lo, hi)), check=False)
 
 
+def spd_sqrt(A):
+    """Principal square root of an SPD tensor, from its ``eigh``."""
+    w, V = np.linalg.eigh(A)
+    return t3.sym((V * np.sqrt(w)) @ V.T, check=False)
+
+
+def spd_inv_sqrt(A):
+    """Inverse principal square root of an SPD tensor, from its ``eigh``."""
+    w, V = np.linalg.eigh(A)
+    return t3.sym((V / np.sqrt(w)) @ V.T, check=False)
+
+
 def rand_unimodular(rng, lo=0.5, hi=2.0):
     """Random volume-preserving tensor (rotation times SPD stretch)."""
     return rand_rotation(rng) @ rand_unimodular_spd(rng, lo, hi)

@@ -39,6 +39,7 @@ from conftest import (
     rand_unimodular_spd,
     rotated_strain,
     skewed_strain,
+    spd_sqrt,
 )
 
 CLOSED_FORM = [ifebm_step_lagrangian, twoiter_step]
@@ -155,6 +156,17 @@ class TestEquilibriumStress:
         with pytest.raises(DomainError, match="C is not symmetric"):
             equilibrium_stress(C, p)
 
+    def test_skew_twin_gives_the_same_bits(self):
+        # a strain with a one-ulp skew part reads as its symmetrized twin, the
+        # volume ratio too: det C of the strain as passed differed from it
+        rng = np.random.default_rng(11)
+        p = EquilibriumParams(0.7, 0.3, 2.0)
+        for _ in range(3000):
+            C = rand_spd(rng)
+            C[0, 1] = np.nextafter(C[0, 1], math.inf)
+            want = equilibrium_stress(t3.sym(C, check=False), p)
+            assert np.array_equal(equilibrium_stress(C, p), want)
+
     @pytest.mark.parametrize("s", [1e-70, 1e-50, 1e80, 1e100, 1e200])
     def test_volume_ratio_out_of_range(self, s):
         # (det C)^(+-5/2) overflows: refused by the volume ratio; the
@@ -169,6 +181,13 @@ class TestEquilibriumStress:
         for p in (EquilibriumParams(1.0, 1.0, 1.0), EQ_INC):
             with pytest.raises(DomainError, match=r"det C = 1\.000e\+600 is out of"):
                 equilibrium_stress(C, p)
+
+    def test_largest_volume_ratio_refused_by_name(self):
+        # det C is the largest float, whose volume ratio r^3 = det C, from
+        # r = cbrt(det C), overflows as a float power
+        C = np.diag([1.0, 1.0, np.finfo(float).max])
+        with pytest.raises(DomainError, match=r"^volume ratio det C = 1\.798e\+308 is out of"):
+            equilibrium_stress(C, EquilibriumParams(1.0, 1.0, 1.0))
 
     def test_volumetric_product_overflow_refused(self):
         # (det C)^(-5/2) = 1e300 is finite, its product with C^-1 ~ 1e40 is
@@ -503,7 +522,7 @@ class TestLanePath:
         # a branch whose W = isq Ci isq spreads beyond _SPREAD_MAX takes the
         # per-call step itself, bit for bit, with its two eigh calls
         C = rand_spd(rng)
-        sq = t3.spd_sqrt(t3.unimodular(C))
+        sq = spd_sqrt(t3.unimodular(C))
         r = math.sqrt(1.01 * _SPREAD_MAX)
         Q = rand_rotation(rng)
         wide = t3.sym(sq @ ((Q * [1.0 / r, 1.0, r]) @ Q.T) @ sq, check=False)

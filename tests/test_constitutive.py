@@ -59,6 +59,8 @@ from conftest import (
     rand_unimodular_spd,
     rotated_strain,
     skewed_strain,
+    spd_inv_sqrt,
+    spd_sqrt,
 )
 
 P111 = MaterialParams(1.0, 1.0, 1.0)
@@ -433,8 +435,8 @@ class TestIfebmLagrangian:
             dt = float(rng.uniform(0.0, 3.0))
             res = ifebm_step_lagrangian(C, LagrangianState(Ci), dt, P111)
             Cbar = sym(t3.unimodular(C))
-            sq = t3.spd_sqrt(Cbar)
-            isq = t3.spd_inv_sqrt(Cbar)
+            sq = spd_sqrt(Cbar)
+            isq = spd_inv_sqrt(Cbar)
             beta = dt * P111.c10 / P111.eta
             eps = dt * P111.c01 / P111.eta
             A = sym(isq @ (Ci + beta * Cbar) @ isq)
@@ -527,7 +529,7 @@ class TestTwoiter:
             r1 = ifebm_step_lagrangian(C, LagrangianState(Ci), dt, P111)
             r2 = twoiter_step(C, LagrangianState(Ci), dt, P111)
             Cbar = _cbar(C)[0]
-            isq = t3.spd_inv_sqrt(Cbar)
+            isq = spd_inv_sqrt(Cbar)
             A = sym(isq @ (Ci + dt * Cbar) @ isq)
             eps = dt * P111.c01 / P111.eta
             res_est = abs(residual_R(r1.diagnostics.phi, A, eps))
@@ -565,7 +567,7 @@ class TestDetResidual:
             Ci = rand_unimodular_spd(rng, 0.5, 2.0)
             dt = float(rng.uniform(0.1, 1.0))
             Cbar = _cbar(C)[0]
-            isq = t3.spd_inv_sqrt(Cbar)
+            isq = spd_inv_sqrt(Cbar)
             A = sym(isq @ (Ci + dt * Cbar) @ isq)
             for step in worst:
                 d = step(C, LagrangianState(Ci), dt, P111).diagnostics
@@ -1671,7 +1673,7 @@ class TestImplicitConsistency:
             beta = dt * P111.c10 / P111.eta
             eps = dt * P111.c01 / P111.eta
             Cbar, Cbar_inv = _cbar(C)
-            sq, isq = t3.spd_sqrt(Cbar), t3.spd_inv_sqrt(Cbar)
+            sq, isq = spd_sqrt(Cbar), spd_inv_sqrt(Cbar)
             X, _, phi = _closed_form_root(sym(isq @ Ci_n @ isq), (beta, eps), 0, "W")
             Ci_star = sym(sq @ X @ sq)  # before projection
             # phi Ci* = Ci_n + beta Cbar - eps Ci* Cbar^-1 Ci*
@@ -1898,7 +1900,7 @@ class TestReferenceMarch:
         r = math.sqrt(spread * _SPREAD_MAX)
         C = rand_spd(rng)
         Cbar = _cbar(C)[0]
-        sq = t3.spd_sqrt(Cbar)
+        sq = spd_sqrt(Cbar)
         Q = rand_rotation(rng)
         Ci = sym(sq @ ((Q * [1.0 / r, 1.0, r]) @ Q.T) @ sq)
         Ci = sym(t3.unimodular(Ci))

@@ -276,6 +276,18 @@ class TestRunConfig:
             hn.RunConfig(**{field: values})
         hn.RunConfig(**{field: (good,)})
 
+    @pytest.mark.parametrize(
+        "grid", [np.array([1.0, 2.0]), np.array([]), 1.0, {1.0: 2}],
+        ids=["array", "empty-array", "float", "dict"],
+    )
+    def test_grid_not_a_tuple_or_list_refused_by_name(self, grid):
+        # an array leaked numpy's ValueError from its truth value, a float
+        # a TypeError, and a dict passed on its keys
+        message = r"^frequencies needs values in \(0, inf\), got "
+        with pytest.raises(DomainError, match=message):
+            hn.RunConfig(frequencies=grid)
+        assert hn.RunConfig(frequencies=[1.0, 2.0]).frequencies == [1.0, 2.0]
+
     @pytest.mark.parametrize("field", ["dt", "eta", "c10", "c01"])
     def test_bool_refused_by_name(self, field):
         # dt = eta = True ran the studies at dt = 1 with MaterialParams(1.0,
