@@ -46,6 +46,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import ConvergenceError, DomainError, _is_number, _refuse_bools
 from . import tensor3 as t3
@@ -252,6 +253,12 @@ def _kirchhoff(e, p):
 # the tensor quadratic phi X = A - eps X^2
 
 
+def _require_finite(value, name):
+    # the quadratic's scalar name, refused unless a finite number (no bool)
+    if not (_is_number(value) and math.isfinite(value)):
+        raise DomainError(f"{name} must be a finite number, got {value!r}")
+
+
 def solve_phi(A: np.ndarray, eps: float) -> tuple[float, float]:
     """Volume-correction scalar for the tensor quadratic.
 
@@ -259,6 +266,7 @@ def solve_phi(A: np.ndarray, eps: float) -> tuple[float, float]:
     first-order estimate ``phi = phi0 - tr(A)/(3 phi0) * eps``.  The
     estimate is exact for isotropic A and for ``eps = 0``.
     """
+    _require_finite(eps, "eps")
     if eps < 0.0:
         raise DomainError("eps must be non-negative")
     d = det(A)
@@ -287,13 +295,15 @@ def quad_root_X(A: np.ndarray, phi: float, eps: float) -> np.ndarray:
     ``2 A [(phi^2 I + 4 eps A)^(1/2) + phi I]^-1`` stable down to
     eps -> 0 (where it degenerates to ``A / phi``).
     """
+    _require_finite(phi, "phi")
+    _require_finite(eps, "eps")
     if eps < 0.0:
         raise DomainError("eps must be non-negative")
     if eps == 0.0:
         if not phi > 0.0:
             raise DomainError("phi must be positive when eps = 0")
         return A / phi
-    w, V = np.linalg.eigh(A)
+    w, V = t3.eigh(A)
     if not w[0] > 0.0:
         raise DomainError(
             "quad_root_X requires SPD A", min_eigenvalue=float(w[0])
@@ -308,9 +318,11 @@ def quad_root_X_subtractive(A: np.ndarray, phi: float, eps: float) -> np.ndarray
     computed to machine precision but the cancellation error is then
     amplified by 1/eps.  Never use this on a production path.
     """
+    _require_finite(phi, "phi")
+    _require_finite(eps, "eps")
     if not eps > 0.0:
         raise DomainError("subtractive form requires eps > 0")
-    w, V = np.linalg.eigh(A)
+    w, V = t3.eigh(A)
     if not w[0] > 0.0:
         raise DomainError(
             "quad_root_X_subtractive requires SPD A", min_eigenvalue=float(w[0])
@@ -509,7 +521,7 @@ def _root(w, beta, eps, corrections, name, slopes=False):
 def _closed_form_root(W, coeffs, corrections, name):
     # the root X of phi X = (W + beta I) - eps X^2, coeffs = (beta, eps), its
     # eigenvalues x and phi; W is isq Ci isq, or G^T Be^-1 G
-    w, V = np.linalg.eigh(W)
+    w, V = t3.eigh(W)
     x, phi = _root(w.tolist(), *coeffs, corrections, name)
     return (V * x) @ V.T, x, phi
 
@@ -523,7 +535,7 @@ def _ci_update(Ci, Cbar, coeffs, corrections):
     # the closed-form update of Ci towards a strain with the unimodular part
     # Cbar, its root's eigenvalues and phi: the root X on isq Ci isq, mapped
     # back as unimodular(sq X sq), sq = Cbar^1/2 and isq = sq^-1 from one eigh
-    w, V = np.linalg.eigh(Cbar)
+    w, V = t3.eigh(Cbar)
     if not w[0] > 0.0:
         raise DomainError(
             "strain input is not positive definite", min_eigenvalue=float(w[0])
@@ -614,7 +626,7 @@ def _lagrangian_tangent(C_next, Ci, dt, p, corrections):
     beta, eps = _coefficients(dt, p)
     q, _, r = _strain(C_next, "C_next")
     Linv = _inverse_cholesky(q, "C_next")
-    w, U = np.linalg.eigh(Linv @ Ci @ Linv.T)
+    w, U = t3.eigh(Linv @ Ci @ Linv.T)
     w = w.tolist()
     x, _, s, g = _root(w, beta, eps, corrections, "quadratic input", slopes=True)
     # the state as the step builds and checks it: sq X sq = B diag(x) B^T, B
@@ -675,6 +687,11 @@ def ifebm_step_eulerian(
 # Newton-based baselines
 
 
+# the gufunc that numpy.linalg.solve calls for one right-hand side; it fills
+# the solution of a singular system with NaN, and flags it invalid
+_solve1 = _umath_linalg.solve1
+
+
 def _newton_solve(value, Ci_n, h):
     """Solve Ci = rhs(Ci, Ci_n, h) by Newton from Ci_n, the iterate x held
     as the six packed components (11, 22, 33, 12, 13, 23) in floats.
@@ -714,9 +731,10 @@ def _newton_solve(value, Ci_n, h):
                     xj = list(x)
                     xj[j] += delta
                     points.append(value(xj, n, h))
-                step = np.linalg.solve(((np.array(points) - g) / delta).T, g)
-            except (DomainError, ArithmeticError, np.linalg.LinAlgError):
+                step = _solve1(((np.array(points) - g) / delta).T, g)
+            except (DomainError, ArithmeticError):
                 return None, iterations
+            # a singular Jacobian gives a NaN step
             if not np.isfinite(step).all():
                 return None, iterations
             x = [u - v for u, v in zip(x, step.tolist())]

@@ -5,6 +5,9 @@ All routines operate on one plain numpy array of shape (3, 3), except
 from their six components (the Voigt maps use them that way).  A stack
 passed to any other routine raises.  ``mat_exp`` is the tests' oracle for
 the exponential map, which the package evaluates on the spectrum instead.
+``eigh`` is the package's one symmetric eigendecomposition: the LAPACK
+gufunc behind ``numpy.linalg.eigh``, bit for bit, without its Python
+wrapper.
 
 * ``Tensor3``     is any such array (deformation gradients, rotations, ...).
 * ``SymTensor3``  is one that is symmetric bit-for-bit.  Symmetry is a
@@ -21,6 +24,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DomainError
 
@@ -35,6 +39,7 @@ __all__ = [
     "is_spd",
     "require_spd",
     "norm",
+    "eigh",
     "pack_sym",
     "unpack_sym",
     "mat_exp",
@@ -101,6 +106,26 @@ def _entries(A, name):
     if A.shape != (3, 3):
         raise DomainError(f"{name} takes one 3x3 tensor, got shape {A.shape}")
     return A.ravel().tolist()
+
+
+# the gufunc that numpy.linalg.eigh calls on the lower triangle
+_eigh_lo = _umath_linalg.eigh_lo
+
+
+def eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues, ascending, and orthonormal eigenvectors (the columns) of
+    a symmetric tensor from its lower triangle, as ``numpy.linalg.eigh(A)``
+    gives them bit for bit, in under half its time.
+
+    A non-finite entry in the lower triangle gives NaN eigenvalues, with no
+    warning and no error, where ``numpy.linalg.eigh`` raises for a NaN.
+    """
+    # finite entries raise no floating-point flag in LAPACK; they sum to a
+    # finite float unless the sum overflows
+    if math.isfinite(sum(_entries(A, "eigh"))):
+        return _eigh_lo(A)
+    with np.errstate(all="ignore"):
+        return _eigh_lo(A)
 
 
 def _det9(a00, a01, a02, a10, a11, a12, a20, a21, a22):

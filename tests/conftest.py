@@ -134,13 +134,14 @@ def invalid_state(Ci):
 
 @pytest.fixture
 def count_eigh(monkeypatch):
-    """Calls of ``numpy.linalg.eigh``, counted by replacing the attribute."""
+    """Calls of ``tensor3.eigh``, the package's one eigendecomposition,
+    counted by replacing the module attribute."""
     calls = []
-    eigh = np.linalg.eigh
+    eigh = t3.eigh
 
-    def counting(*args, **kwargs):
+    def counting(A):
         calls.append(1)
-        return eigh(*args, **kwargs)
+        return eigh(A)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    monkeypatch.setattr(t3, "eigh", counting)
     return calls

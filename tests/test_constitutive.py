@@ -53,6 +53,7 @@ from mrmaxwell.harness import LoadingProgram
 
 from conftest import (
     history_gap,
+    per_call,
     rand_rotation,
     rand_spd,
     rand_unimodular,
@@ -64,6 +65,9 @@ from conftest import (
 )
 
 P111 = MaterialParams(1.0, 1.0, 1.0)
+
+# what the tensor quadratic's scalars phi and eps refuse by name
+NOT_FINITE_NUMBERS = [math.nan, math.inf, -math.inf, True, np.True_, "1"]
 
 
 def _cbar(C):
@@ -323,8 +327,28 @@ class TestSolvePhi:
         with pytest.raises(DomainError):
             solve_phi(np.diag([1.0, -1.0, 1.0]), 0.1)
 
+    @pytest.mark.parametrize("eps", NOT_FINITE_NUMBERS)
+    def test_eps_refused_by_name(self, eps):
+        # nan gave (1, nan), inf (1, -inf) and True a step with eps = 1
+        with pytest.raises(DomainError, match="^eps must be a finite number, got "):
+            solve_phi(np.eye(3), eps)
+
 
 class TestQuadRoot:
+    @pytest.mark.parametrize("f", [quad_root_X, quad_root_X_subtractive])
+    @pytest.mark.parametrize("value", NOT_FINITE_NUMBERS)
+    def test_phi_and_eps_refused_by_name(self, f, value, count_eigh):
+        # quad_root_X(A, inf, 0.1) gave the zero tensor, and an eps of True
+        # a root with eps = 1; each is refused before any eigh
+        A = np.diag([1.0, 2.0, 4.0])
+        with pytest.raises(DomainError, match="^phi must be a finite number, got "):
+            f(A, value, 0.1)
+        with pytest.raises(DomainError, match="^eps must be a finite number, got "):
+            f(A, 1.0, value)
+        with pytest.raises(DomainError, match="^phi must be a finite number, got "):
+            residual_R(value, A, 0.1)
+        assert len(count_eigh) == 0
+
     def test_eps_zero_degenerates(self, rng):
         A = rand_spd(rng)
         assert np.array_equal(quad_root_X(A, 2.0, 0.0), A / 2.0)
@@ -744,7 +768,7 @@ class TestStackedJacobian:
         # value per perturbed column, and em's value is within round-off of
         # its mat_exp oracle, at every iterate of one Newton solve, including
         # the divergent ones of the bisecting points
-        solve, checked, em_errors = np.linalg.solve, 0, []
+        solve, checked, em_errors = cn._solve1, 0, []
         for C, Ci_n in _baseline_points():
             Cbar = sym(t3.unimodular(C))
             n = Ci_n.ravel().tolist()
@@ -762,7 +786,7 @@ class TestStackedJacobian:
                         solves.append((xs[-7], J, g))
                         return solve(J, g)
 
-                    monkeypatch.setattr(np.linalg, "solve", spy)
+                    monkeypatch.setattr(cn, "_solve1", spy)
                     _newton_solve(recording, Ci_n, dt)
                     monkeypatch.undo()
                     for x, J, g in solves:
@@ -1052,9 +1076,35 @@ class TestNewtonDomainFailures:
         assert _newton_solve(value, self.I, 1.0) == (None, 2)
 
     def test_singular_jacobian(self):
-        # Ci - rhs(Ci) is constant, so the FD Jacobian is exactly zero
-        value = _value_of(lambda Ci, Ci_n, h: Ci + 0.5 * self.I)
-        assert _newton_solve(value, self.I, 1.0) == (None, 1)
+        # Ci - rhs(Ci) is constant, so the FD Jacobian is exactly zero; or
+        # it does not depend on C23, so one column is.  The solve gives a NaN
+        # step, a divergence, with no warning
+        constant = _value_of(lambda Ci, Ci_n, h: Ci + 0.5 * self.I)
+
+        def blind(x, n, h):
+            return [x[0] - 2.0, x[1] - 2.0, x[2] - 2.0, x[3], x[4], 1.0]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _newton_solve(constant, self.I, 1.0) == (None, 1)
+            assert _newton_solve(blind, self.I, 1.0) == (None, 1)
+
+    def test_solve_entry_matches_numpy(self, rng):
+        # the gufunc the Newton solve calls is numpy.linalg.solve's, bit for
+        # bit, on transposed Jacobians as the solve forms them and on badly
+        # conditioned ones; a singular system is NaN where numpy raises
+        for k in range(300):
+            J = rng.standard_normal((6, 6)) * np.exp(rng.uniform(-5.0, 5.0, 6))
+            if k % 3 == 1:
+                J[:, 4] = J[:, 1] + 1e-9 * J[:, 4]
+            g = rng.standard_normal(6).tolist()
+            got = cn._solve1(J.T, g)
+            assert np.array_equal(got, np.linalg.solve(J.T, g))
+        J[:, 4] = J[:, 1]
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(cn._solve1(J.T, g)).all()
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(J.T, g)
 
     @pytest.mark.parametrize("factor, want", [(1.0 - 1e-9, 1), (1.0 + 1e-9, 0)])
     def test_residual_bound(self, factor, want):
@@ -2038,3 +2088,40 @@ class TestStrainReader:
             else:
                 assert _strain(C, name) == want
         assert refused > 100
+
+
+class TestNoNumpyLinalgOnPaths:
+    def test_paths_call_lapack_directly(self, monkeypatch, count_eigh):
+        # with numpy.linalg's eigh and solve raising, every step, tangent,
+        # march and Newton path still runs: they decompose through
+        # tensor3.eigh (counted) and solve through the Newton solve's gufunc
+        def refused(*args, **kwargs):
+            raise AssertionError("numpy.linalg called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refused)
+        monkeypatch.setattr(np.linalg, "solve", refused)
+        C = rotated_strain([1.5, 1.0, 0.8])
+        state = LagrangianState(rotated_strain([1.2, 1.0, 1.0 / 1.2]))
+
+        def eighs(run):
+            count_eigh.clear()
+            run()
+            return len(count_eigh)
+
+        assert eighs(lambda: ifebm_step_lagrangian(C, state, 0.1, P111)) == 2
+        assert eighs(lambda: twoiter_step(C, state, 0.1, P111)) == 2
+        assert eighs(lambda: consistent_tangent(twoiter_step, C, state, 0.1, P111)) == 1
+        F = np.diag([1.2, 1.0, 1.0 / 1.2])
+        eul = eulerian_state_from_lagrangian(np.eye(3), state.Ci)
+        assert eighs(lambda: ifebm_step_eulerian(F, eul, 0.1, P111)) == 1
+        # a state spread by 225, beyond _SPREAD_MAX, takes the eigen path
+        wide = rotated_strain([15.0, 1.0, 1.0 / 15.0])
+        march = lambda: reference_solve(lambda t: np.eye(3), wide, [0.0, 0.01], P111, 2)
+        assert eighs(march) == 2 * (2 + 4)
+        model = load_model(table_model_path())
+        assert eighs(lambda: composite_step(C, model, 0.1)) == 0
+        per_branch = per_call(ifebm_step_lagrangian)
+        assert eighs(lambda: composite_step(C, model, 0.1, per_branch)) == 2 * 4
+        for step in (mebm_step, em_step):
+            d = step(C, state, 0.5, P111).diagnostics
+            assert d.iterations > 0

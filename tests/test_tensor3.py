@@ -11,15 +11,17 @@ import pytest
 from mrmaxwell import DomainError
 from mrmaxwell import tensor3 as t3
 
-from conftest import package_env, rand_spd, skewed_strain, spd_inv_sqrt, spd_sqrt
+from conftest import (
+    package_env, rand_rotation, rand_spd, skewed_strain, spd_inv_sqrt, spd_sqrt,
+)
 
 
 def test_public_names():
-    # one test of positive definiteness and no spectral routine
+    # one test of positive definiteness and one eigendecomposition
     assert len(t3.__all__) == len(set(t3.__all__))
     assert set(t3.__all__) == {
         "IDENTITY", "det", "trace", "inverse", "deviator", "unimodular", "sym",
-        "is_spd", "require_spd", "norm", "pack_sym", "unpack_sym", "mat_exp",
+        "is_spd", "require_spd", "norm", "eigh", "pack_sym", "unpack_sym", "mat_exp",
     }
     for name in t3.__all__:
         assert hasattr(t3, name)
@@ -244,7 +246,7 @@ class TestStacks:
         "f",
         [pytest.param(f, id=f.__name__) for f in (
             t3.det, t3.trace, t3.inverse, t3.deviator, t3.unimodular, t3.norm,
-            t3.is_spd, t3.require_spd, t3.mat_exp,
+            t3.is_spd, t3.require_spd, t3.mat_exp, t3.eigh,
         )] + [pytest.param(lambda A: t3.sym(A, check=False), id="sym")],
     )
     def test_one_tensor_primitives_refuse_a_stack(self, f):
@@ -255,6 +257,69 @@ class TestStacks:
         for n in (1, 2, 3):
             with pytest.raises(DomainError, match=rf"got shape \({n}, 3, 3\)$"):
                 f(np.array([2.0 * np.eye(3)] * n))
+
+
+def _eigh_inputs(rng):
+    # symmetric tensors from the ones the package decomposes to its edges:
+    # spectra of either sign spread up to 1e20 at scales 1e-20 to 1e20,
+    # repeated eigenvalues, diagonal and zero tensors, and products that are
+    # symmetric only up to round-off (eigh reads the lower triangle)
+    yield from (np.eye(3), np.zeros((3, 3)), np.diag([1.0, 2.0, 3.0]), np.diag([3.0, 1.0, 2.0]))
+    for scale in (1e-20, 1.0, 1e20):
+        for spread in (1.0, 1e5, 1e10, 1e20):
+            for _ in range(50):
+                Q = rand_rotation(rng)
+                w = scale * spread ** rng.uniform(-0.5, 0.5, 3)
+                yield t3.sym((Q * (w * rng.choice([-1.0, 1.0], 3))) @ Q.T, check=False)
+                # a repeated pair, and a threefold eigenvalue with round-off
+                yield t3.sym((Q * [w[0], w[0], w[1]]) @ Q.T, check=False)
+                yield t3.sym((Q * [w[2]] * 3) @ Q.T, check=False)
+                yield (Q * w) @ Q.T
+
+
+class TestEigh:
+    """``tensor3.eigh`` calls LAPACK through the gufunc behind
+    ``numpy.linalg.eigh``, so the two agree bit for bit; these tests fail
+    on a numpy that changes either."""
+
+    def test_bit_identical_to_numpy(self, rng):
+        count = 0
+        for A in _eigh_inputs(rng):
+            w, V = t3.eigh(A)
+            want_w, want_V = np.linalg.eigh(A)
+            assert np.array_equal(w, want_w) and np.array_equal(V, want_V)
+            count += 1
+        assert count == 4 + 12 * 50 * 4
+
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_gives_nan(self, v):
+        # with no warning (the suite turns RuntimeWarnings into errors) and no
+        # error, where numpy.linalg.eigh raises LinAlgError for every NaN;
+        # an entry of the upper triangle, which eigh does not read, changes
+        # nothing
+        A = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 2.0]])
+        for i in range(3):
+            for j in range(3):
+                B = A.copy()
+                B[i, j] = v
+                w, V = t3.eigh(B)
+                if i < j:
+                    assert np.array_equal(w, t3.eigh(A)[0])
+                    continue
+                assert np.isnan(w).all()
+                try:
+                    want_w, want_V = np.linalg.eigh(B)
+                except np.linalg.LinAlgError:
+                    continue
+                assert np.array_equal(w, want_w, equal_nan=True)
+                assert np.array_equal(V, want_V, equal_nan=True)
+
+    def test_finite_entries_whose_sum_overflows(self):
+        # finite, though their sum is not: the same bits as numpy
+        A = np.array([[1e308, 1e308, 0.0], [1e308, 1e308, 0.0], [0.0, 0.0, 1.0]])
+        w, V = t3.eigh(A)
+        want_w, want_V = np.linalg.eigh(A)
+        assert np.array_equal(w, want_w) and np.array_equal(V, want_V)
 
 
 class TestNorm:
