@@ -231,22 +231,25 @@ def stress_2pk(C: np.ndarray, Ci: np.ndarray, p: MaterialParams) -> np.ndarray:
 def kirchhoff_eulerian(Be_inv_bar: np.ndarray, p: MaterialParams) -> np.ndarray:
     """Kirchhoff stress from the unimodular inverse elastic left
     Cauchy-Green tensor (purely deviatoric)."""
-    t3.require_spd(Be_inv_bar, "Be_inv_bar")
-    e = Be_inv_bar.ravel().tolist()
+    e = t3.require_spd(Be_inv_bar, "Be_inv_bar").ravel().tolist()
     _check_det_one(e, "Be_inv_bar")
-    return _kirchhoff(e, p)
+    return _kirchhoff((e[0], e[4], e[8], e[1], e[2], e[5]), p)
 
 
-def _kirchhoff(e, p):
-    # kirchhoff_eulerian's law c10 dev(B^-1) - c01 dev(B) on the nine entries
-    # e of B = Be^-1, on Python floats
-    i = t3._inverse9(*e)
+def _kirchhoff(a, p):
+    # kirchhoff_eulerian's law c10 dev(B^-1) - c01 dev(B) for the upper
+    # triangle a (11, 22, 33, 12, 13, 23) of B = Be^-1, on Python floats
+    e00, e11, e22, e01, e02, e12 = a
+    i00, i01, i02, _, i11, i12, _, _, i22 = t3._inverse9(
+        e00, e01, e02, e01, e11, e12, e02, e12, e22
+    )
     c10, c01 = p.c10, p.c01
-    s = [c10 * u - c01 * v for u, v in zip(i, e)]
-    mi, me = (i[0] + i[4] + i[8]) / 3.0, (e[0] + e[4] + e[8]) / 3.0
-    for j in (0, 4, 8):
-        s[j] = c10 * (i[j] - mi) - c01 * (e[j] - me)
-    return np.array(s).reshape(3, 3)
+    mi, me = (i00 + i11 + i22) / 3.0, (e00 + e11 + e22) / 3.0
+    s00 = c10 * (i00 - mi) - c01 * (e00 - me)
+    s11 = c10 * (i11 - mi) - c01 * (e11 - me)
+    s22 = c10 * (i22 - mi) - c01 * (e22 - me)
+    s01, s02, s12 = c10 * i01 - c01 * e01, c10 * i02 - c01 * e02, c10 * i12 - c01 * e12
+    return np.array([s00, s01, s02, s01, s11, s12, s02, s12, s22]).reshape(3, 3)
 
 
 # --------------------------------------------------------------------------
@@ -456,14 +459,23 @@ def _correction_slope(x, s, phi, eps, r, slope, g):
     # the gradient in w of one Newton correction phi - r/slope from that of phi
     # (g), with _roots' x and s at phi: r = det X - 1, slope = -det X sum 1/s_i;
     # x_i moves by (dw_i - x_i dphi)/s_i and 1/s_i by -(phi dphi + 2 eps dw_i)/s_i^3
-    det_x, inv = r + 1.0, 1.0 / s[0] + 1.0 / s[1] + 1.0 / s[2]
-    c0, c1, c2 = cubes = [1.0 / (b * b * b) for b in s]
-    out = []
-    for gi, xi, si, ci in zip(g, x, s, cubes):
-        dr = det_x / (xi * si) + slope * gi
-        dslope = det_x * (phi * (c0 + c1 + c2) * gi + 2.0 * eps * ci) - dr * inv
-        out.append(gi - (dr - r / slope * dslope) / slope)
-    return out
+    x0, x1, x2 = x
+    s0, s1, s2 = s
+    g0, g1, g2 = g
+    det_x, inv = r + 1.0, 1.0 / s0 + 1.0 / s1 + 1.0 / s2
+    c0, c1, c2 = 1.0 / (s0 * s0 * s0), 1.0 / (s1 * s1 * s1), 1.0 / (s2 * s2 * s2)
+    pc, e2, q = phi * (c0 + c1 + c2), 2.0 * eps, r / slope
+    dr0 = det_x / (x0 * s0) + slope * g0
+    dr1 = det_x / (x1 * s1) + slope * g1
+    dr2 = det_x / (x2 * s2) + slope * g2
+    ds0 = det_x * (pc * g0 + e2 * c0) - dr0 * inv
+    ds1 = det_x * (pc * g1 + e2 * c1) - dr1 * inv
+    ds2 = det_x * (pc * g2 + e2 * c2) - dr2 * inv
+    return [
+        g0 - (dr0 - q * ds0) / slope,
+        g1 - (dr1 - q * ds1) / slope,
+        g2 - (dr2 - q * ds2) / slope,
+    ]
 
 
 def _root(w, beta, eps, corrections, name, slopes=False):
@@ -518,12 +530,26 @@ def _root(w, beta, eps, corrections, name, slopes=False):
     return x, phi / scale
 
 
-def _closed_form_root(W, coeffs, corrections, name):
-    # the root X of phi X = (W + beta I) - eps X^2, coeffs = (beta, eps), its
-    # eigenvalues x and phi; W is isq Ci isq, or G^T Be^-1 G
-    w, V = t3.eigh(W)
+def _sym_upper(M):
+    # the upper triangle (11, 22, 33, 12, 13, 23) of sym(M) on Python floats,
+    # bit for bit numpy's elementwise (M + M^T)/2
+    m00, m01, m02, m10, m11, m12, m20, m21, m22 = M.ravel().tolist()
+    return (
+        (m00 + m00) / 2.0, (m11 + m11) / 2.0, (m22 + m22) / 2.0,
+        (m01 + m10) / 2.0, (m02 + m20) / 2.0, (m12 + m21) / 2.0,
+    )
+
+
+def _closed_form_root(M, coeffs, corrections, name):
+    # the root X of phi X = (W + beta I) - eps X^2, W = sym(M), coeffs = (beta,
+    # eps), its eigenvalues x and phi; M is isq Ci isq, or G^T Be^-1 G.  A W
+    # that overflowed is refused by name: eigh would return nan
+    w = w00, w11, w22, w01, w02, w12 = _sym_upper(M)
+    if not all(map(math.isfinite, w)):
+        raise DomainError(f"{name} overflows: it has non-finite entries")
+    w, V = t3.eigh(np.array([w00, w01, w02, w01, w11, w12, w02, w12, w22]).reshape(3, 3))
     x, phi = _root(w.tolist(), *coeffs, corrections, name)
-    return (V * x) @ V.T, x, phi
+    return (V * x).dot(V.T), x, phi
 
 
 def _diagnostics(x, phi, corrections):
@@ -531,35 +557,46 @@ def _diagnostics(x, phi, corrections):
     return StepDiagnostics(phi, corrections, det_residual=abs(x[0] * x[1] * x[2] - 1.0))
 
 
+def _unimodular_sym(Y):
+    # the upper triangle of unimodular(sym(Y)) on Python floats, bit for bit
+    # numpy's elementwise arithmetic
+    a = a00, a11, a22, a01, a02, a12 = _sym_upper(Y)
+    r = t3._cbrt_det9((a00, a01, a02, a01, a11, a12, a02, a12, a22))
+    return [v / r for v in a]
+
+
 def _ci_update(Ci, Cbar, coeffs, corrections):
     # the closed-form update of Ci towards a strain with the unimodular part
-    # Cbar, its root's eigenvalues and phi: the root X on isq Ci isq, mapped
-    # back as unimodular(sq X sq), sq = Cbar^1/2 and isq = sq^-1 from one eigh
+    # Cbar, as an upper triangle, its root's eigenvalues and phi: the root X
+    # on isq Ci isq, mapped back as unimodular(sq X sq), sq = Cbar^1/2 and isq
+    # = sq^-1 from one eigh.  The products go through ndarray.dot, bit for bit
+    # @ without its ufunc dispatch; on floats they would round differently,
+    # as BLAS fuses multiply-adds
     w, V = t3.eigh(Cbar)
     if not w[0] > 0.0:
         raise DomainError(
             "strain input is not positive definite", min_eigenvalue=float(w[0])
         )
     r = np.sqrt(w)
-    sq, isq = (V * r) @ V.T, (V / r) @ V.T
-    W = sym(isq @ Ci @ isq, check=False)
-    X, x, phi = _closed_form_root(W, coeffs, corrections, "quadratic input")
-    return unimodular(sym(sq @ X @ sq, check=False)), x, phi
+    sq, isq = (V * r).dot(V.T), (V / r).dot(V.T)
+    X, x, phi = _closed_form_root(isq.dot(Ci).dot(isq), coeffs, corrections, "quadratic input")
+    return _unimodular_sym(sq.dot(X).dot(sq)), x, phi
 
 
 def _closed_form_step(strain, Ci, dt, p, corrections):
     # the StepResult of the closed-form step from Ci towards the strain with
     # the parts of _strain, on the eigen path
     coeffs = _coefficients(dt, p)
-    Ci_new, x, phi = _ci_update(Ci, np.array(strain[0]).reshape(3, 3), coeffs, corrections)
-    state = LagrangianState(Ci_new)
-    stress = _stress_from_parts(strain, t3.pack_sym(Ci_new).tolist(), p)
+    a, x, phi = _ci_update(Ci, np.array(strain[0]).reshape(3, 3), coeffs, corrections)
+    state = LagrangianState(t3.unpack_sym(np.array(a)))
+    stress = _stress_from_parts(strain, a, p)
     return StepResult(state, stress, _diagnostics(x, phi, corrections))
 
 
-def _inverse_cholesky(a, name):
-    # L^-1 of the Cholesky factor L L^T of the nine entries a, on floats; a
-    # pivot <= 0 is a strain, the argument name, that is not positive definite
+def _cholesky(a, name):
+    # the Cholesky factor L of the nine entries a = L L^T and its inverse, on
+    # floats, each as its lower triangle (00, 10, 11, 20, 21, 22); a pivot <= 0
+    # is a strain, the argument name, that is not positive definite
     l00 = math.sqrt(a[0])
     l10, l20 = a[3] / l00, a[6] / l00
     pivot = a[4] - l10 * l10
@@ -569,16 +606,11 @@ def _inverse_cholesky(a, name):
     pivot = a[8] - l20 * l20 - l21 * l21
     if not pivot > 0.0:
         raise _indefinite_strain(a, name)
-    m00, m11, m22 = 1.0 / l00, 1.0 / l11, 1.0 / math.sqrt(pivot)
+    l22 = math.sqrt(pivot)
+    m00, m11, m22 = 1.0 / l00, 1.0 / l11, 1.0 / l22
     m10 = -l10 * m00 * m11
     m20, m21 = -(l20 * m00 + l21 * m10) * m22, -l21 * m11 * m22
-    return np.array([m00, 0.0, 0.0, m10, m11, 0.0, m20, m21, m22]).reshape(3, 3)
-
-
-def _centered(v):
-    # the three floats v less their mean
-    m = (v[0] + v[1] + v[2]) / 3.0
-    return [v[0] - m, v[1] - m, v[2] - m]
+    return (l00, l10, l11, l20, l21, l22), (m00, m10, m11, m20, m21, m22)
 
 
 def _principal_block(w, x, s, g, p):
@@ -594,47 +626,97 @@ def _principal_block(w, x, s, g, p):
     # pair ab moves W by -Eh_ab (w_a + w_b)/2 and X by 2/(s_a + s_b) times
     # that, so dS_ab = G_ab Eh_ab
     c10, c01 = p.c10, p.c01
-    c = float(np.cbrt(x[0] * x[1] * x[2]))
-    xt = [v / c for v in x]
-    sigma = _centered([c10 / v - c01 * v for v in xt])
-    m = [c10 / v + c01 * v for v in xt]
-    y = [a / (v * b) for a, v, b in zip(w, x, s)]
-    r = _centered([1.0 / b for b in s])
-    gw = _centered([a * b for a, b in zip(g, w)])
-    # P diag(y) P = diag(y) - (y_a + y_b)/3 + sum(y)/9
-    y9 = (y[0] + y[1] + y[2]) / 9.0
-    Z = [[y9 - (y[i] + y[j]) / 3.0 - r[i] * gw[j] for j in range(3)] for i in range(3)]
-    for i in range(3):
-        Z[i][i] += y[i]
-    means = [(m[0] * Z[0][j] + m[1] * Z[1][j] + m[2] * Z[2][j]) / 3.0 for j in range(3)]
-    G = [
-        (c10 / (xt[i] * xt[j]) + c01) * (w[i] + w[j]) / (c * (s[i] + s[j]))
-        - (sigma[i] + sigma[j]) / 2.0
-        for i, j in ((0, 1), (0, 2), (1, 2))
-    ]
-    D = np.diag([-sigma[0], -sigma[1], -sigma[2], *G])
-    D[:3, :3] += [[m[i] * Z[i][j] - means[j] for j in range(3)] for i in range(3)]
-    return D
+    w0, w1, w2 = w
+    x0, x1, x2 = x
+    s0, s1, s2 = s
+    c = float(np.cbrt(x0 * x1 * x2))
+    t0, t1, t2 = x0 / c, x1 / c, x2 / c
+    a0, a1, a2 = c10 / t0 - c01 * t0, c10 / t1 - c01 * t1, c10 / t2 - c01 * t2
+    mean = (a0 + a1 + a2) / 3.0
+    a0, a1, a2 = a0 - mean, a1 - mean, a2 - mean
+    m0, m1, m2 = c10 / t0 + c01 * t0, c10 / t1 + c01 * t1, c10 / t2 + c01 * t2
+    y0, y1, y2 = w0 / (x0 * s0), w1 / (x1 * s1), w2 / (x2 * s2)
+    r0, r1, r2 = 1.0 / s0, 1.0 / s1, 1.0 / s2
+    mean = (r0 + r1 + r2) / 3.0
+    r0, r1, r2 = r0 - mean, r1 - mean, r2 - mean
+    h0, h1, h2 = g[0] * w0, g[1] * w1, g[2] * w2
+    mean = (h0 + h1 + h2) / 3.0
+    h0, h1, h2 = h0 - mean, h1 - mean, h2 - mean
+    # Z = P diag(y) P - r h^T, P diag(y) P = diag(y) - (y_a + y_b)/3 + sum(y)/9
+    y9 = (y0 + y1 + y2) / 9.0
+    p01, p02, p12 = (y0 + y1) / 3.0, (y0 + y2) / 3.0, (y1 + y2) / 3.0
+    z00 = y9 - (y0 + y0) / 3.0 - r0 * h0 + y0
+    z01, z02 = y9 - p01 - r0 * h1, y9 - p02 - r0 * h2
+    z10, z12 = y9 - p01 - r1 * h0, y9 - p12 - r1 * h2
+    z11 = y9 - (y1 + y1) / 3.0 - r1 * h1 + y1
+    z20, z21 = y9 - p02 - r2 * h0, y9 - p12 - r2 * h1
+    z22 = y9 - (y2 + y2) / 3.0 - r2 * h2 + y2
+    # the block m_i Z_ij less its column means, and sigma on the diagonal
+    n0 = (m0 * z00 + m1 * z10 + m2 * z20) / 3.0
+    n1 = (m0 * z01 + m1 * z11 + m2 * z21) / 3.0
+    n2 = (m0 * z02 + m1 * z12 + m2 * z22) / 3.0
+    G01 = (c10 / (t0 * t1) + c01) * (w0 + w1) / (c * (s0 + s1)) - (a0 + a1) / 2.0
+    G02 = (c10 / (t0 * t2) + c01) * (w0 + w2) / (c * (s0 + s2)) - (a0 + a2) / 2.0
+    G12 = (c10 / (t1 * t2) + c01) * (w1 + w2) / (c * (s1 + s2)) - (a1 + a2) / 2.0
+    return np.array([
+        -a0 + (m0 * z00 - n0), m0 * z01 - n1, m0 * z02 - n2, 0.0, 0.0, 0.0,
+        m1 * z10 - n0, -a1 + (m1 * z11 - n1), m1 * z12 - n2, 0.0, 0.0, 0.0,
+        m2 * z20 - n0, m2 * z21 - n1, -a2 + (m2 * z22 - n2), 0.0, 0.0, 0.0,
+        0.0, 0.0, 0.0, G01, 0.0, 0.0,
+        0.0, 0.0, 0.0, 0.0, G02, 0.0,
+        0.0, 0.0, 0.0, 0.0, 0.0, G12,
+    ]).reshape(6, 6)
 
 
 def _lagrangian_tangent(C_next, Ci, dt, p, corrections):
     # the exact derivative of the closed-form step's stress, Ci held fixed, as
     # the principal basis N and the block of _principal_block.  With Cbar =
-    # C_next/r = L L^T, r = cbrt(det C_next), and L^-1 Ci L^-T = U diag(w) U^T,
-    # w is the spectrum of the step's congruence W, and N = L^-T U / sqrt(r)
-    # has N^T C_next N = I and N^T Ci N = diag(w)/r: there the step is diagonal
+    # C_next/r = L L^T, r = cbrt(det C_next), and W = L^-1 Ci L^-T = U diag(w)
+    # U^T, w is the spectrum of the step's congruence, and N = L^-T U /
+    # sqrt(r) has N^T C_next N = I and N^T Ci N = diag(w)/r: there the step is
+    # diagonal.  All but eigh and the arrays it returns are Python floats
     beta, eps = _coefficients(dt, p)
     q, _, r = _strain(C_next, "C_next")
-    Linv = _inverse_cholesky(q, "C_next")
-    w, U = t3.eigh(Linv @ Ci @ Linv.T)
+    (l00, l10, l11, l20, l21, l22), (m00, m10, m11, m20, m21, m22) = _cholesky(q, "C_next")
+    c00, c01, c02, _, c11, c12, _, _, c22 = Ci.ravel().tolist()
+    # the lower triangle of W from the rows t of L^-1 Ci, the triangle eigh reads
+    t10, t11 = m10 * c00 + m11 * c01, m10 * c01 + m11 * c11
+    t20 = m20 * c00 + m21 * c01 + m22 * c02
+    t21 = m20 * c01 + m21 * c11 + m22 * c12
+    t22 = m20 * c02 + m21 * c12 + m22 * c22
+    w00, w10, w11 = m00 * c00 * m00, t10 * m00, t10 * m10 + t11 * m11
+    w20, w21, w22 = t20 * m00, t20 * m10 + t21 * m11, t20 * m20 + t21 * m21 + t22 * m22
+    w, U = t3.eigh(np.array([w00, w10, w20, w10, w11, w21, w20, w21, w22]).reshape(3, 3))
     w = w.tolist()
     x, _, s, g = _root(w, beta, eps, corrections, "quadratic input", slopes=True)
+    u00, u01, u02, u10, u11, u12, u20, u21, u22 = U.ravel().tolist()
     # the state as the step builds and checks it: sq X sq = B diag(x) B^T, B
-    # = L U = Cbar L^-T U
-    LU = Linv.T @ U
-    B = np.array(q).reshape(3, 3) @ LU
-    LagrangianState(unimodular(sym((B * x) @ B.T, check=False)))
-    return LU / math.sqrt(r), _principal_block(w, x, s, g, p)
+    # = L U, made unimodular and checked as LagrangianState checks it
+    x0, x1, x2 = x
+    b00, b01, b02 = l00 * u00, l00 * u01, l00 * u02
+    b10, b11, b12 = l10 * u00 + l11 * u10, l10 * u01 + l11 * u11, l10 * u02 + l11 * u12
+    b20 = l20 * u00 + l21 * u10 + l22 * u20
+    b21 = l20 * u01 + l21 * u11 + l22 * u21
+    b22 = l20 * u02 + l21 * u12 + l22 * u22
+    y00 = b00 * x0 * b00 + b01 * x1 * b01 + b02 * x2 * b02
+    y11 = b10 * x0 * b10 + b11 * x1 * b11 + b12 * x2 * b12
+    y22 = b20 * x0 * b20 + b21 * x1 * b21 + b22 * x2 * b22
+    y01 = b00 * x0 * b10 + b01 * x1 * b11 + b02 * x2 * b12
+    y02 = b00 * x0 * b20 + b01 * x1 * b21 + b02 * x2 * b22
+    y12 = b10 * x0 * b20 + b11 * x1 * b21 + b12 * x2 * b22
+    y = y00, y01, y02, y01, y11, y12, y02, y12, y22
+    d = t3._cbrt_det9(y)
+    _check_manifold([v / d for v in y], "Ci")
+    # N = L^-T U / sqrt(r), L^-T upper triangular
+    k = math.sqrt(r)
+    N = np.array([
+        (m00 * u00 + m10 * u10 + m20 * u20) / k,
+        (m00 * u01 + m10 * u11 + m20 * u21) / k,
+        (m00 * u02 + m10 * u12 + m20 * u22) / k,
+        (m11 * u10 + m21 * u20) / k, (m11 * u11 + m21 * u21) / k, (m11 * u12 + m21 * u22) / k,
+        m22 * u20 / k, m22 * u21 / k, m22 * u22 / k,
+    ]).reshape(3, 3)
+    return N, _principal_block(w, x, s, g, p)
 
 
 def ifebm_step_lagrangian(
@@ -673,14 +755,15 @@ def ifebm_step_eulerian(
     beta, eps = _coefficients(dt, p)
     if not np.isfinite(F_next).all() or not det(F_next) > 0.0:
         raise DomainError("F_next must be finite with positive determinant")
-    G = inverse(unimodular(F_next @ inverse(state.F_prev)))
-    X, x, phi = _closed_form_root(
-        sym(G.T @ state.Be_inv_bar @ G, check=False), (beta, eps), 0, "trial state"
-    )
+    G = inverse(unimodular(F_next.dot(inverse(state.F_prev))))
+    # a trial state that overflows is refused by name, with no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = G.T.dot(state.Be_inv_bar).dot(G)
+    X, x, phi = _closed_form_root(M, (beta, eps), 0, "trial state")
     # the state's _check_manifold is stricter than kirchhoff_eulerian's checks
-    state = EulerianState(unimodular(sym(X, check=False)), F_next)
-    stress = _kirchhoff(state.Be_inv_bar.ravel().tolist(), p)
-    return StepResult(state, stress, _diagnostics(x, phi, 0))
+    e = _unimodular_sym(X)
+    state = EulerianState(t3.unpack_sym(np.array(e)), F_next)
+    return StepResult(state, _kirchhoff(e, p), _diagnostics(x, phi, 0))
 
 
 # --------------------------------------------------------------------------
@@ -1014,9 +1097,8 @@ def _march_substep(strain, a, beta, eps, corrections):
     step = _float_update(strain, a, beta, eps, corrections)
     if step is not None:
         return step
-    Ci = t3.unpack_sym(np.array(a))
-    Ci, x, phi = _ci_update(Ci, np.array(strain[0]).reshape(3, 3), (beta, eps), corrections)
-    return t3.pack_sym(Ci).tolist(), x, phi
+    Ci, Cbar = t3.unpack_sym(np.array(a)), np.array(strain[0]).reshape(3, 3)
+    return _ci_update(Ci, Cbar, (beta, eps), corrections)
 
 
 def reference_solve(

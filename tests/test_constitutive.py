@@ -52,6 +52,9 @@ from mrmaxwell.constitutive import (
 from mrmaxwell.harness import LoadingProgram
 
 from conftest import (
+    ci_update_oracle,
+    closed_form_step_oracle,
+    eulerian_step_oracle,
     history_gap,
     per_call,
     rand_rotation,
@@ -202,8 +205,19 @@ class TestKirchhoffEulerian:
             B = rand_unimodular_spd(rng, *((0.25, 4.0), (1e-3, 1e3))[k % 2])
             p = MaterialParams(*rng.uniform(0.0, 2.0, 2), 1.0)
             want = p.c10 * t3.deviator(t3.inverse(B)) - p.c01 * t3.deviator(B)
-            assert np.array_equal(_kirchhoff(B.ravel().tolist(), p), want)
+            assert np.array_equal(_kirchhoff(t3.pack_sym(B).tolist(), p), want)
             assert np.array_equal(kirchhoff_eulerian(B, p), want)
+
+    def test_round_off_skew_part_symmetrized(self, rng):
+        # a Be^-1 with a round-off skew part is taken as sym(Be^-1), as
+        # stress_2pk takes Ci: the stress is that of the symmetric part
+        for _ in range(20):
+            B = rand_unimodular_spd(rng)
+            B[0, 1] += 4e-16 * B[0, 1]
+            assert not np.array_equal(B, B.T)
+            S = kirchhoff_eulerian(B, P111)
+            assert np.array_equal(S, S.T)
+            assert np.array_equal(S, kirchhoff_eulerian(sym(B), P111))
 
 
 def _d_form(C, Ci, p):
@@ -527,6 +541,29 @@ class TestIfebmEulerian:
             ifebm_step_eulerian(
                 np.diag([1.0, 1.0, 0.0]), EulerianState.identity(), 0.1, P111
             )
+
+    @pytest.mark.parametrize("shear", [1e155, 1e160, 1e200])
+    def test_overflowing_trial_state_refused_by_name(self, shear):
+        # G^T Be^-1 G of a simple shear by s grows like s^2 and overflows; it is
+        # refused by name before eigh, which would return nan, with no warning
+        F = np.array([[1.0, shear, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        state = EulerianState(rotated_strain([2.0, 1.0, 0.5]), np.eye(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                DomainError, match="^trial state overflows: it has non-finite entries$"
+            ):
+                ifebm_step_eulerian(F, state, 0.1, P111)
+
+    def test_finite_trial_state_keeps_its_refusal(self):
+        # at s = 1e100 the trial state is finite, but too ill-conditioned for
+        # eigh to keep its smallest eigenvalue positive
+        F = np.array([[1.0, 1e100, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        state = EulerianState(rotated_strain([2.0, 1.0, 0.5]), np.eye(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^trial state lost positive definiteness"):
+                ifebm_step_eulerian(F, state, 0.1, P111)
 
 
 class TestTwoiter:
@@ -1901,7 +1938,7 @@ def _eigen_march(C_of_t, t_grid, p, n_substeps):
         h = (t1 - t0) / n_substeps
         for s in range(1, n_substeps + 1):
             Cbar = _cbar(C_of_t(t0 + s * h))[0]
-            Ci = _ci_update(Ci, Cbar, _coefficients(h, p), 0)[0]
+            Ci = t3.unpack_sym(np.array(_ci_update(Ci, Cbar, _coefficients(h, p), 0)[0]))
         states.append(Ci)
         stresses.append(stress_2pk(C_of_t(t1), Ci, p))
     return states, stresses
@@ -1940,7 +1977,7 @@ class TestReferenceMarch:
             a = t3.pack_sym(Ci).tolist()
             got = np.array(_march_substep(_strain(C, "C"), a, beta, eps, 0)[0])
             Cbar = _cbar(C)[0]
-            want = t3.pack_sym(_ci_update(Ci, Cbar, (beta, eps), 0)[0])
+            want = np.array(_ci_update(Ci, Cbar, (beta, eps), 0)[0])
             assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
             _check_states([t3.unpack_sym(got)])
 
@@ -1957,7 +1994,7 @@ class TestReferenceMarch:
         beta, eps = _coefficients(0.3, P111)
         a = t3.pack_sym(Ci).tolist()
         got = np.array(_march_substep(_strain(C, "C"), a, beta, eps, 0)[0])
-        want = t3.pack_sym(_ci_update(Ci, Cbar, (beta, eps), 0)[0])
+        want = np.array(_ci_update(Ci, Cbar, (beta, eps), 0)[0])
         if spread > 1.0:
             assert np.array_equal(got, want)
         else:
@@ -2125,3 +2162,87 @@ class TestNoNumpyLinalgOnPaths:
         for step in (mebm_step, em_step):
             d = step(C, state, 0.5, P111).diagnostics
             assert d.iterations > 0
+
+
+def _outcome(call):
+    # (result, None) of call(), or (None, (type, message)) of its DomainError
+    try:
+        return call(), None
+    except DomainError as err:
+        return None, (type(err), str(err))
+
+
+def _same_step(got, want):
+    # two step outcomes with the same state, stress and diagnostics, bit for
+    # bit, or the same refusal
+    (got, got_err), (want, want_err) = got, want
+    if want_err or got_err:
+        return got_err == want_err
+    fields = ("Ci",) if hasattr(want.state, "Ci") else ("Be_inv_bar", "F_prev")
+    return (
+        all(np.array_equal(getattr(got.state, f), getattr(want.state, f)) for f in fields)
+        and np.array_equal(got.stress, want.stress)
+        and got.diagnostics == want.diagnostics
+    )
+
+
+def _bit_inputs(rng, k):
+    # the k-th seeded input of the closed-form steps: strains and states with
+    # spectra spread up to 1e6, moduli cycling through four pairs, dt
+    # log-uniform in [1e-3, 1e3] and every fifth in [1e100, 1e250], where the
+    # root scales its quadratic (_SAFE)
+    lo, hi = ((0.25, 4.0), (0.1, 10.0), (1e-3, 1e3))[k % 3]
+    c10, c01 = ((1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.7, 0.3))[k % 4]
+    p = MaterialParams(c10, c01, math.exp(rng.uniform(-3.0, 3.0)))
+    dt = math.exp(rng.uniform(*((math.log(1e-3), math.log(1e3)),
+                               (math.log(1e100), math.log(1e250)))[k % 5 == 4]))
+    return rand_spd(rng, lo, hi), rand_unimodular_spd(rng, lo, hi), dt, p
+
+
+class TestDotProducts:
+    # the steps' 3x3 products go through ndarray.dot and their tails run on
+    # floats; the oracles are the same steps with @ and numpy's sym and
+    # unimodular (conftest), which they must match bit for bit
+
+    def test_lagrangian_steps(self):
+        rng = np.random.default_rng(2027)
+        for k in range(2000):
+            C, Ci, dt, p = _bit_inputs(rng, k)
+            state = LagrangianState(Ci)
+            for corrections, step in ((0, ifebm_step_lagrangian), (2, twoiter_step)):
+                got = _outcome(lambda: step(C, state, dt, p))
+                want = _outcome(lambda: closed_form_step_oracle(C, state, dt, p, corrections))
+                assert _same_step(got, want), (k, corrections)
+
+    def test_eulerian_step(self):
+        rng = np.random.default_rng(2028)
+        for k in range(2000):
+            _, Be, dt, p = _bit_inputs(rng, k)
+            F = rand_unimodular(rng, 0.5, 2.0) * math.exp(rng.uniform(-1.0, 1.0))
+            state = EulerianState(Be, rand_unimodular(rng, 0.7, 1.4))
+            got = _outcome(lambda: ifebm_step_eulerian(F, state, dt, p))
+            want = _outcome(lambda: eulerian_step_oracle(F, state, dt, p))
+            assert _same_step(got, want), k
+
+    def test_march_fallback(self):
+        # states whose congruence W spreads by 100 to 1e6, beyond _SPREAD_MAX:
+        # the march's substep takes the eigen path, its triangle the oracle's
+        rng = np.random.default_rng(2029)
+        for k in range(2000):
+            C, _, dt, p = _bit_inputs(rng, k)
+            Cbar = _cbar(C)[0]
+            spread = math.sqrt(math.exp(rng.uniform(math.log(101.0), math.log(1e6))))
+            Q = rand_rotation(rng)
+            sq = spd_sqrt(Cbar)
+            Ci = sym(t3.unimodular(sym(sq @ ((Q * [1.0 / spread, 1.0, spread]) @ Q.T) @ sq)))
+            beta, eps = _coefficients(dt, p)
+            corrections = 2 * (k % 2)
+            a = t3.pack_sym(Ci).tolist()
+            got, got_err = _outcome(
+                lambda: _march_substep(_strain(C, "C"), a, beta, eps, corrections)
+            )
+            want, want_err = _outcome(lambda: ci_update_oracle(Ci, Cbar, (beta, eps), corrections))
+            assert got_err == want_err, k
+            if want is not None:
+                assert got[1:] == want[1:], k
+                assert np.array_equal(got[0], t3.pack_sym(want[0])), k

@@ -22,11 +22,13 @@ from mrmaxwell import (
 )
 from mrmaxwell import tensor3 as t3
 from mrmaxwell import constitutive
-from mrmaxwell.constitutive import _inverse_cholesky
+from mrmaxwell.constitutive import _cholesky
 from mrmaxwell.tangent import _perturbed_strains
 
 from conftest import (
+    exact_tangent_oracle,
     fd_oracle,
+    inverse_cholesky_oracle,
     invalid_state,
     per_call,
     rand_spd,
@@ -298,19 +300,24 @@ class TestLanePath:
         assert not self.same_outcome(stepper, np.diag([1.0, -1.0, 1.0]), *args[1:])
 
     def test_cholesky_pivots(self, rng):
-        # L^-1 of Cbar = L L^T from floats; a first or a last pivot <= 0 is
-        # refused with the step's message
+        # L and L^-1 of Cbar = L L^T from floats, L^-1 bit for bit the numpy
+        # form's; a first or a last pivot <= 0 is refused with the step's
+        # message
         for _ in range(20):
             A = rand_spd(rng)
-            Linv = _inverse_cholesky(A.ravel().tolist(), "C")
-            assert np.array_equal(Linv, np.tril(Linv))
-            assert np.abs(Linv @ A @ Linv.T - np.eye(3)).max() < 1e-14
+            a = A.ravel().tolist()
+            (l00, l10, l11, l20, l21, l22), (m00, m10, m11, m20, m21, m22) = _cholesky(a, "C")
+            L = np.array([[l00, 0.0, 0.0], [l10, l11, 0.0], [l20, l21, l22]])
+            Linv = np.array([[m00, 0.0, 0.0], [m10, m11, 0.0], [m20, m21, m22]])
+            assert np.array_equal(Linv, inverse_cholesky_oracle(a, "C"))
+            assert np.abs(L @ L.T - A).max() < 1e-14 * np.abs(A).max()
+            assert np.abs(Linv @ L - np.eye(3)).max() < 1e-14
         for A in ([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
                   [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0]]):
             with pytest.raises(
                 DomainError, match="^strain input is not positive definite: C has condition"
             ):
-                _inverse_cholesky(np.ravel(A).tolist(), "C")
+                _cholesky(np.ravel(A).tolist(), "C")
 
     @pytest.mark.parametrize("stepper", CLOSED_FORM)
     def test_state_is_checked(self, stepper, monkeypatch):
@@ -352,6 +359,57 @@ class TestLanePath:
             assert len(count_eigh) == 1
             consistent_tangent(per_call(stepper), *args)
             assert len(count_eigh) == 1 + 24
+
+
+class TestNumpyForm:
+    # the exact tangent runs on Python floats around its one eigh; the oracle
+    # is its numpy form (conftest), which congruences, checks the state and
+    # assembles the block with arrays and @
+
+    @pytest.mark.parametrize("stepper", CLOSED_FORM)
+    def test_matches_numpy_form(self, stepper):
+        # strains and states with eigenvalues in [0.25, 4] or [0.1, 10], dt
+        # log-uniform in [1e-3, 1e3] and every fifth in [1e100, 1e250].  With
+        # c10 = 0 at fast flow the tangent is conditioned so that one ulp of
+        # the congruence moves it by 2e-13, and there the two forms differ by
+        # more, each as far from a 60-digit evaluation as the other
+        corrections = constitutive._CORRECTIONS[stepper]
+        rng = np.random.default_rng(2030)
+        for k in range(1000):
+            lo, hi = ((0.25, 4.0), (0.1, 10.0))[k % 2]
+            C, state = rand_spd(rng, lo, hi), LagrangianState(rand_unimodular_spd(rng, lo, hi))
+            c10, c01 = ((1.0, 1.0), (1.0, 0.0), (0.7, 0.3))[k % 3]
+            p = MaterialParams(c10, c01, math.exp(rng.uniform(-3.0, 3.0)))
+            dt = math.exp(rng.uniform(*((-6.9, 6.9), (230.0, 575.0))[k % 5 == 4]))
+            got = consistent_tangent(stepper, C, state, dt, p)
+            want = exact_tangent_oracle(C, state, dt, p, corrections)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), k
+
+    @pytest.mark.parametrize("stepper", CLOSED_FORM)
+    def test_same_outcome_as_numpy_form(self, stepper):
+        # test_strongly_conditioned_sweep's inputs, every fourth with an
+        # indefinite state: the float state check accepts, and the root
+        # refuses, where the numpy form does, with its message
+        corrections = constitutive._CORRECTIONS[stepper]
+        rng = np.random.default_rng(2031)
+        refused = 0
+        for k in range(300):
+            C = rand_spd(rng, 1e-3, 1e3)
+            Ci = rand_unimodular_spd(rng, 1e-2, 1e2)
+            state = invalid_state(-Ci) if k % 4 == 3 else LagrangianState(Ci)
+            c10, c01 = rng.uniform(0.0, 1.0, 2)
+            p = MaterialParams(float(c10), float(c01), float(np.exp(rng.uniform(-5, 5))))
+            dt = float(np.exp(rng.uniform(np.log(1e-4), np.log(1e4))))
+            try:
+                want = exact_tangent_oracle(C, state, dt, p, corrections)
+            except DomainError as err:
+                refused += 1
+                with pytest.raises(DomainError, match=f"^{re.escape(str(err))}$"):
+                    consistent_tangent(stepper, C, state, dt, p)
+                continue
+            assert np.isfinite(want).all()
+            assert np.isfinite(consistent_tangent(stepper, C, state, dt, p)).all()
+        assert refused == 75
 
 
 class TestExactTangent:
