@@ -162,7 +162,7 @@ def _branch_loop(C, strain, model, tris, dt, stepper):
         if dt is None:
             stress = _stress_from_parts(strain, a, p)
         elif corrections is None:
-            res = stepper(C, LagrangianState(t3.unpack_sym(np.array(a))), dt, p)
+            res = stepper(C, LagrangianState._of_upper(a), dt, p)
             c = res.state.Ci.ravel().tolist()
             _check_manifold(c, "Ci")
             a, stress = [c[0], c[4], c[8], c[1], c[2], c[5]], res.stress
@@ -179,7 +179,7 @@ def _branch_loop(C, strain, model, tris, dt, stepper):
 
 def _with_states(model, tris):
     # model with each branch's state built from its upper triangle in tris
-    states = tuple(LagrangianState(t3.unpack_sym(np.array(a))) for a in tris)
+    states = tuple(LagrangianState._of_upper(a) for a in tris)
     return replace(model, states=states)
 
 
@@ -227,17 +227,17 @@ def composite_step(
 
 
 def _check_uniaxial_isochoric(F):
-    lam = F[0, 0]
-    off = abs(F[0, 1]) + abs(F[0, 2]) + abs(F[1, 0]) + abs(F[1, 2]) + abs(
-        F[2, 0]
-    ) + abs(F[2, 1])
-    if not lam > 0.0 or off > 1e-12 * max(lam, 1.0):
+    # the stretch F11 of a finite diag(lam, lam^-1/2, lam^-1/2), F read once
+    f = t3._entries(F, "F")
+    if not all(map(math.isfinite, f)):
+        raise DomainError("F has non-finite entries")
+    f00, f01, f02, f10, f11, f12, f20, f21, f22 = f
+    off = abs(f01) + abs(f02) + abs(f10) + abs(f12) + abs(f20) + abs(f21)
+    if not f00 > 0.0 or off > 1e-12 * max(f00, 1.0):
         raise DomainError("F is not of the uniaxial diagonal form")
-    if abs(F[1, 1] - F[2, 2]) > 1e-12 * lam or abs(
-        lam * F[1, 1] * F[2, 2] - 1.0
-    ) > 1e-8:
+    if abs(f11 - f22) > 1e-12 * f00 or abs(f00 * f11 * f22 - 1.0) > 1e-8:
         raise DomainError("F is not volume preserving uniaxial")
-    return lam
+    return f00
 
 
 def uniaxial_axial_stress(
@@ -246,7 +246,8 @@ def uniaxial_axial_stress(
 ) -> tuple[np.ndarray, CompositeModel]:
     """Axial engineering stress along a volume-preserving uniaxial history.
 
-    ``F_history[k]`` must be ``diag(1 + e, (1 + e)^(-1/2), (1 + e)^(-1/2))``.
+    ``F_history[k]`` must be ``diag(1 + e, (1 + e)^(-1/2), (1 + e)^(-1/2))``,
+    finite; any other is refused by name.
     The first entry is taken as the initial placement (no step); each
     following entry advances the model by ``dt``.  For the incompressible
     model the pressure is eliminated by requiring zero lateral Cauchy

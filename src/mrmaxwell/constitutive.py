@@ -132,6 +132,17 @@ def _check_det_one(a, name):
             raise DomainError(f"{name} must be unimodular, det = {d!r}")
 
 
+def _frozen_upper(a, name):
+    # the read-only symmetric array with the upper triangle a (11, 22, 33, 12,
+    # 13, 23) of the state name, its nine floats checked by _check_manifold
+    a00, a11, a22, a01, a02, a12 = a
+    c = [a00, a01, a02, a01, a11, a12, a02, a12, a22]
+    _check_manifold(c, name)
+    arr = np.array(c)
+    arr.setflags(write=False)
+    return arr.reshape(3, 3)
+
+
 @dataclass(frozen=True)
 class LagrangianState:
     """Inelastic right Cauchy-Green tensor; symmetric, positive definite,
@@ -145,6 +156,15 @@ class LagrangianState:
     @classmethod
     def identity(cls) -> "LagrangianState":
         return cls(np.eye(3))
+
+    @classmethod
+    def _of_upper(cls, a) -> "LagrangianState":
+        # the state with the upper triangle a of Ci, checked as __post_init__
+        # checks it, built once from those floats (the constructor copies its
+        # argument)
+        state = object.__new__(cls)
+        object.__setattr__(state, "Ci", _frozen_upper(a, "Ci"))
+        return state
 
 
 @dataclass(frozen=True)
@@ -165,6 +185,18 @@ class EulerianState:
     @classmethod
     def identity(cls) -> "EulerianState":
         return cls(np.eye(3), np.eye(3))
+
+    @classmethod
+    def _of_upper(cls, e, f) -> "EulerianState":
+        # the state with the upper triangle e of Be_inv_bar, checked as
+        # __post_init__ checks it, and F_prev from the nine numbers f of a
+        # gradient the caller has checked
+        state = object.__new__(cls)
+        object.__setattr__(state, "Be_inv_bar", _frozen_upper(e, "Be_inv_bar"))
+        F = np.array(f, dtype=float)
+        F.setflags(write=False)
+        object.__setattr__(state, "F_prev", F.reshape(3, 3))
+        return state
 
 
 def eulerian_state_from_lagrangian(F: np.ndarray, Ci: np.ndarray) -> EulerianState:
@@ -565,6 +597,21 @@ def _unimodular_sym(Y):
     return [v / r for v in a]
 
 
+# below this bound on the partial sums of two 3x3 products, they cannot
+# overflow, and _product runs them without an errstate, which costs more
+_PRODUCT_SAFE = 1e300
+
+
+def _product(A, B, C, bound):
+    # A.dot(B).dot(C), whose partial sums are at most bound in magnitude; where
+    # that allows an overflow, under an errstate, so that a product that
+    # overflows reaches _closed_form_root's refusal by name, not a warning
+    if bound < _PRODUCT_SAFE:
+        return A.dot(B).dot(C)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return A.dot(B).dot(C)
+
+
 def _ci_update(Ci, Cbar, coeffs, corrections):
     # the closed-form update of Ci towards a strain with the unimodular part
     # Cbar, as an upper triangle, its root's eigenvalues and phi: the root X
@@ -573,13 +620,15 @@ def _ci_update(Ci, Cbar, coeffs, corrections):
     # @ without its ufunc dispatch; on floats they would round differently,
     # as BLAS fuses multiply-adds
     w, V = t3.eigh(Cbar)
-    if not w[0] > 0.0:
-        raise DomainError(
-            "strain input is not positive definite", min_eigenvalue=float(w[0])
-        )
+    lo = float(w[0])
+    if not lo > 0.0:
+        raise DomainError("strain input is not positive definite", min_eigenvalue=lo)
     r = np.sqrt(w)
     sq, isq = (V * r).dot(V.T), (V / r).dot(V.T)
-    X, x, phi = _closed_form_root(isq.dot(Ci).dot(isq), coeffs, corrections, "quadratic input")
+    # |isq| = w1^-1/2, and w1 <= 1 for a unimodular Cbar, so the partial sums
+    # of isq Ci isq are at most |Ci|_F / w1
+    M = _product(isq, Ci, isq, math.hypot(*Ci.ravel().tolist()) / lo)
+    X, x, phi = _closed_form_root(M, coeffs, corrections, "quadratic input")
     return _unimodular_sym(sq.dot(X).dot(sq)), x, phi
 
 
@@ -588,7 +637,7 @@ def _closed_form_step(strain, Ci, dt, p, corrections):
     # the parts of _strain, on the eigen path
     coeffs = _coefficients(dt, p)
     a, x, phi = _ci_update(Ci, np.array(strain[0]).reshape(3, 3), coeffs, corrections)
-    state = LagrangianState(t3.unpack_sym(np.array(a)))
+    state = LagrangianState._of_upper(a)
     stress = _stress_from_parts(strain, a, p)
     return StepResult(state, stress, _diagnostics(x, phi, corrections))
 
@@ -614,17 +663,18 @@ def _cholesky(a, name):
 
 
 def _principal_block(w, x, s, g, p):
-    # the 6x6 derivative of the packed components (11, 22, 33, 12, 13, 23) of
-    # dS = N^T dT N, N the basis of _lagrangian_tangent, in those of Eh = N^T
-    # dC N, from the spectra w of W and x of X, s_i = sqrt(phi^2 + 4 eps (w_i
-    # + beta)) and the gradient g of phi in w.  The stress has the components
-    # sigma = P a, a_i = c10/x~_i - c01 x~_i, x~ = x/cbrt(x1 x2 x3), P the
-    # deviatoric projector.  The diagonal E = P Eh moves w by dw = -w E, phi by
-    # g . dw and log x by (dw/x - dphi)/s, so log x~ by -Z Eh, Z = P (diag(w/(x
-    # s)) - (1/s) (g w)^T) P, and a by m Z Eh, m_i = c10/x~_i + c01 x~_i; dS
-    # moves by P da less sigma_a Eh_aa as the basis moves with Eh.  A shear
-    # pair ab moves W by -Eh_ab (w_a + w_b)/2 and X by 2/(s_a + s_b) times
-    # that, so dS_ab = G_ab Eh_ab
+    # the 6x6 derivative of the strain vector (11, 22, 33, 2 12, 2 13, 2 23)
+    # of dS = N^T dT N, N the basis of _lagrangian_tangent, in the packed
+    # components (11, 22, 33, 12, 13, 23) of Eh = N^T dC N, from the spectra w
+    # of W and x of X, s_i = sqrt(phi^2 + 4 eps (w_i + beta)) and the gradient
+    # g of phi in w.  The stress has the components sigma = P a, a_i = c10/x~_i
+    # - c01 x~_i, x~ = x/cbrt(x1 x2 x3), P the deviatoric projector.  The
+    # diagonal E = P Eh moves w by dw = -w E, phi by g . dw and log x by (dw/x
+    # - dphi)/s, so log x~ by -Z Eh, Z = P (diag(w/(x s)) - (1/s) (g w)^T) P,
+    # and a by m Z Eh, m_i = c10/x~_i + c01 x~_i; dS moves by P da less
+    # sigma_a Eh_aa as the basis moves with Eh.  A shear pair ab moves W by
+    # -Eh_ab (w_a + w_b)/2 and X by 2/(s_a + s_b) times that, so dS_ab = G_ab
+    # Eh_ab, whose doubled slot 2 G_ab (exact) the block holds
     c10, c01 = p.c10, p.c01
     w0, w1, w2 = w
     x0, x1, x2 = x
@@ -662,19 +712,20 @@ def _principal_block(w, x, s, g, p):
         -a0 + (m0 * z00 - n0), m0 * z01 - n1, m0 * z02 - n2, 0.0, 0.0, 0.0,
         m1 * z10 - n0, -a1 + (m1 * z11 - n1), m1 * z12 - n2, 0.0, 0.0, 0.0,
         m2 * z20 - n0, m2 * z21 - n1, -a2 + (m2 * z22 - n2), 0.0, 0.0, 0.0,
-        0.0, 0.0, 0.0, G01, 0.0, 0.0,
-        0.0, 0.0, 0.0, 0.0, G02, 0.0,
-        0.0, 0.0, 0.0, 0.0, 0.0, G12,
+        0.0, 0.0, 0.0, 2.0 * G01, 0.0, 0.0,
+        0.0, 0.0, 0.0, 0.0, 2.0 * G02, 0.0,
+        0.0, 0.0, 0.0, 0.0, 0.0, 2.0 * G12,
     ]).reshape(6, 6)
 
 
 def _lagrangian_tangent(C_next, Ci, dt, p, corrections):
-    # the exact derivative of the closed-form step's stress, Ci held fixed, as
-    # the principal basis N and the block of _principal_block.  With Cbar =
-    # C_next/r = L L^T, r = cbrt(det C_next), and W = L^-1 Ci L^-T = U diag(w)
-    # U^T, w is the spectrum of the step's congruence, and N = L^-T U /
-    # sqrt(r) has N^T C_next N = I and N^T Ci N = diag(w)/r: there the step is
-    # diagonal.  All but eigh and the arrays it returns are Python floats
+    # the exact derivative of the closed-form step's stress, Ci held fixed, in
+    # the stress and strain vectors of consistent_tangent: Q D Q^T, D the
+    # block of _principal_block in the principal basis N.  With Cbar = C_next/r
+    # = L L^T, r = cbrt(det C_next), and W = L^-1 Ci L^-T = U diag(w) U^T, w
+    # is the spectrum of the step's congruence, and N = L^-T U / sqrt(r) has
+    # N^T C_next N = I and N^T Ci N = diag(w)/r: there the step is diagonal.
+    # All but eigh, the arrays it returns and the two products are floats
     beta, eps = _coefficients(dt, p)
     q, _, r = _strain(C_next, "C_next")
     (l00, l10, l11, l20, l21, l22), (m00, m10, m11, m20, m21, m22) = _cholesky(q, "C_next")
@@ -688,6 +739,9 @@ def _lagrangian_tangent(C_next, Ci, dt, p, corrections):
     w20, w21, w22 = t20 * m00, t20 * m10 + t21 * m11, t20 * m20 + t21 * m21 + t22 * m22
     w, U = t3.eigh(np.array([w00, w10, w20, w10, w11, w21, w20, w21, w22]).reshape(3, 3))
     w = w.tolist()
+    # a W that overflowed gives nan eigenvalues; refused as the step refuses it
+    if not w[0] > 0.0 and not all(map(math.isfinite, (w00, w10, w11, w20, w21, w22))):
+        raise DomainError("quadratic input overflows: it has non-finite entries")
     x, _, s, g = _root(w, beta, eps, corrections, "quadratic input", slopes=True)
     u00, u01, u02, u10, u11, u12, u20, u21, u22 = U.ravel().tolist()
     # the state as the step builds and checks it: sq X sq = B diag(x) B^T, B
@@ -709,14 +763,29 @@ def _lagrangian_tangent(C_next, Ci, dt, p, corrections):
     _check_manifold([v / d for v in y], "Ci")
     # N = L^-T U / sqrt(r), L^-T upper triangular
     k = math.sqrt(r)
-    N = np.array([
-        (m00 * u00 + m10 * u10 + m20 * u20) / k,
-        (m00 * u01 + m10 * u11 + m20 * u21) / k,
-        (m00 * u02 + m10 * u12 + m20 * u22) / k,
-        (m11 * u10 + m21 * u20) / k, (m11 * u11 + m21 * u21) / k, (m11 * u12 + m21 * u22) / k,
-        m22 * u20 / k, m22 * u21 / k, m22 * u22 / k,
-    ]).reshape(3, 3)
-    return N, _principal_block(w, x, s, g, p)
+    n00 = (m00 * u00 + m10 * u10 + m20 * u20) / k
+    n01 = (m00 * u01 + m10 * u11 + m20 * u21) / k
+    n02 = (m00 * u02 + m10 * u12 + m20 * u22) / k
+    n10, n11 = (m11 * u10 + m21 * u20) / k, (m11 * u11 + m21 * u21) / k
+    n12 = (m11 * u12 + m21 * u22) / k
+    n20, n21, n22 = m22 * u20 / k, m22 * u21 / k, m22 * u22 / k
+    # Q[ij, ab] = (N_ia N_jb + N_ib N_ja)/2 over the packed pairs (11, 22, 33,
+    # 12, 13, 23): the packed components of N A N^T are Q times the strain
+    # vector of a symmetric A, and those of N^T dC N are Q^T times that of
+    # dC.  Where i = j or a = b its two products are one float, and their
+    # mean is that float
+    Q = np.array([
+        n00 * n00, n01 * n01, n02 * n02, n00 * n01, n00 * n02, n01 * n02,
+        n10 * n10, n11 * n11, n12 * n12, n10 * n11, n10 * n12, n11 * n12,
+        n20 * n20, n21 * n21, n22 * n22, n20 * n21, n20 * n22, n21 * n22,
+        n00 * n10, n01 * n11, n02 * n12, (n00 * n11 + n01 * n10) / 2.0,
+        (n00 * n12 + n02 * n10) / 2.0, (n01 * n12 + n02 * n11) / 2.0,
+        n00 * n20, n01 * n21, n02 * n22, (n00 * n21 + n01 * n20) / 2.0,
+        (n00 * n22 + n02 * n20) / 2.0, (n01 * n22 + n02 * n21) / 2.0,
+        n10 * n20, n11 * n21, n12 * n22, (n10 * n21 + n11 * n20) / 2.0,
+        (n10 * n22 + n12 * n20) / 2.0, (n11 * n22 + n12 * n21) / 2.0,
+    ]).reshape(6, 6)
+    return Q.dot(_principal_block(w, x, s, g, p)).dot(Q.T)
 
 
 def ifebm_step_lagrangian(
@@ -753,16 +822,29 @@ def ifebm_step_eulerian(
     accepted and the new placement; returns the Kirchhoff stress.
     """
     beta, eps = _coefficients(dt, p)
-    if not np.isfinite(F_next).all() or not det(F_next) > 0.0:
+    # F_next is read and checked once, as the new state's F_prev; an array of
+    # another shape is refused as tensor3.det refuses it
+    f = F_next.ravel().tolist()
+    finite = all(map(math.isfinite, f))
+    if finite and F_next.shape != (3, 3):
+        raise DomainError(f"det takes one 3x3 tensor, got shape {F_next.shape}")
+    if not (finite and t3._det9(*f) > 0.0):
         raise DomainError("F_next must be finite with positive determinant")
-    G = inverse(unimodular(F_next.dot(inverse(state.F_prev))))
-    # a trial state that overflows is refused by name, with no warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        M = G.T.dot(state.Be_inv_bar).dot(G)
-    X, x, phi = _closed_form_root(M, (beta, eps), 0, "trial state")
+    # G = inverse(unimodular(F_next F_prev^-1)) on floats around the product
+    Finv = np.array(t3._inverse9(*state.F_prev.ravel().tolist())).reshape(3, 3)
+    m = F_next.dot(Finv).ravel().tolist()
+    r = t3._cbrt_det9(m)
+    g = t3._inverse9(*[v / r for v in m])
+    G = np.array(g).reshape(3, 3)
+    # det G = 1 makes |G|_F >= 3^1/2, so the partial sums of G^T Be^-1 G are
+    # at most |G|_F^2 |Be^-1|_F; a trial state that overflows is refused by
+    # name, with no warning
+    B, n = state.Be_inv_bar, math.hypot(*g)
+    bound = n * n * math.hypot(*B.ravel().tolist())
+    X, x, phi = _closed_form_root(_product(G.T, B, G, bound), (beta, eps), 0, "trial state")
     # the state's _check_manifold is stricter than kirchhoff_eulerian's checks
     e = _unimodular_sym(X)
-    state = EulerianState(t3.unpack_sym(np.array(e)), F_next)
+    state = EulerianState._of_upper(e, f)
     return StepResult(state, _kirchhoff(e, p), _diagnostics(x, phi, 0))
 
 
@@ -1161,11 +1243,10 @@ def reference_solve(
                 a = _march_substep(strain, a, *coarse, 0)[0]
             if check_richardson:
                 fine = _march_substep(strain, fine, *halved, 0)[0]
-        state = LagrangianState(t3.unpack_sym(np.array(a)))
-        states.append(state.Ci)
+        states.append(LagrangianState._of_upper(a).Ci)
         stresses.append(_stress_from_parts(strain, a, p))
         if check_richardson:
-            LagrangianState(t3.unpack_sym(np.array(fine)))
+            LagrangianState._of_upper(fine)
             finer = _stress_from_parts(strain, fine, p)
             gap = max(gap, float(np.linalg.norm(stresses[-1] - finer)))
     return ReferenceSolution(t_grid, states, stresses, gap)

@@ -60,14 +60,6 @@ def voigt_to_strain(v: np.ndarray) -> np.ndarray:
     return t3.unpack_sym(np.asarray(v) / _STRAIN_WEIGHT)
 
 
-# the flat indices into a 3x3 N of N_ia, N_jb, N_ib and N_ja over the packed
-# pairs ij (rows) and ab (columns), in the order (11, 22, 33, 12, 13, 23)
-_I, _J = np.divmod(t3._PACK, 3)
-_Q_INDEX = (
-    3 * np.array([_I, _J, _I, _J])[:, :, None] + np.array([_I, _J, _J, _I])[:, None]
-)
-
-
 def _perturbed_strains(C, h):
     # rows j and 6 + j: C with strain-vector slot j moved by +h and -h
     x = np.repeat(strain_to_voigt(C)[None], 12, axis=0)
@@ -92,24 +84,19 @@ def consistent_tangent(
     ``h = None`` and a closed-form stepper (``ifebm_step_lagrangian``,
     ``twoiter_step``) the result is the exact derivative of the discrete
     update, taken in the basis where the step is diagonal: one
-    eigendecomposition, a 3x3 block and three shear moduli, mapped to the
-    stress and strain vectors by one 6x6 congruence.  Otherwise it is taken
-    by central differences with step ``h``, calling the stepper once per
-    perturbed strain; the default ``h = 1e-6 * max(||C||_F, 1)`` sits near
-    the double-precision optimum.  A non-finite strain or ``h`` is refused
-    before any strain is perturbed.  If a perturbed strain loses positive
-    definiteness the step is shrunk once by a factor 10, after which
-    DomainError is raised.
+    eigendecomposition, a 3x3 block and three shear moduli, doubled for the
+    strain vector's shear slots, mapped to the stress and strain vectors by
+    one 6x6 congruence built from the basis's nine entries.  Otherwise it
+    is taken by central differences with step ``h``, calling the stepper
+    once per perturbed strain; the default ``h = 1e-6 * max(||C||_F, 1)``
+    sits near the double-precision optimum.  A non-finite strain or ``h``
+    is refused before any strain is perturbed.  If a perturbed strain loses
+    positive definiteness the step is shrunk once by a factor 10, after
+    which DomainError is raised.
     """
     corrections = _CORRECTIONS.get(stepper)
     if h is None and corrections is not None:
-        N, D = _lagrangian_tangent(C_next, state.Ci, dt, p, corrections)
-        # with Q[ij, ab] = (N_ia N_jb + N_ib N_ja)/2, the packed components
-        # of N A N^T are Q (wt a) for those a of a symmetric A, and those of
-        # N^T dC N are Q^T v for the strain vector v of dC
-        ia, jb, ib, ja = N.take(_Q_INDEX)
-        Q = (ia * jb + ib * ja) / 2.0
-        return (Q * _STRAIN_WEIGHT) @ D @ Q.T
+        return _lagrangian_tangent(C_next, state.Ci, dt, p, corrections)
     dT = _central_differences(stepper, C_next, state, dt, p, h)
     # row-major, as callers' norms sum in memory order
     return np.ascontiguousarray(dT.T)

@@ -239,6 +239,14 @@ def principal_block_oracle(w, x, s, g, p):
     return D
 
 
+# the flat indices into a 3x3 N of N_ia, N_jb, N_ib and N_ja over the packed
+# pairs ij (rows) and ab (columns), in the order (11, 22, 33, 12, 13, 23)
+_I, _J = np.divmod(t3._PACK, 3)
+_Q_INDEX = (
+    3 * np.array([_I, _J, _I, _J])[:, :, None] + np.array([_I, _J, _J, _I])[:, None]
+)
+
+
 def exact_tangent_oracle(C, state, dt, p, corrections):
     """The exact tangent of ifebm (0 corrections) or 2iebm (2): the
     congruence ``L^-1 Ci L^-T``, the step's state ``unimodular(sym(B
@@ -254,6 +262,6 @@ def exact_tangent_oracle(C, state, dt, p, corrections):
     B = np.array(q).reshape(3, 3) @ LU
     LagrangianState(t3.unimodular(t3.sym((B * x) @ B.T, check=False)))
     N = LU / math.sqrt(r)
-    ia, jb, ib, ja = N.take(tg._Q_INDEX)
+    ia, jb, ib, ja = N.take(_Q_INDEX)
     Q = (ia * jb + ib * ja) / 2.0
     return (Q * tg._STRAIN_WEIGHT) @ principal_block_oracle(w, x, s, g, p) @ Q.T

@@ -700,6 +700,27 @@ class TestUniaxial:
         F_bad = np.array([[1.2, 0.1, 0], [0, 1.0, 0], [0, 0, 0.9]])
         with pytest.raises(DomainError):
             uniaxial_axial_stress(model, [F_bad], 0.1)
+        lam = 1.2
+        side = lam ** -0.5
+        for F, message in (
+            (F_bad, "F is not of the uniaxial diagonal form"),
+            (np.diag([-lam, side, side]), "F is not of the uniaxial diagonal form"),
+            (np.diag([lam, side * 1.01, side / 1.01]), "F is not volume preserving uniaxial"),
+            (np.diag([lam, side, side]) * 1.01, "F is not volume preserving uniaxial"),
+        ):
+            # the second sample, whose refusal comes before the step to it
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                uniaxial_axial_stress(model, [np.eye(3), F], 0.1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("slot", range(9))
+    def test_non_finite_F_refused_by_name(self, slot, value):
+        # a nan off the diagonal passed the uniaxial checks and was blamed on C
+        model = load_model(table_model_path())
+        F = np.diag([1.2, 1.2 ** -0.5, 1.2 ** -0.5])
+        F.flat[slot] = value
+        with pytest.raises(DomainError, match="^F has non-finite entries$"):
+            uniaxial_axial_stress(model, [np.eye(3), F], 0.1)
 
     @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf, True, np.True_])
     @pytest.mark.parametrize("samples", [1, 3])

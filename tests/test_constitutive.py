@@ -131,6 +131,54 @@ class TestStates:
         with pytest.raises(DomainError):
             EulerianState(np.eye(3), np.diag([1.0, 1.0, -1.0]))
 
+    def test_states_from_triangles_match_constructors(self, rng):
+        # the steps build their states once from an upper triangle (and the
+        # nine numbers of a checked F): bit for bit the public construction
+        # from a copy, and read-only
+        def bits(A):
+            return A.dtype, A.shape, A.tobytes()
+
+        for k in range(200):
+            a = t3.pack_sym(rand_unimodular_spd(rng, 1e-3, 1e3)).tolist()
+            if k == 0:
+                a = [1.0, 1.0, 1.0, 0.0, -0.0, 0.0]
+            F = rand_unimodular(rng) * math.exp(rng.uniform(-1.0, 1.0))
+            f = F.ravel().tolist()
+            states = [
+                (LagrangianState._of_upper(a), LagrangianState(t3.unpack_sym(np.array(a)))),
+                (EulerianState._of_upper(a, f), EulerianState(t3.unpack_sym(np.array(a)), F)),
+            ]
+            for got, want in states:
+                assert type(got) is type(want)
+                for name in ("Ci",) if hasattr(want, "Ci") else ("Be_inv_bar", "F_prev"):
+                    arr = getattr(got, name)
+                    assert bits(arr) == bits(getattr(want, name)), name
+                    assert not arr.flags.writeable
+                    with pytest.raises(ValueError):
+                        arr[0, 0] = 2.0
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [1.0, 1.0, 1.0, math.nan, 0.0, 0.0],
+            [math.inf, 1.0, 1.0, 0.0, 0.0, 0.0],
+            [1.0, -1.0, -1.0, 0.0, 0.0, 0.0],
+            [2.0, 1.0, 1.0, 0.0, 0.0, 0.0],
+            [1.0, 1.0, 1.0, 1.0, 0.0, 0.0],
+        ],
+    )
+    def test_states_from_triangles_refuse_as_constructors(self, a):
+        eye = np.eye(3)
+        for build, public in (
+            (LagrangianState._of_upper, LagrangianState),
+            (lambda a: EulerianState._of_upper(a, eye.ravel().tolist()),
+             lambda C: EulerianState(C, eye)),
+        ):
+            with pytest.raises(DomainError) as want:
+                public(t3.unpack_sym(np.array(a)))
+            with pytest.raises(DomainError, match=f"^{re.escape(str(want.value))}$"):
+                build(a)
+
 
 class TestStress2pk:
     def test_undeformed(self):
@@ -464,6 +512,21 @@ class TestIfebmLagrangian:
         with pytest.raises(DomainError):
             ifebm_step_lagrangian(np.eye(3), LagrangianState.identity(), -0.1, P111)
 
+    @pytest.mark.parametrize("step", [ifebm_step_lagrangian, twoiter_step])
+    def test_overflowing_quadratic_input_refused_by_name(self, step):
+        # a strain and a state that both pass their checks, whose congruence
+        # isq Ci isq overflows (1e200 / 1e-120): refused by name, with no
+        # warning, by the step and by its exact tangent
+        C = np.diag([1e-120, 1e60, 1e60])
+        state = LagrangianState(np.diag([1e200, 1e-100, 1e-100]))
+        message = "^quadratic input overflows: it has non-finite entries$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=message):
+                step(C, state, 0.1, P111)
+            with pytest.raises(DomainError, match=message):
+                consistent_tangent(step, C, state, 0.1, P111)
+
     def test_matches_literal_contract_composition(self, rng):
         # the step equals the literal composition of the public pieces:
         # transform, estimate, root, sandwich, projection
@@ -554,6 +617,62 @@ class TestIfebmEulerian:
                 DomainError, match="^trial state overflows: it has non-finite entries$"
             ):
                 ifebm_step_eulerian(F, state, 0.1, P111)
+
+    def test_integer_gradient_stored_as_float_copy(self):
+        # the state's F_prev is a float copy of F_next: an integer F_next is
+        # stored as float64, and the caller's array stays the caller's
+        F = np.array([[2, 1, 0], [0, 1, 0], [0, 0, 1]])
+        state = EulerianState(rotated_strain([2.0, 1.0, 0.5]), np.diag([1.5, 1.0, 0.8]))
+        res = ifebm_step_eulerian(F, state, 0.1, P111)
+        assert _same_step(_outcome(lambda: res), _outcome(
+            lambda: eulerian_step_oracle(F, state, 0.1, P111)
+        ))
+        assert res.state.F_prev.dtype == np.float64
+        assert np.array_equal(res.state.F_prev, F.astype(float))
+        G = np.array(F, dtype=float)
+        after = ifebm_step_eulerian(G, state, 0.1, P111).state
+        F[0, 1] = 7
+        G[0, 1] = 7.0
+        for st in (res.state, after):
+            assert st.F_prev[0, 1] == 1.0
+            assert not st.F_prev.flags.writeable
+
+    def test_bad_gradient_refused_as_before(self):
+        # every F_next the step refuses, refused with the type and message of
+        # the numpy form (conftest), which checked np.isfinite and then det
+        state = EulerianState(rotated_strain([2.0, 1.0, 0.5]), np.diag([1.5, 1.0, 0.8]))
+        bad = []
+        for slot in range(9):
+            for value in (math.nan, math.inf, -math.inf):
+                F = np.diag([1.2, 1.0, 0.9])
+                F.flat[slot] = value
+                bad.append(F)
+        bad += [
+            np.diag([1.2, 1.0, -0.9]), np.diag([1.2, 0.0, 0.9]), np.zeros((3, 3)),
+            np.array([[1.0, 2.0, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+            np.eye(2), np.full((2, 2), math.nan), np.eye(3).ravel(),
+            np.stack([np.eye(3)] * 2), np.stack([np.eye(3), np.full((3, 3), math.inf)]),
+        ]
+        for F in bad:
+            want = _outcome(lambda: eulerian_step_oracle(F, state, 0.1, P111))
+            assert want[1] is not None, F
+            assert _outcome(lambda: ifebm_step_eulerian(F, state, 0.1, P111))[1] == want[1], F
+
+    def test_gradient_checked_once(self, monkeypatch):
+        # the determinant of F_next is taken once: the state that stores it as
+        # F_prev does not check it again
+        F = np.array([[1.2, 0.1, 0.0], [0.0, 1.0, 0.05], [0.0, 0.0, 0.9]])
+        state = EulerianState(rotated_strain([2.0, 1.0, 0.5]), np.diag([1.5, 1.0, 0.8]))
+        calls = []
+        det9 = t3._det9
+
+        def counting(*a):
+            calls.append(a)
+            return det9(*a)
+
+        monkeypatch.setattr(t3, "_det9", counting)
+        ifebm_step_eulerian(F, state, 0.1, P111)
+        assert calls.count(tuple(F.ravel().tolist())) == 1
 
     def test_finite_trial_state_keeps_its_refusal(self):
         # at s = 1e100 the trial state is finite, but too ill-conditioned for
